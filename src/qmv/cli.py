@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .expr import ExprError, SessionConfig, evaluate_source
 from .minors import minor
@@ -146,7 +147,10 @@ def _cmd_jordan(args) -> int:
     return 0 if report.passed else CHECK_FAILURE
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The qmv argument parser; built once per process and shared by every call
+    to ``main``, since parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="qmv",
         description="Exact PBW normal forms and identity verification for quantum matrices",
@@ -193,9 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR

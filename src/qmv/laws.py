@@ -48,7 +48,10 @@ def _affine(family: str, **values: int) -> int:
 
 
 def row_expansion_exponent(i: int, j: int) -> int:
-    """Row expansion (generator left of the minor): exponent on X[k,j] A(i,j)."""
+    """Row expansion (generator left of the minor): exponent on X[k,j] A(i,j).
+
+    Like the column law, it is positional: the derived-minor expansion reads
+    (i, j) as (row position, column position) in the index sets."""
     return _affine("row-laplace", i=i, j=j)
 
 

@@ -6,9 +6,8 @@ subset of rows and columns and takes the determinant of the relabeled
 submatrix; because the row indices are strictly increasing, every permutation
 product is already in PBW order, so minors are assembled without rewriting.
 
-Row expansions carry the exponent law (-q)^(j-i), which reproduces both
-hand-checkable small cases; column expansions use the law fitted by the
-exponent solver and frozen in the shipped table.
+Row and column expansions both take their exponent laws from the table fitted
+by the exponent solver and frozen with the package.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraElement, PbwMonomial, Shape, gen
 from .scalar import LaurentScalar
+from . import laws
 
 Gen = tuple[int, int]
 
@@ -86,30 +86,23 @@ def complement_minor(shape: Shape, i: int, j: int) -> AlgebraElement:
     return minor(shape, rows, cols)
 
 
-def row_expansion_exponent(i: int, j: int) -> int:
-    """Exponent of (-q) on the X[k,j] A(i,j) term of a row expansion."""
-    return j - i
-
-
 def laplace_expand_row(shape: Shape, i: int, k: int) -> AlgebraElement:
     """sum_j (-q)^(j-i) X[k,j] A(i,j): the determinant when k = i, zero otherwise."""
     n = _square_side(shape, i, k)
     out = AlgebraElement.zero(shape)
     for j in range(1, n + 1):
         term = gen(shape, k, j) * complement_minor(shape, i, j)
-        out = out + term.scale(LaurentScalar.minus_q_power(row_expansion_exponent(i, j)))
+        out = out + term.scale(LaurentScalar.minus_q_power(laws.row_expansion_exponent(i, j)))
     return out
 
 
 def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
     """sum_i (-q)^e(i,j) A(i,j) X[i,l] with the fitted column exponent law."""
-    from .laws import col_expansion_exponent
-
     n = _square_side(shape, j, l)
     out = AlgebraElement.zero(shape)
     for i in range(1, n + 1):
         term = complement_minor(shape, i, j) * gen(shape, i, l)
-        out = out + term.scale(LaurentScalar.minus_q_power(col_expansion_exponent(i, j)))
+        out = out + term.scale(LaurentScalar.minus_q_power(laws.col_expansion_exponent(i, j)))
     return out
 
 

@@ -37,6 +37,7 @@ from .localize import (
     check_det_reduction,
     check_minor_commutation,
     check_minor_reduction,
+    corner_inverse,
     expand_minor_without_corner,
     loc,
     minor_over_derived_generators,
@@ -557,6 +558,11 @@ def _suite_lemma111(shape: Shape, t=None) -> list[IdentityCheck]:
     for (i, j), xp in sorted(entries.items()):
         checks.append(check_zero(f"X'[{i},{j}] commutes with X[1,{shape.n}]",
                                  xp * corner - corner * xp))
+    n = shape.n
+    for (i, j), xp in sorted(entries.items()):
+        via_minor = loc(minor(shape, (1, i), (j, n)).scale(-QINV)) * corner_inverse(shape)
+        checks.append(check_zero(f"X'[{i},{j}] = -q^-1 [1,{i}|{j},{n}] X[1,{n}]^-1",
+                                 xp - via_minor))
     return checks
 
 

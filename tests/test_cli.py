@@ -135,6 +135,22 @@ class TestCommands:
         assert payload["shape"] == {"m": 3, "n": 3}
         assert all(c["status"] == "pass" for c in payload["checks"])
 
+    def test_repeated_calls_share_no_state(self, capsys):
+        # one process, one parser: each call sees only its own arguments
+        assert main(["normalize", "--m", "2", "--n", "2", "X[2,2]*X[1,1]"]) == 0
+        out = capsys.readouterr()
+        assert out.out.strip() == "X[1,1]*X[2,2] - (q - q^-1)*X[1,2]*X[2,1]"
+        assert main(["no-such-command"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "invalid choice" in out.err
+        assert main(["equal", "--n", "3", "Dq@3 * X[2,2]", "X[2,2] * Dq@3"]) == 0
+        assert capsys.readouterr().out.strip() == "equal"
+        assert main(["suite", "thm21", "--n", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "pass" and payload["shape"] == {"m": 3, "n": 3}
+        assert main(["normalize", "X[1,1]"]) == 2
+        assert "shape required" in capsys.readouterr().err
+
     def test_suite_unknown_exit_code(self, capsys):
         assert main(["suite", "nope", "--n", "2"]) == 2
 

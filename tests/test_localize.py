@@ -1,5 +1,6 @@
 """Localization at the corner generator, derived generators, and minor reduction."""
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from qmv.localize import (
 )
 from qmv.minors import minor, qdet
 from qmv.scalar import Q, QINV
+from qmv.verify import run_suite
 
 
 def test_tau_on_generators():
@@ -103,8 +105,13 @@ def test_x_prime_both_forms_and_corner_commutation():
         corner = loc(gen(shape, 1, shape.n))
         for i in range(2, shape.m + 1):
             for j in range(1, shape.n):
-                xp = x_prime(shape, i, j)  # construction asserts both forms agree
+                xp = x_prime(shape, i, j)
                 assert xp * corner == corner * xp
+        # lemma111 reports the agreement of both defining forms, one check per entry
+        report = run_suite("lemma111", m=shape.m, n=shape.n)
+        forms = [c for c in report.checks if " = -q^-1 [1," in c.name]
+        assert len(forms) == (shape.m - 1) * (shape.n - 1)
+        assert all(c.ok for c in forms), [c.name for c in forms if not c.ok]
 
 
 def test_x_prime_index_validation():
@@ -123,8 +130,36 @@ def test_x_prime_minor_substitution_cross_check():
     s = Shape(3, 3)
     for rows, cols in (((2,), (2,)), ((2, 3), (1, 2)), ((3,), (1,))):
         assert x_prime_minor(s, rows, cols) == x_prime_minor_substituted(s, rows, cols)
+    # every derived minor of 4x4, and the full derived determinant of 5x5
     s4 = Shape(4, 4)
-    assert x_prime_minor(s4, (2, 4), (1, 3)) == x_prime_minor_substituted(s4, (2, 4), (1, 3))
+    derived = [
+        (rows, cols)
+        for t in (1, 2, 3)
+        for rows in itertools.combinations(range(2, 5), t)
+        for cols in itertools.combinations(range(1, 4), t)
+    ]
+    assert len(derived) == 19
+    for rows, cols in derived:
+        assert x_prime_minor(s4, rows, cols) == x_prime_minor_substituted(s4, rows, cols), (rows, cols)
+    s5 = Shape(5, 5)
+    full = ((2, 3, 4, 5), (1, 2, 3, 4))
+    assert full_x_prime_determinant(s5) == x_prime_minor_substituted(s5, *full)
+
+
+def test_cached_minors_are_not_changed_by_callers():
+    s = Shape(4, 4)
+    first = x_prime_minor(s, (2, 3), (1, 3))
+    text = str(first)
+    _ = -first
+    _ = first.scale(Q)
+    _ = first * loc(gen(s, 1, 1)) + first
+    again = x_prime_minor(s, (2, 3), (1, 3))
+    assert str(again) == text
+    assert again == x_prime_minor_substituted(s, (2, 3), (1, 3))
+    entry = x_prime(s, 2, 1)
+    _ = -entry
+    _ = entry.scale(QINV)
+    assert x_prime(s, 2, 1) == x_prime_minor_substituted(s, (2,), (1,))
 
 
 def test_x_prime_minor_commutes_with_corner():
@@ -142,7 +177,7 @@ def test_det_reduction_hand_expansion_at_two():
     assert lhs == rhs
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 6])
 def test_det_reduction(n):
     for check in check_det_reduction(n):
         assert check.ok, check.name

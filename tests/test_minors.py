@@ -14,8 +14,8 @@ from qmv.minors import (
     minor,
     project_pi,
     qdet,
-    row_expansion_exponent,
 )
+from qmv.laws import row_expansion_exponent
 from qmv.scalar import LaurentScalar, Q
 
 
