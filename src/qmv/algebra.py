@@ -13,6 +13,13 @@ straightened onto that basis.  Straightening swaps an out-of-order adjacent
 pair into at most two words, each strictly smaller in the length-graded
 lexicographic word order, so rewriting terminates.
 
+Straightening computes with integer coefficients.  A term is c * q^e * monomial
+with c a Python int, and the q exponent travels in the key: the cache
+``_mono_times_gen(pairs, g)`` returns ``(pairs, e, c)`` triples, and a product
+accumulates into one flat ``{(pairs, e): c}`` dict.  ``LaurentScalar`` appears
+only at the element boundary: an element stores ``{PbwMonomial: LaurentScalar}``,
+and a product regroups its flat dict into that form once, at the end.
+
 Monomials and elements are immutable values and every operation is a pure
 function, so all of this is safe to use from concurrent workers.
 """
@@ -23,10 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalar import LaurentScalar, ONE, QINV, Q_MINUS_QINV
+from .scalar import LaurentScalar, ONE, ZERO
 
 Gen = tuple[int, int]
 Pairs = tuple[tuple[Gen, int], ...]
+Flat = dict[tuple[Pairs, int], int]  # (monomial pairs, q exponent) -> integer coefficient
 
 
 @dataclass(frozen=True)
@@ -124,47 +132,54 @@ class PbwMonomial:
 IDENTITY_MONOMIAL = PbwMonomial()
 
 
-def _merge(acc: dict, mono: Pairs, coeff: LaurentScalar) -> None:
-    c = acc.get(mono)
-    c = coeff if c is None else c + coeff
-    if c:
-        acc[mono] = c
-    elif mono in acc:
-        del acc[mono]
-
-
 @lru_cache(maxsize=None)
-def _mono_times_gen(pairs: Pairs, g: Gen) -> tuple[tuple[Pairs, LaurentScalar], ...]:
-    """Normal form of (ordered monomial) * (single generator), as (monomial, coeff) pairs.
+def _mono_times_gen(pairs: Pairs, g: Gen) -> tuple[tuple[Pairs, int, int], ...]:
+    """Normal form of (ordered monomial) * (single generator), as (monomial, e, c)
+    triples meaning the sum of c * q^e * monomial.
 
     Shape-independent: the rewriting rules only look at index pairs.
     """
     if not pairs:
-        return ((((g, 1),), ONE),)
+        return ((((g, 1),), 0, 1),)
     h, eh = pairs[-1]
     if h <= g:
         if h == g:
-            return ((pairs[:-1] + ((h, eh + 1),), ONE),)
-        return ((pairs + ((g, 1),), ONE),)
+            return ((pairs[:-1] + ((h, eh + 1),), 0, 1),)
+        return ((pairs + ((g, 1),), 0, 1),)
     # g must move left past one copy of h; h > g in row-major order.
     rest = pairs[:-1] + ((h, eh - 1),) if eh > 1 else pairs[:-1]
     i, j = h
     k, l = g
+    # (u, v, ((e, c), ...)): h g contributes sum c q^e * u v
     if k == i or l == j:
         # same row or same column: h g = q^-1 g h
-        expansion = [(QINV, g, h)]
+        expansion = ((g, h, ((-1, 1),)),)
     elif l > j:
         # g lies strictly north-east of h: the pair commutes
-        expansion = [(ONE, g, h)]
+        expansion = ((g, h, ((0, 1),)),)
     else:
         # g strictly north-west of h: h g = g h - (q - q^-1) X[k,j] X[i,l]
-        expansion = [(ONE, g, h), (-Q_MINUS_QINV, (k, j), (i, l))]
-    acc: dict[Pairs, LaurentScalar] = {}
-    for scale, u, v in expansion:
-        for mono1, c1 in _mono_times_gen(rest, u):
-            for mono2, c2 in _mono_times_gen(mono1, v):
-                _merge(acc, mono2, scale * c1 * c2)
-    return tuple(acc.items())
+        expansion = ((g, h, ((0, 1),)), ((k, j), (i, l), ((1, -1), (-1, 1))))
+    acc: Flat = {}
+    for u, v, scales in expansion:
+        for mono1, e1, c1 in _mono_times_gen(rest, u):
+            for mono2, e2, c2 in _mono_times_gen(mono1, v):
+                for e0, c0 in scales:
+                    key = (mono2, e0 + e1 + e2)
+                    acc[key] = acc.get(key, 0) + c0 * c1 * c2
+    return tuple((mono, e, c) for (mono, e), c in acc.items() if c)
+
+
+def _fold(flat: Flat, word: tuple[Gen, ...]) -> Flat:
+    """Right-multiply a flat sum of c * q^e * monomial by each generator of word."""
+    for g in word:
+        out: Flat = {}
+        for (pairs, e), c in flat.items():
+            for pairs2, e2, c2 in _mono_times_gen(pairs, g):
+                key = (pairs2, e + e2)
+                out[key] = out.get(key, 0) + c * c2
+        flat = {key: c for key, c in out.items() if c}
+    return flat
 
 
 class AlgebraElement:
@@ -195,7 +210,7 @@ class AlgebraElement:
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
 
     def coefficient(self, mono: PbwMonomial) -> LaurentScalar:
-        return self._terms.get(mono, LaurentScalar())
+        return self._terms.get(mono, ZERO)
 
     def monomials(self) -> list[PbwMonomial]:
         return [m for m, _ in self.terms()]
@@ -243,30 +258,30 @@ class AlgebraElement:
             return AlgebraElement.zero(self.shape)
         return AlgebraElement(self.shape, {m: c * v for m, v in self._terms.items()})
 
-    def _times_gen(self, g: Gen) -> "AlgebraElement":
-        out: dict[PbwMonomial, LaurentScalar] = {}
-        for mono, coeff in self._terms.items():
-            for pairs, c in _mono_times_gen(mono.pairs, g):
-                key = PbwMonomial(pairs)
-                cc = out.get(key)
-                cc = coeff * c if cc is None else cc + coeff * c
-                if cc:
-                    out[key] = cc
-                elif key in out:
-                    del out[key]
-        return AlgebraElement(self.shape, out)
-
     def __mul__(self, other: "AlgebraElement | LaurentScalar | int") -> "AlgebraElement":
         if isinstance(other, (LaurentScalar, int)):
             return self.scale(other)
         self._check_shape(other)
-        result = AlgebraElement.zero(self.shape)
+        left = {
+            (mono.pairs, e): c
+            for mono, coeff in self._terms.items()
+            for e, c in coeff._terms.items()
+        }
+        acc: Flat = {}
         for mono, coeff in other._terms.items():
-            piece = self
-            for g in mono.word():
-                piece = piece._times_gen(g)
-            result = result + piece.scale(coeff)
-        return result
+            right = coeff._terms
+            for (pairs, e), c in _fold(left, mono.word()).items():
+                for er, cr in right.items():
+                    key = (pairs, e + er)
+                    acc[key] = acc.get(key, 0) + c * cr
+        grouped: dict[Pairs, dict[int, int]] = {}
+        for (pairs, e), c in acc.items():
+            if c:
+                grouped.setdefault(pairs, {})[e] = c
+        return AlgebraElement(
+            self.shape,
+            {PbwMonomial(pairs): LaurentScalar.from_clean(d) for pairs, d in grouped.items()},
+        )
 
     def __rmul__(self, other: "LaurentScalar | int") -> "AlgebraElement":
         if isinstance(other, (LaurentScalar, int)):
@@ -393,7 +408,7 @@ def random_element(shape: Shape, max_degree: int, rng, n_terms: int = 2) -> Alge
         word = [rng.choice(gens) for _ in range(d)]
         term = AlgebraElement.one(shape)
         for g in word:
-            term = term._times_gen(g)
+            term = term * gen(shape, *g)
         coeff = LaurentScalar({rng.randint(-2, 2): rng.randint(-3, 3)})
         result = result + term.scale(coeff)
     return result

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import AlgebraElement, PbwMonomial, Shape, gen
 from .scalar import LaurentScalar
@@ -56,11 +57,17 @@ def minor(shape: Shape, rows: tuple[int, ...] | list[int], cols: tuple[int, ...]
     spec = MinorSpec(tuple(rows), tuple(cols))
     if spec.rows[-1] > shape.m or spec.cols[-1] > shape.n or spec.rows[0] < 1 or spec.cols[0] < 1:
         raise ValueError(f"minor {spec} does not fit in shape {shape}")
-    t = spec.size
+    return _minor(shape, spec.rows, spec.cols)
+
+
+@lru_cache(maxsize=None)
+def _minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
+    """Built once per (shape, rows, cols); elements are immutable, so callers share it."""
+    t = len(rows)
     terms: dict[PbwMonomial, LaurentScalar] = {}
     for perm in itertools.permutations(range(t)):
         # rows ascend, so the product below is already a PBW monomial
-        word = tuple(((spec.rows[a], spec.cols[perm[a]]), 1) for a in range(t))
+        word = tuple(((rows[a], cols[perm[a]]), 1) for a in range(t))
         terms[PbwMonomial(word)] = LaurentScalar.minus_q_power(inversions(perm))
     return AlgebraElement(shape, terms)
 

@@ -7,8 +7,8 @@ are never stored, so structural equality is exact equality in the ring.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 
 class LaurentScalar:
@@ -28,6 +28,14 @@ class LaurentScalar:
                     del cleaned[exp]
         self._terms = cleaned
         self._hash: int | None = None
+
+    @classmethod
+    def from_clean(cls, terms: dict[int, int]) -> "LaurentScalar":
+        """Wrap a dict that already has no zero coefficients, without copying it."""
+        r = cls.__new__(cls)
+        r._terms = terms
+        r._hash = None
+        return r
 
     @classmethod
     def from_int(cls, c: int) -> "LaurentScalar":
@@ -74,18 +82,12 @@ class LaurentScalar:
                 out[exp] = c
             elif exp in out:
                 del out[exp]
-        r = LaurentScalar.__new__(LaurentScalar)
-        r._terms = out
-        r._hash = None
-        return r
+        return LaurentScalar.from_clean(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentScalar":
-        r = LaurentScalar.__new__(LaurentScalar)
-        r._terms = {e: -c for e, c in self._terms.items()}
-        r._hash = None
-        return r
+        return LaurentScalar.from_clean({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentScalar | int") -> "LaurentScalar":
         return self + (-_coerce(other))
@@ -109,10 +111,7 @@ class LaurentScalar:
                     out[e] = c
                 elif e in out:
                     del out[e]
-        r = LaurentScalar.__new__(LaurentScalar)
-        r._terms = out
-        r._hash = None
-        return r
+        return LaurentScalar.from_clean(out)
 
     __rmul__ = __mul__
 

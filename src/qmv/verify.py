@@ -51,7 +51,7 @@ from .minors import (
     minor,
     qdet,
 )
-from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV, ScalarFraction
+from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV, ScalarFraction, ZERO
 from . import laws
 
 Gen = tuple[int, int]
@@ -105,14 +105,24 @@ def solve_linear(matrix: list[list], rhs: list, zero) -> tuple[str, list | None]
     return "unique", sol
 
 
-def _element_system(columns: list[AlgebraElement], target: AlgebraElement):
-    """Linear system matching coefficients of every monomial appearing anywhere."""
-    monomials: set[PbwMonomial] = set(target.monomials())
+def _element_system(columns: list[AlgebraElement], target: AlgebraElement, convert):
+    """Linear system matching coefficients of every monomial appearing anywhere.
+
+    Rows follow the monomial order; ``convert`` maps each nonzero LaurentScalar
+    coefficient to a field entry, and every other cell is one shared zero.
+    """
+    monomials: set[PbwMonomial] = set(target._terms)
     for col in columns:
-        monomials.update(col.monomials())
-    order = sorted(monomials, key=PbwMonomial.sort_key)
-    matrix = [[ScalarFraction(col.coefficient(mono)) for col in columns] for mono in order]
-    rhs = [ScalarFraction(target.coefficient(mono)) for mono in order]
+        monomials.update(col._terms)
+    row_of = {mono: r for r, mono in enumerate(sorted(monomials, key=PbwMonomial.sort_key))}
+    zero = convert(ZERO)
+    matrix = [[zero] * len(columns) for _ in row_of]
+    for c, col in enumerate(columns):
+        for mono, coeff in col._terms.items():
+            matrix[row_of[mono]][c] = convert(coeff)
+    rhs = [zero] * len(row_of)
+    for mono, coeff in target._terms.items():
+        rhs[row_of[mono]] = convert(coeff)
     return matrix, rhs
 
 
@@ -122,7 +132,7 @@ def solve_element_combination(
     """Solve sum_i t_i columns[i] = target for scalars t_i in the fraction field."""
     if not columns:
         return ("unique", []) if target.is_zero() else ("none", None)
-    matrix, rhs = _element_system(columns, target)
+    matrix, rhs = _element_system(columns, target, ScalarFraction)
     return solve_linear(matrix, rhs, ScalarFraction(0))
 
 
@@ -351,6 +361,20 @@ class MembershipProblem:
     unknowns: list[UnknownCofactor]
 
 
+def _membership_columns(
+    problem: MembershipProblem,
+) -> tuple[list[AlgebraElement], list[tuple[str, PbwMonomial]]]:
+    """One column left_i * mono * right_i per unknown and basis monomial, with its slot."""
+    columns: list[AlgebraElement] = []
+    slots: list[tuple[str, PbwMonomial]] = []
+    for unk in problem.unknowns:
+        for mono in unk.basis:
+            mono_elem = AlgebraElement(problem.shape, {mono: ONE})
+            columns.append(unk.left * mono_elem * unk.right)
+            slots.append((unk.name, mono))
+    return columns, slots
+
+
 def solve_membership(problem: MembershipProblem):
     """Exact solve of target = sum_i left_i u_i right_i; returns
     ("solution", {name: element}) with verified explicit cofactors, or
@@ -360,13 +384,7 @@ def solve_membership(problem: MembershipProblem):
     Cofactors with genuinely fractional coefficients cannot be represented as
     elements; the verdict still stands and the witness is omitted.
     """
-    columns: list[AlgebraElement] = []
-    slots: list[tuple[str, PbwMonomial]] = []
-    for unk in problem.unknowns:
-        for mono in unk.basis:
-            mono_elem = AlgebraElement(problem.shape, {mono: ONE})
-            columns.append(unk.left * mono_elem * unk.right)
-            slots.append((unk.name, mono))
+    columns, slots = _membership_columns(problem)
     status, sol = solve_element_combination(columns, problem.target)
     if status == "none":
         return "no-solution", None
@@ -389,17 +407,8 @@ def solve_membership(problem: MembershipProblem):
 
 def specialized_membership_verdict(problem: MembershipProblem, q0) -> str:
     """Verdict of the same linear system with q specialized to a nonzero rational."""
-    columns: list[AlgebraElement] = []
-    for unk in problem.unknowns:
-        for mono in unk.basis:
-            mono_elem = AlgebraElement(problem.shape, {mono: ONE})
-            columns.append(unk.left * mono_elem * unk.right)
-    monomials: set[PbwMonomial] = set(problem.target.monomials())
-    for col in columns:
-        monomials.update(col.monomials())
-    order = sorted(monomials, key=PbwMonomial.sort_key)
-    matrix = [[Fraction(col.coefficient(mono).evaluate(q0)) for col in columns] for mono in order]
-    rhs = [Fraction(problem.target.coefficient(mono).evaluate(q0)) for mono in order]
+    columns, _ = _membership_columns(problem)
+    matrix, rhs = _element_system(columns, problem.target, lambda c: c.evaluate(q0))
     status, _ = solve_linear(matrix, rhs, Fraction(0))
     return "no-solution" if status == "none" else "solution"
 

@@ -17,6 +17,7 @@ from qmv.algebra import (
     monomial_count,
     random_element,
 )
+from qmv.algebra import _mono_times_gen
 from qmv.scalar import Q, QINV, Q_MINUS_QINV
 
 
@@ -82,6 +83,46 @@ def test_renormalizing_is_identity():
         a = random_element(s, 4, rng)
         assert a * one == a
         assert one * a == a
+
+
+def test_mono_times_gen_pinned_triples():
+    # (monomial pairs, q exponent, integer coefficient) for each relation type
+    x11, x12, x21, x22 = (1, 1), (1, 2), (2, 1), (2, 2)
+    assert _mono_times_gen((), x11) == ((((x11, 1),), 0, 1),)
+    assert _mono_times_gen(((x11, 1),), x11) == ((((x11, 2),), 0, 1),)
+    assert _mono_times_gen(((x11, 1),), x22) == ((((x11, 1), (x22, 1)), 0, 1),)
+    # same row and same column: swap with q^-1
+    assert _mono_times_gen(((x12, 1),), x11) == ((((x11, 1), (x12, 1)), -1, 1),)
+    assert _mono_times_gen(((x21, 1),), x11) == ((((x11, 1), (x21, 1)), -1, 1),)
+    # anti-diagonal pair: plain swap
+    assert _mono_times_gen(((x21, 1),), x12) == ((((x12, 1), (x21, 1)), 0, 1),)
+    # diagonal pair: swap minus (q - q^-1) times the anti-diagonal monomial
+    assert set(_mono_times_gen(((x22, 1),), x11)) == {
+        (((x11, 1), (x22, 1)), 0, 1),
+        (((x12, 1), (x21, 1)), 1, -1),
+        (((x12, 1), (x21, 1)), -1, 1),
+    }
+
+
+def flip(a):
+    """X[i,j] -> X[m+1-i, n+1-j], reversing each monomial.  The relabelling
+    reverses row-major order, so a reversed PBW word is again a PBW word."""
+    m, n = a.shape.m, a.shape.n
+    return AlgebraElement(a.shape, {
+        PbwMonomial.from_exponents({(m + 1 - i, n + 1 - j): e for (i, j), e in mono.pairs}): c
+        for mono, c in a.terms()
+    })
+
+
+@pytest.mark.parametrize("m,n,seed", [(3, 3, 11), (2, 4, 13)])
+def test_flip_is_an_anti_automorphism(m, n, seed):
+    s = Shape(m, n)
+    rng = random.Random(seed)
+    for _ in range(80):
+        a = random_element(s, 3, rng)
+        b = random_element(s, 3, rng)
+        assert flip(flip(a)) == a
+        assert flip(a * b) == flip(b) * flip(a)
 
 
 def test_associativity_fuzz():
@@ -180,12 +221,12 @@ def commutative_product(a_vals, b_vals):
 
 
 def test_q_one_specialization_commutes_with_multiplication():
-    s = Shape(3, 3)
-    rng = random.Random(31)
-    for _ in range(60):
-        a = random_element(s, 2, rng)
-        b = random_element(s, 2, rng)
-        assert (a * b).specialize(1) == commutative_product(a.specialize(1), b.specialize(1))
+    for s, seed, degree in [(Shape(3, 3), 31, 2), (Shape(2, 4), 37, 3)]:
+        rng = random.Random(seed)
+        for _ in range(60):
+            a = random_element(s, degree, rng)
+            b = random_element(s, degree, rng)
+            assert (a * b).specialize(1) == commutative_product(a.specialize(1), b.specialize(1))
 
 
 def test_kill_generator_is_multiplicative_into_the_quotient():

@@ -1,6 +1,10 @@
 """The expression DSL and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +199,25 @@ class TestCommands:
 
     def test_minor_malformed_set(self, capsys):
         assert main(["minor", "--m", "3", "--n", "3", "{1;2}", "{1,2}"]) == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*args):
+    """Run ``python -m qmv`` from a checkout, with only the source tree on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "qmv", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("normalize", "--m", "2", "--n", "2", "X[2,2]*X[1,1]")
+    assert done.returncode == 0
+    assert done.stdout.strip() == "X[1,1]*X[2,2] - (q - q^-1)*X[1,2]*X[2,1]"
+
+
+def test_python_dash_m_usage_error_exits_2():
+    done = run_module("no-such-command")
+    assert done.returncode == 2
+    assert "usage" in done.stderr

@@ -25,6 +25,22 @@ def test_inversion_count():
     assert inversions((2, 1, 0)) == 3
 
 
+def test_cached_minors_are_not_changed_by_callers():
+    s = Shape(4, 4)
+    first = minor(s, (1, 3), [2, 4])
+    text = str(first)
+    _ = -first
+    _ = first.scale(Q)
+    _ = first * gen(s, 1, 1) + first
+    again = minor(s, [1, 3], (2, 4))
+    assert str(again) == text
+    det = qdet(s)
+    text = str(det)
+    _ = det.scale(-1)
+    assert str(qdet(s)) == text
+    assert qdet(s) == laplace_expand_row(s, 2, 2)
+
+
 def test_qdet_smallest_sizes():
     s1 = Shape(1, 1)
     assert qdet(s1) == gen(s1, 1, 1)
