@@ -12,12 +12,10 @@ from .algebra import (
     Bidegree,
     PbwMonomial,
     Shape,
-    bidegree_of,
     commutator,
     component_basis,
     gen,
     monomial_count,
-    multiply,
 )
 from .checks import IdentityCheck
 from .expr import ExprError, SessionConfig, evaluate, evaluate_source, parse

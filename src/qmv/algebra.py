@@ -20,15 +20,33 @@ accumulates into one flat ``{(pairs, e): c}`` dict.  ``LaurentScalar`` appears
 only at the element boundary: an element stores ``{PbwMonomial: LaurentScalar}``,
 and a product regroups its flat dict into that form once, at the end.
 
+Only the suffix of a monomial moves.  Every letter a rewrite of h * g creates
+is >= g: the swap gives g and h, and the correction X[k,j] * X[i,l] of a
+north-west pair (g = X[k,l], h = X[i,j], k < i, l < j) lies in row k after
+column l and in row i > k.  So multiplying by g never looks at the prefix of
+letters < g, and the output keeps it in front unchanged.  ``_fold_gen``
+appends g directly when the last letter of a monomial is <= g; otherwise it
+splits the monomial at g and straightens only the suffix through the cache,
+whose entries are therefore suffixes alone.
+
+A product walks the words of its right factor in sorted order and keeps the
+fold of the left factor by every prefix of the current word.  Each word
+resumes from the longest prefix it shares with the previous one, so words
+sharing a prefix, such as the permutation words of a determinant, fold that
+prefix once.
+
 Monomials and elements are immutable values and every operation is a pure
 function, so all of this is safe to use from concurrent workers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .scalar import LaurentScalar, ONE, ZERO
 
@@ -137,15 +155,13 @@ def _mono_times_gen(pairs: Pairs, g: Gen) -> tuple[tuple[Pairs, int, int], ...]:
     """Normal form of (ordered monomial) * (single generator), as (monomial, e, c)
     triples meaning the sum of c * q^e * monomial.
 
-    Shape-independent: the rewriting rules only look at index pairs.
+    Shape-independent: the rewriting rules only look at index pairs.  Inside
+    this module only moving suffixes reach the cache (every letter >= g, the
+    last one > g); any other monomial is split at g by ``_fold_gen``.
     """
-    if not pairs:
-        return ((((g, 1),), 0, 1),)
+    if bisect_left(pairs, (g,)) or not pairs or pairs[-1][0] <= g:
+        return tuple((p, e, c) for (p, e), c in _fold_gen({(pairs, 0): 1}, g).items() if c)
     h, eh = pairs[-1]
-    if h <= g:
-        if h == g:
-            return ((pairs[:-1] + ((h, eh + 1),), 0, 1),)
-        return ((pairs + ((g, 1),), 0, 1),)
     # g must move left past one copy of h; h > g in row-major order.
     rest = pairs[:-1] + ((h, eh - 1),) if eh > 1 else pairs[:-1]
     i, j = h
@@ -162,24 +178,39 @@ def _mono_times_gen(pairs: Pairs, g: Gen) -> tuple[tuple[Pairs, int, int], ...]:
         expansion = ((g, h, ((0, 1),)), ((k, j), (i, l), ((1, -1), (-1, 1))))
     acc: Flat = {}
     for u, v, scales in expansion:
-        for mono1, e1, c1 in _mono_times_gen(rest, u):
-            for mono2, e2, c2 in _mono_times_gen(mono1, v):
-                for e0, c0 in scales:
-                    key = (mono2, e0 + e1 + e2)
-                    acc[key] = acc.get(key, 0) + c0 * c1 * c2
+        for (mono, e), c in _fold_gen(_fold_gen({(rest, 0): 1}, u), v).items():
+            for e0, c0 in scales:
+                key = (mono, e0 + e)
+                acc[key] = acc.get(key, 0) + c0 * c
     return tuple((mono, e, c) for (mono, e), c in acc.items() if c)
 
 
-def _fold(flat: Flat, word: tuple[Gen, ...]) -> Flat:
-    """Right-multiply a flat sum of c * q^e * monomial by each generator of word."""
-    for g in word:
-        out: Flat = {}
-        for (pairs, e), c in flat.items():
-            for pairs2, e2, c2 in _mono_times_gen(pairs, g):
-                key = (pairs2, e + e2)
-                out[key] = out.get(key, 0) + c * c2
-        flat = {key: c for key, c in out.items() if c}
-    return flat
+def _fold_gen(flat: Flat, g: Gen) -> Flat:
+    """Right-multiply a flat sum of c * q^e * monomial by the generator g; the
+    result may keep cancelled keys with coefficient 0.
+
+    A monomial whose last letter is <= g takes g by a plain append.  Any other
+    splits at g: the prefix of letters < g is passive, only the suffix goes
+    through the cache, and the prefix is concatenated into each output key.
+    """
+    out: Flat = {}
+    for (pairs, e), c in flat.items():
+        if not c:
+            continue
+        if pairs:
+            h, eh = pairs[-1]
+            if h > g:
+                s = bisect_left(pairs, (g,))
+                prefix = pairs[:s]
+                for mono, e2, c2 in _mono_times_gen(pairs[s:], g):
+                    key = (prefix + mono, e + e2)
+                    out[key] = out.get(key, 0) + c * c2
+                continue
+            key = (pairs[:-1] + ((g, eh + 1),) if h == g else pairs + ((g, 1),), e)
+        else:
+            key = (((g, 1),), e)
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 class AlgebraElement:
@@ -204,6 +235,28 @@ class AlgebraElement:
         if isinstance(c, int):
             c = LaurentScalar.from_int(c)
         return cls(shape, {IDENTITY_MONOMIAL: c} if c else {})
+
+    @classmethod
+    def sum(cls, shape: Shape, elements: Iterable["AlgebraElement"]) -> "AlgebraElement":
+        """The sum of elements of one shape, accumulated once with integer
+        coefficients instead of one intermediate element per partial sum."""
+        acc: dict[PbwMonomial, dict[int, int]] = {}
+        for a in elements:
+            if a.shape != shape:
+                raise ValueError(f"shape mismatch: {a.shape} vs {shape}")
+            for mono, coeff in a._terms.items():
+                d = acc.get(mono)
+                if d is None:
+                    acc[mono] = dict(coeff._terms)
+                else:
+                    for e, c in coeff._terms.items():
+                        d[e] = d.get(e, 0) + c
+        terms = {}
+        for mono, d in acc.items():
+            clean = {e: c for e, c in d.items() if c}
+            if clean:
+                terms[mono] = LaurentScalar.from_clean(clean)
+        return cls(shape, terms)
 
     def terms(self) -> list[tuple[PbwMonomial, LaurentScalar]]:
         """(monomial, coefficient) pairs in the canonical printing order."""
@@ -267,10 +320,24 @@ class AlgebraElement:
             for mono, coeff in self._terms.items()
             for e, c in coeff._terms.items()
         }
+        # Walk the right factor's words in sorted order; each word resumes from
+        # the kept fold of the prefix it shares with the previous word.
+        words = sorted(
+            ((mono.word(), coeff._terms) for mono, coeff in other._terms.items()),
+            key=itemgetter(0),
+        )
+        path: list[Flat] = [left]  # path[k]: left folded by the first k letters
+        prev: tuple[Gen, ...] = ()
         acc: Flat = {}
-        for mono, coeff in other._terms.items():
-            right = coeff._terms
-            for (pairs, e), c in _fold(left, mono.word()).items():
+        for word, right in words:
+            k, stop = 0, min(len(prev), len(word))
+            while k < stop and prev[k] == word[k]:
+                k += 1
+            del path[k + 1:]
+            for g in word[k:]:
+                path.append(_fold_gen(path[-1], g))
+            prev = word
+            for (pairs, e), c in path[-1].items():
                 for er, cr in right.items():
                     key = (pairs, e + er)
                     acc[key] = acc.get(key, 0) + c * cr
@@ -318,6 +385,10 @@ class AlgebraElement:
                 out[mono] = v
         return out
 
+    def render(self, limit: int | None = None) -> str:
+        """Canonical text; given a limit, only that many leading terms and the term count."""
+        return render_element(self, limit=limit)
+
     def __str__(self) -> str:
         return render_element(self)
 
@@ -332,17 +403,9 @@ def gen(shape: Shape, i: int, j: int) -> AlgebraElement:
     return AlgebraElement(shape, {PbwMonomial((((i, j), 1),)): ONE})
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a*b - b*a in PBW normal form."""
     return a * b - b * a
-
-
-def bidegree_of(a: AlgebraElement) -> Bidegree | None:
-    return a.bidegree_of()
 
 
 def component_basis(shape: Shape, d: Bidegree) -> list[PbwMonomial]:
@@ -414,14 +477,15 @@ def random_element(shape: Shape, max_degree: int, rng, n_terms: int = 2) -> Alge
     return result
 
 
-def render_element(a: AlgebraElement, unit: str = "") -> str:
+def render_element(a: AlgebraElement, unit: str = "", limit: int | None = None) -> str:
     """Canonical text form: terms in monomial order, coefficients in decreasing
-    q-exponent, e.g. ``X[1,1]*X[2,2] - (q - q^-1)*X[1,2]*X[2,1]``."""
+    q-exponent, e.g. ``X[1,1]*X[2,2] - (q - q^-1)*X[1,2]*X[2,1]``.  With more
+    than ``limit`` terms, the first ``limit`` are followed by ``+ ... (N terms)``."""
     terms = a.terms()
     if not terms:
         return "0"
     parts: list[str] = []
-    for mono, coeff in terms:
+    for mono, coeff in terms[:limit]:
         negative = coeff.items()[-1][1] < 0  # sign of the leading (highest) coefficient
         c = -coeff if negative else coeff
         body = c.render(increasing=False)
@@ -436,4 +500,6 @@ def render_element(a: AlgebraElement, unit: str = "") -> str:
             parts.append(f"-{text}" if negative else text)
         else:
             parts.append(f"- {text}" if negative else f"+ {text}")
+    if limit is not None and len(terms) > limit:
+        parts.append(f"+ ... ({len(terms)} terms)")
     return " ".join(parts)

@@ -21,7 +21,12 @@ class IdentityCheck:
         return out
 
 
+WITNESS_TERMS = 8
+
+
 def check_zero(name: str, difference) -> IdentityCheck:
-    """Build a check from anything with is_zero(); the witness is the nonzero rest."""
+    """Build a check from an element or localized element.  The witness is the
+    nonzero rest: in full up to WITNESS_TERMS terms, otherwise its first
+    WITNESS_TERMS terms in canonical order and its term count."""
     ok = difference.is_zero()
-    return IdentityCheck(name, ok, None if ok else str(difference))
+    return IdentityCheck(name, ok, None if ok else difference.render(WITNESS_TERMS))

@@ -11,6 +11,7 @@ import json
 import sys
 from functools import lru_cache
 
+from .checks import check_zero
 from .expr import ExprError, SessionConfig, evaluate_source
 from .minors import minor
 from .verify import FitError, FIT_FAMILIES, fit_exponents, run_suite, verify_frozen_table
@@ -22,7 +23,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, default=None, help="row count of the generator grid")
     parser.add_argument("--n", type=int, default=None, help="column count of the generator grid")
     parser.add_argument("--t", type=int, default=None, help="minor size, where applicable")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
 
@@ -34,7 +34,7 @@ def _config(args, need_shape: bool = True) -> SessionConfig:
         m = n = 1
     m = m if m is not None else n
     n = n if n is not None else m
-    return SessionConfig(m=m, n=n, t=args.t, fmt=args.fmt, seed=args.seed)
+    return SessionConfig(m=m, n=n, t=args.t, fmt=args.fmt)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -55,12 +55,11 @@ def _cmd_equal(args) -> int:
     config = _config(args)
     lhs = evaluate_source(args.lhs, config)
     rhs = evaluate_source(args.rhs, config)
-    difference = lhs - rhs
-    equal = difference.is_zero()
-    payload = {"lhs": args.lhs, "rhs": args.rhs, "equal": equal}
-    if not equal:
-        payload["witness"] = str(difference)
-        _emit(args, payload, f"not equal\nwitness: {difference}")
+    check = check_zero("equal", lhs - rhs)
+    payload = {"lhs": args.lhs, "rhs": args.rhs, "equal": check.ok}
+    if not check.ok:
+        payload["witness"] = check.witness
+        _emit(args, payload, f"not equal\nwitness: {check.witness}")
         return CHECK_FAILURE
     _emit(args, payload, "equal")
     return 0
@@ -98,7 +97,7 @@ def _parse_set(text: str) -> tuple[int, ...]:
 
 
 def _cmd_suite(args) -> int:
-    report = run_suite(args.name, m=args.m, n=args.n, t=args.t, seed=args.seed)
+    report = run_suite(args.name, m=args.m, n=args.n, t=args.t)
     if args.fmt == "json":
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
@@ -136,7 +135,7 @@ def _cmd_fit(args) -> int:
 def _cmd_jordan(args) -> int:
     if args.n is None and args.m is None:
         args.n = 3
-    report = run_suite("jordan-obstruction", m=args.m, n=args.n, t=None, seed=args.seed)
+    report = run_suite("jordan-obstruction", m=args.m, n=args.n, t=None)
     if args.fmt == "json":
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:

@@ -41,7 +41,6 @@ class SessionConfig:
     n: int
     t: int | None = None
     fmt: str = "text"
-    seed: int = 0
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:

@@ -19,6 +19,7 @@ the edge generators.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,14 +163,29 @@ class LocalizedElement:
     def scale(self, c: LaurentScalar | int) -> "LocalizedElement":
         return LocalizedElement(self.numerator.scale(c), self.k)
 
-    def __str__(self) -> str:
+    @classmethod
+    def sum(
+        cls, shape: Shape, elements: Iterable["LocalizedElement | AlgebraElement"]
+    ) -> "LocalizedElement":
+        """The sum of localized (or plain) elements, over their common corner
+        exponent: each numerator is written over the largest k once, and the
+        numerators are summed by ``AlgebraElement.sum``."""
+        elements = [_coerce_localized(x, shape) for x in elements]
+        k = max((x.k for x in elements), default=0)
+        return cls(AlgebraElement.sum(shape, (x.numerator_over(k) for x in elements)), k)
+
+    def render(self, limit: int | None = None) -> str:
+        """Canonical text; a limit bounds the numerator as in ``AlgebraElement.render``."""
+        num = self.numerator.render(limit)
         if self.k == 0:
-            return str(self.numerator)
-        num = str(self.numerator)
+            return num
         if len(self.numerator._terms) > 1:
             num = f"({num})"
         suffix = "inv1n" if self.k == 1 else f"inv1n^{self.k}"
         return f"{num}*{suffix}"
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self) -> str:
         return f"<{self.shape} localized: {self}>"
@@ -245,12 +261,11 @@ def x_prime_minor(
 def _x_prime_minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> LocalizedElement:
     if len(rows) == 1:
         return x_prime(shape, rows[0], cols[0])
-    total = LocalizedElement(AlgebraElement.zero(shape))
-    for b, c in enumerate(cols, start=1):
-        sign = LaurentScalar.minus_q_power(laws.row_expansion_exponent(1, b))
-        rest = _x_prime_minor(shape, rows[1:], cols[: b - 1] + cols[b:])
-        total = total + x_prime(shape, rows[0], c).scale(sign) * rest
-    return total
+    return LocalizedElement.sum(shape, (
+        x_prime(shape, rows[0], c).scale(LaurentScalar.minus_q_power(laws.row_expansion_exponent(1, b)))
+        * _x_prime_minor(shape, rows[1:], cols[: b - 1] + cols[b:])
+        for b, c in enumerate(cols, start=1)
+    ))
 
 
 def x_prime_minor_substituted(
@@ -509,9 +524,9 @@ def minor_over_derived_generators(
                 for key, piece in sub.items():
                     accumulate(key, piece * right)
 
-    total = LocalizedElement(AlgebraElement.zero(shape))
-    for (r, c), piece in cofactors.items():
-        total = total + x_prime_minor(shape, r, c) * piece
+    total = LocalizedElement.sum(
+        shape, (x_prime_minor(shape, r, c) * piece for (r, c), piece in cofactors.items())
+    )
     return cofactors, check_zero(label, total - loc(target))
 
 

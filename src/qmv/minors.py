@@ -96,21 +96,21 @@ def complement_minor(shape: Shape, i: int, j: int) -> AlgebraElement:
 def laplace_expand_row(shape: Shape, i: int, k: int) -> AlgebraElement:
     """sum_j (-q)^(j-i) X[k,j] A(i,j): the determinant when k = i, zero otherwise."""
     n = _square_side(shape, i, k)
-    out = AlgebraElement.zero(shape)
-    for j in range(1, n + 1):
-        term = gen(shape, k, j) * complement_minor(shape, i, j)
-        out = out + term.scale(LaurentScalar.minus_q_power(laws.row_expansion_exponent(i, j)))
-    return out
+    return AlgebraElement.sum(shape, (
+        gen(shape, k, j).scale(LaurentScalar.minus_q_power(laws.row_expansion_exponent(i, j)))
+        * complement_minor(shape, i, j)
+        for j in range(1, n + 1)
+    ))
 
 
 def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
     """sum_i (-q)^e(i,j) A(i,j) X[i,l] with the fitted column exponent law."""
     n = _square_side(shape, j, l)
-    out = AlgebraElement.zero(shape)
-    for i in range(1, n + 1):
-        term = complement_minor(shape, i, j) * gen(shape, i, l)
-        out = out + term.scale(LaurentScalar.minus_q_power(laws.col_expansion_exponent(i, j)))
-    return out
+    return AlgebraElement.sum(shape, (
+        complement_minor(shape, i, j)
+        * gen(shape, i, l).scale(LaurentScalar.minus_q_power(laws.col_expansion_exponent(i, j)))
+        for i in range(1, n + 1)
+    ))
 
 
 def _square_side(shape: Shape, a: int, b: int) -> int:

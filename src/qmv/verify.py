@@ -864,7 +864,7 @@ SUITES = {
 
 
 def run_suite(name: str, m: int | None = None, n: int | None = None,
-              t: int | None = None, seed: int = 0) -> SuiteReport:
+              t: int | None = None) -> SuiteReport:
     """Run one named identity suite over the given shape parameters."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmv.algebra import (
     AlgebraElement,
@@ -18,7 +20,8 @@ from qmv.algebra import (
     random_element,
 )
 from qmv.algebra import _mono_times_gen
-from qmv.scalar import Q, QINV, Q_MINUS_QINV
+from qmv.minors import minor
+from qmv.scalar import LaurentScalar, Q, QINV, Q_MINUS_QINV
 
 
 def X(shape, i, j):
@@ -102,6 +105,79 @@ def test_mono_times_gen_pinned_triples():
         (((x12, 1), (x21, 1)), 1, -1),
         (((x12, 1), (x21, 1)), -1, 1),
     }
+
+
+def test_mono_times_gen_passive_prefix():
+    # letters below g pass through untouched; only the suffix from g on moves
+    x11, x12, x21, x22 = (1, 1), (1, 2), (2, 1), (2, 2)
+    x23, x32, x33 = (2, 3), (3, 2), (3, 3)
+    assert _mono_times_gen(((x11, 1), (x22, 1)), x12) == (
+        (((x11, 1), (x12, 1), (x22, 1)), -1, 1),
+    )
+    assert set(_mono_times_gen(((x11, 2), (x33, 1)), x22)) == {
+        (((x11, 2), (x22, 1), (x33, 1)), 0, 1),
+        (((x11, 2), (x23, 1), (x32, 1)), 1, -1),
+        (((x11, 2), (x23, 1), (x32, 1)), -1, 1),
+    }
+    # g already present: the split keeps g in the moving suffix, so its
+    # exponent grows instead of the letter appearing twice
+    assert _mono_times_gen(((x11, 1), (x12, 1), (x21, 1)), x12) == (
+        (((x11, 1), (x12, 2), (x21, 1)), 0, 1),
+    )
+    assert _mono_times_gen(((x11, 1), (x12, 2), (x22, 1)), x12) == (
+        (((x11, 1), (x12, 3), (x22, 1)), -1, 1),
+    )
+
+
+def fold_from_scratch(a, b):
+    """Reference product, independent of the kernel and its cache: every word
+    of a*b is straightened on its own, by rewriting its first out-of-order
+    adjacent pair with the defining relations."""
+    todo = [(ma.word() + mb.word(), ca * cb) for ma, ca in a.terms() for mb, cb in b.terms()]
+    out = {}
+    while todo:
+        word, c = todo.pop()
+        p = next((p for p in range(len(word) - 1) if word[p] > word[p + 1]), None)
+        if p is None:
+            mono = PbwMonomial.from_exponents(Counter(word))
+            out[mono] = out.get(mono, LaurentScalar()) + c
+            continue
+        (i, j), (k, l) = h, g = word[p], word[p + 1]
+        head, tail = word[:p], word[p + 2:]
+        if i == k or j == l:
+            todo.append((head + (g, h) + tail, c * QINV))
+        elif l > j:
+            todo.append((head + (g, h) + tail, c))
+        else:
+            todo.append((head + (g, h) + tail, c))
+            todo.append((head + ((k, j), (i, l)) + tail, -(c * Q_MINUS_QINV)))
+    return AlgebraElement(a.shape, {m: c for m, c in out.items() if c})
+
+
+@st.composite
+def left_and_minor_sum(draw):
+    s = draw(st.sampled_from([Shape(3, 3), Shape(2, 4)]))
+    gens = s.generators()
+    words = draw(st.lists(st.lists(st.sampled_from(gens), max_size=3), min_size=1, max_size=3))
+    left = AlgebraElement.sum(s, [
+        AlgebraElement(s, {PbwMonomial.from_exponents(Counter(word)): LaurentScalar(
+            {draw(st.integers(-2, 2)): draw(st.sampled_from([-2, -1, 1, 3]))})})
+        for word in words
+    ])
+    right = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.integers(1, min(s.m, s.n)))
+        rows = sorted(draw(st.permutations(range(1, s.m + 1)))[:t])
+        cols = sorted(draw(st.permutations(range(1, s.n + 1)))[:t])
+        right.append(minor(s, rows, cols).scale(LaurentScalar.q_power(draw(st.integers(-2, 2)))))
+    return left, AlgebraElement.sum(s, right)
+
+
+@settings(max_examples=60, deadline=None)
+@given(left_and_minor_sum())
+def test_product_by_minors_matches_word_by_word_straightening(pair):
+    left, right = pair
+    assert left * right == fold_from_scratch(left, right)
 
 
 def flip(a):

@@ -119,6 +119,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "not equal" in out and "witness" in out
 
+    def test_equal_witness_is_bounded(self, capsys):
+        assert main(["equal", "--n", "2", "X[1,1]", "X[2,2]"]) == 1
+        assert capsys.readouterr().out == "not equal\nwitness: X[1,1] - X[2,2]\n"
+        assert main(["equal", "--n", "4", "Dq@4", "0"]) == 1
+        witness = capsys.readouterr().out.splitlines()[1]
+        assert witness.count("X[1,") == 8 and witness.endswith(" + ... (24 terms)")
+
     def test_parse_error_exit_code(self, capsys):
         assert main(["normalize", "--m", "2", "--n", "2", "X[1,1] +"]) == 2
         assert "error" in capsys.readouterr().err

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from qmv.algebra import AlgebraElement, Bidegree, PbwMonomial, Shape, component_basis, gen
+from qmv.checks import WITNESS_TERMS, check_zero
+from qmv.localize import corner_inverse, loc
+from qmv.minors import qdet
 from qmv.scalar import LaurentScalar, ScalarFraction, ONE
 from qmv.verify import (
     FitError,
@@ -219,3 +222,22 @@ def test_suite_report_shape_fields():
 
 def test_associativity_fuzz_smoke():
     assert associativity_fuzz(Shape(2, 2), 50, 3, seed=1).ok
+
+
+def test_check_zero_bounds_a_large_witness():
+    s = Shape(5, 5)
+    det = qdet(s)
+    head = str(AlgebraElement(s, dict(det.terms()[:WITNESS_TERMS])))
+    check = check_zero("det vanishes", det)
+    assert not check.ok
+    assert check.witness == f"{head} + ... (120 terms)"
+    localized = check_zero("det X[1,5]^-1 vanishes", loc(det) * corner_inverse(s))
+    assert localized.witness.startswith("(X[1,1]*X[2,2]*X[3,3]*X[4,4]*X[5,5] - q*")
+    assert localized.witness.endswith(" + ... (120 terms))*inv1n")
+
+
+def test_check_zero_keeps_a_small_witness_in_full():
+    s = Shape(2, 2)
+    difference = gen(s, 2, 2) * gen(s, 1, 1) - gen(s, 1, 1) * gen(s, 2, 2)
+    assert check_zero("commute", difference).witness == str(difference)
+    assert check_zero("commute", loc(difference)).witness == str(difference)
