@@ -302,7 +302,22 @@ class AlgebraElement:
         return AlgebraElement(self.shape, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+        self._check_shape(other)
+        out = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            c = out.get(mono)
+            if c is None:
+                out[mono] = -coeff
+                continue
+            d = dict(c._terms)
+            for e, v in coeff._terms.items():
+                d[e] = d.get(e, 0) - v
+            clean = {e: v for e, v in d.items() if v}
+            if clean:
+                out[mono] = LaurentScalar.from_clean(clean)
+            else:
+                del out[mono]
+        return AlgebraElement(self.shape, out)
 
     def scale(self, c: LaurentScalar | int) -> "AlgebraElement":
         if isinstance(c, int):

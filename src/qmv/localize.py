@@ -15,6 +15,12 @@ sizes by one: the determinant reduction, its corollary for minors through row
 1 and column n, the expansions rewriting any minor over minors that do pass
 through the corner, and the commutation relations between derived minors and
 the edge generators.
+
+The cofactor map writing a minor over derived minors (Lemma 2.3) is read off
+the frozen expansion laws alone; no supporting expansion is run to build it.
+Each map is verified by one exact check, sum of derived minor times cofactor
+minus the minor, so a wrong law shows up as a failing check.  The expansions
+themselves are checked and reported once per minor by the lemma23 suite.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from functools import lru_cache
 from .algebra import AlgebraElement, PbwMonomial, Shape, gen
 from .checks import IdentityCheck, check_zero
 from .minors import minor
-from .scalar import LaurentScalar, Q, QINV, Q_MINUS_QINV
+from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV
 from . import laws
 
 Gen = tuple[int, int]
@@ -317,8 +323,8 @@ def check_minor_reduction(shape: Shape, rows: tuple[int, ...], cols: tuple[int, 
     mp = x_prime_minor(shape, rows[1:], cols[:-1])
     big = minor(shape, rows, cols)
     scaled = LaurentScalar.minus_q_power(1 - p)
-    right = (loc(big) * corner_inverse(shape)).scale(scaled)
-    left = (corner_inverse(shape) * loc(big)).scale(scaled)
+    right = LocalizedElement(big.scale(scaled), 1)
+    left = corner_inverse(shape).scale(scaled) * loc(big)
     label = f"[{list(rows)}|{list(cols)}] reduction in {shape}"
     return [
         check_zero(f"{label}, right denominator", mp - right),
@@ -339,195 +345,175 @@ class MinorExpansion:
         return all(c.ok for c in self.checks)
 
 
+MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _corner_case(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> str:
+    """Which of row 1 and column n the minor [rows|cols] contains: "corner" when
+    both, otherwise the name of the expansion that rewrites it."""
+    if rows[0] == 1:
+        return "corner" if cols[-1] == shape.n else "missing-column"
+    return "missing-row" if cols[-1] == shape.n else "missing-both"
+
+
+def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str
+               ) -> list[tuple[MinorKey, LocalizedElement]]:
+    """The rewriting of a minor missing row 1 and/or column n as a sum of
+    [r|c] * right over ((r, c), right) pairs, read off the frozen laws; each
+    right cofactor is a scaled generator (or scalar) times X[1,n]^-1."""
+    mq = LaurentScalar.minus_q_power
+    e = laws.minor_row_first_exponent
+    if case == "missing-column":
+        # solve the vanishing row-1 expansion over cols + (n,) for its column-n term
+        enlarged = cols + (shape.n,)
+        last = e(len(enlarged))
+        return [
+            ((rows, _without(enlarged, j)),
+             LocalizedElement(gen(shape, 1, j).scale(-mq(e(b) - last)), 1))
+            for b, j in enumerate(cols, start=1)
+        ]
+    if case == "missing-row":
+        # solve the vanishing column-n expansion over (1,) + rows for its row-1 term
+        enlarged = (1,) + rows
+        p = len(enlarged)
+        col = laws.col_expansion_exponent
+        first = col(1, p)
+        return [
+            ((_without(enlarged, i), cols),
+             LocalizedElement(gen(shape, i, shape.n).scale(-mq(col(a, p) - first)), 1))
+            for a, i in enumerate(enlarged[1:], start=2)
+        ]
+    # missing-both: solve the first-row expansion of the enlarged minor for the target
+    big_rows, big_cols = (1,) + rows, cols + (shape.n,)
+    scale_all = mq(-e(len(big_rows)))
+    whole = ((big_rows, big_cols), LocalizedElement(AlgebraElement.from_scalar(shape, scale_all), 1))
+    return [whole] + [
+        ((rows, _without(big_cols, j)),
+         LocalizedElement(gen(shape, 1, j).scale(-mq(e(b)) * scale_all), 1))
+        for b, j in enumerate(cols, start=1)
+    ]
+
+
+def _without(indices: tuple[int, ...], x: int) -> tuple[int, ...]:
+    return tuple(i for i in indices if i != x)
+
+
 def expand_minor_without_corner(
     shape: Shape, rows: tuple[int, ...] | list[int], cols: tuple[int, ...] | list[int]
 ) -> MinorExpansion:
     """Rewrite a minor missing row 1 and/or column n as a right combination of
-    minors that contain both, over the localization.
+    minors closer to the corner, over the localization.
 
     The three cases mirror how such a minor is expanded: along row 1 with an
     adjoined column n, along column n with an adjoined row 1, or through the
-    enlarged minor when both are missing.
+    enlarged minor when both are missing (its other terms miss only row 1).
+    The expansion the rewriting solves is checked first, then the rewriting.
     """
     rows, cols = tuple(rows), tuple(cols)
     target = minor(shape, rows, cols)  # validates the index sets
-    has_row1, has_coln = rows[0] == 1, cols[-1] == shape.n
     label = f"[{list(rows)}|{list(cols)}] in {shape}"
-
-    if has_row1 and has_coln:
+    case = _corner_case(shape, rows, cols)
+    if case == "corner":
         raise ValueError(f"{label} already contains the corner; use the minor reduction")
-
-    if has_row1 and not has_coln:
-        return _expand_missing_column(shape, rows, cols, target, label)
-    if not has_row1 and has_coln:
-        return _expand_missing_row(shape, rows, cols, target, label)
-    return _expand_missing_both(shape, rows, cols, target, label)
-
-
-def _expand_missing_column(shape, rows, cols, target, label) -> MinorExpansion:
-    # Row-1 expansion over the enlarged column set vanishes; solving it for the
-    # column-n term rewrites the minor.
-    enlarged = cols + (shape.n,)
-    vanish = AlgebraElement.zero(shape)
-    for b, j in enumerate(enlarged, start=1):
-        rest = tuple(c for c in enlarged if c != j)
-        term = minor(shape, rows, rest) * gen(shape, 1, j)
-        vanish = vanish + term.scale(LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b)))
-    checks = [check_zero(f"{label}: row-1 expansion vanishes", vanish)]
-
-    last = laws.minor_row_first_exponent(len(enlarged))
-    rewriting = LocalizedElement(AlgebraElement.zero(shape))
-    for b, j in enumerate(cols, start=1):
-        rest = tuple(c for c in enlarged if c != j)
-        piece = loc(minor(shape, rows, rest) * gen(shape, 1, j)) * corner_inverse(shape)
-        rewriting = rewriting - piece.scale(
-            LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b) - last)
-        )
+    checks = _EXPANSION_CHECKS[case](shape, rows, cols, label)
+    rewriting = LocalizedElement.sum(shape, (
+        loc(minor(shape, r, c)) * right for (r, c), right in _rewriting(shape, rows, cols, case)
+    ))
     checks.append(check_zero(f"{label}: rewriting agrees", rewriting - loc(target)))
-    return MinorExpansion("missing-column", checks, rewriting)
+    return MinorExpansion(case, checks, rewriting)
 
 
-def _expand_missing_row(shape, rows, cols, target, label) -> MinorExpansion:
+def _expand_missing_column(shape, rows, cols, label) -> list[IdentityCheck]:
+    # Row-1 expansion over the enlarged column set vanishes.
+    enlarged = cols + (shape.n,)
+    vanish = AlgebraElement.sum(shape, (
+        minor(shape, rows, _without(enlarged, j))
+        * gen(shape, 1, j).scale(LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b)))
+        for b, j in enumerate(enlarged, start=1)
+    ))
+    return [check_zero(f"{label}: row-1 expansion vanishes", vanish)]
+
+
+def _expand_missing_row(shape, rows, cols, label) -> list[IdentityCheck]:
     # Column-n expansion over the enlarged row set vanishes.
     enlarged = (1,) + rows
-    vanish = AlgebraElement.zero(shape)
     p = len(enlarged)
-    for a, i in enumerate(enlarged, start=1):
-        rest = tuple(r for r in enlarged if r != i)
-        term = minor(shape, rest, cols) * gen(shape, i, shape.n)
-        vanish = vanish + term.scale(LaurentScalar.minus_q_power(laws.col_expansion_exponent(a, p)))
-    checks = [check_zero(f"{label}: column-n expansion vanishes", vanish)]
-
-    first = laws.col_expansion_exponent(1, p)
-    rewriting = LocalizedElement(AlgebraElement.zero(shape))
-    for a, i in enumerate(enlarged[1:], start=2):
-        rest = tuple(r for r in enlarged if r != i)
-        piece = loc(minor(shape, rest, cols) * gen(shape, i, shape.n)) * corner_inverse(shape)
-        rewriting = rewriting - piece.scale(
-            LaurentScalar.minus_q_power(laws.col_expansion_exponent(a, p) - first)
-        )
-    checks.append(check_zero(f"{label}: rewriting agrees", rewriting - loc(target)))
-    return MinorExpansion("missing-row", checks, rewriting)
+    vanish = AlgebraElement.sum(shape, (
+        minor(shape, _without(enlarged, i), cols)
+        * gen(shape, i, shape.n).scale(LaurentScalar.minus_q_power(laws.col_expansion_exponent(a, p)))
+        for a, i in enumerate(enlarged, start=1)
+    ))
+    return [check_zero(f"{label}: column-n expansion vanishes", vanish)]
 
 
-def _expand_missing_both(shape, rows, cols, target, label) -> MinorExpansion:
+def _expand_missing_both(shape, rows, cols, label) -> list[IdentityCheck]:
     # Both expansions of the enlarged minor: along its first row and along its
-    # last row; the first is solved for the target term.
+    # last row.
     big_rows = (1,) + rows
     big_cols = cols + (shape.n,)
     big = minor(shape, big_rows, big_cols)
     p = len(big_rows)
-
-    first_row = AlgebraElement.zero(shape)
-    for b, j in enumerate(big_cols, start=1):
-        rest = tuple(c for c in big_cols if c != j)
-        term = minor(shape, rows, rest) * gen(shape, 1, j)
-        first_row = first_row + term.scale(
-            LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b))
-        )
-    checks = [check_zero(f"{label}: first-row expansion of the enlarged minor", big - first_row)]
-
+    first_row = AlgebraElement.sum(shape, (
+        minor(shape, rows, _without(big_cols, j))
+        * gen(shape, 1, j).scale(LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b)))
+        for b, j in enumerate(big_cols, start=1)
+    ))
     s = big_rows[-1]
-    last_row = AlgebraElement.zero(shape)
-    for b, j in enumerate(big_cols, start=1):
-        rest = tuple(c for c in big_cols if c != j)
-        term = minor(shape, big_rows[:-1], rest) * gen(shape, s, j)
-        last_row = last_row + term.scale(
-            LaurentScalar.minus_q_power(laws.minor_row_last_exponent(p, b))
-        )
-    checks.append(check_zero(f"{label}: last-row expansion of the enlarged minor", big - last_row))
+    last_row = AlgebraElement.sum(shape, (
+        minor(shape, big_rows[:-1], _without(big_cols, j))
+        * gen(shape, s, j).scale(LaurentScalar.minus_q_power(laws.minor_row_last_exponent(p, b)))
+        for b, j in enumerate(big_cols, start=1)
+    ))
+    return [
+        check_zero(f"{label}: first-row expansion of the enlarged minor", big - first_row),
+        check_zero(f"{label}: last-row expansion of the enlarged minor", big - last_row),
+    ]
 
-    e_n = laws.minor_row_first_exponent(p)
-    rewriting = loc(big) * corner_inverse(shape)
-    for b, j in enumerate(cols, start=1):
-        rest = tuple(c for c in big_cols if c != j)
-        piece = loc(minor(shape, rows, rest) * gen(shape, 1, j)) * corner_inverse(shape)
-        rewriting = rewriting - piece.scale(
-            LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b))
-        )
-    rewriting = rewriting.scale(LaurentScalar.minus_q_power(-e_n))
-    checks.append(check_zero(f"{label}: rewriting agrees", rewriting - loc(target)))
-    return MinorExpansion("missing-both", checks, rewriting)
+
+_EXPANSION_CHECKS = {
+    "missing-column": _expand_missing_column,
+    "missing-row": _expand_missing_row,
+    "missing-both": _expand_missing_both,
+}
 
 
 def minor_over_derived_generators(
     shape: Shape, rows: tuple[int, ...] | list[int], cols: tuple[int, ...] | list[int]
-) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], LocalizedElement], IdentityCheck]:
+) -> tuple[dict[MinorKey, LocalizedElement], IdentityCheck]:
     """Express a minor as sum of (derived minor) * (localized right cofactor).
 
     Returns the cofactor map and the check that the combination reproduces the
     minor exactly; this is the constructive half of the statement that the
     t-minor ideal of the localization is generated by the derived (t-1)-minors.
+    The map is read off the frozen laws alone, so this one check is what
+    verifies it.
     """
     rows, cols = tuple(rows), tuple(cols)
-    target = minor(shape, rows, cols)
+    target = minor(shape, rows, cols)  # validates the index sets
     label = f"[{list(rows)}|{list(cols)}] over derived minors in {shape}"
-    cofactors: dict[tuple[tuple[int, ...], tuple[int, ...]], LocalizedElement] = {}
-
-    def accumulate(key, piece: LocalizedElement):
-        if key in cofactors:
-            cofactors[key] = cofactors[key] + piece
-        else:
-            cofactors[key] = piece
-
-    def corner_minor_cofactor(r, c, right: LocalizedElement):
-        # [r|c] contains row 1 and column n: it is (-q)^(p-1) [r'|c']' X[1,n].
-        key = (r[1:], c[:-1])
-        piece = (loc(gen(shape, 1, shape.n)) * right).scale(
-            LaurentScalar.minus_q_power(len(r) - 1)
-        )
-        accumulate(key, piece)
-
-    if rows[0] == 1 and cols[-1] == shape.n:
-        corner_minor_cofactor(rows, cols, LocalizedElement(AlgebraElement.one(shape)))
-    else:
-        expansion = expand_minor_without_corner(shape, rows, cols)
-        if not expansion.ok:
-            raise AssertionError(f"supporting expansion failed for {label}")
-        if expansion.case == "missing-column":
-            enlarged = cols + (shape.n,)
-            last = laws.minor_row_first_exponent(len(enlarged))
-            for b, j in enumerate(cols, start=1):
-                rest = tuple(c for c in enlarged if c != j)
-                right = (loc(gen(shape, 1, j)) * corner_inverse(shape)).scale(
-                    -LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b) - last)
-                )
-                corner_minor_cofactor(rows, rest, right)
-        elif expansion.case == "missing-row":
-            enlarged = (1,) + rows
-            pp = len(enlarged)
-            first = laws.col_expansion_exponent(1, pp)
-            for a, i in enumerate(enlarged[1:], start=2):
-                rest = tuple(r for r in enlarged if r != i)
-                right = (loc(gen(shape, i, shape.n)) * corner_inverse(shape)).scale(
-                    -LaurentScalar.minus_q_power(laws.col_expansion_exponent(a, pp) - first)
-                )
-                # rest contains row 1; cols contains column n
-                sub, _ = minor_over_derived_generators(shape, rest, cols)
-                for key, piece in sub.items():
-                    accumulate(key, piece * right)
-        else:  # missing-both
-            big_rows = (1,) + rows
-            big_cols = cols + (shape.n,)
-            pp = len(big_rows)
-            e_n = laws.minor_row_first_exponent(pp)
-            scale_all = LaurentScalar.minus_q_power(-e_n)
-            corner_minor_cofactor(
-                big_rows, big_cols, corner_inverse(shape).scale(scale_all)
-            )
-            for b, j in enumerate(cols, start=1):
-                rest = tuple(c for c in big_cols if c != j)
-                right = (loc(gen(shape, 1, j)) * corner_inverse(shape)).scale(
-                    -LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b)) * scale_all
-                )
-                sub, _ = minor_over_derived_generators(shape, rows, rest)
-                for key, piece in sub.items():
-                    accumulate(key, piece * right)
-
+    cofactors = _derived_cofactors(shape, rows, cols)
     total = LocalizedElement.sum(
         shape, (x_prime_minor(shape, r, c) * piece for (r, c), piece in cofactors.items())
     )
     return cofactors, check_zero(label, total - loc(target))
+
+
+def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]
+                       ) -> dict[MinorKey, LocalizedElement]:
+    """The cofactor map of [rows|cols]: a minor through the corner is
+    (-q)^(p-1) [R-1|C-n]' X[1,n]; any other is rewritten over minors closer to
+    the corner, whose maps are taken times the rewriting's right cofactors.
+    Builds no check."""
+    case = _corner_case(shape, rows, cols)
+    if case == "corner":
+        corner = gen(shape, 1, shape.n).scale(LaurentScalar.minus_q_power(len(rows) - 1))
+        return {(rows[1:], cols[:-1]): loc(corner)}
+    cofactors: dict[MinorKey, LocalizedElement] = {}
+    for (r, c), right in _rewriting(shape, rows, cols, case):
+        for key, piece in _derived_cofactors(shape, r, c).items():
+            piece = piece * right
+            cofactors[key] = cofactors[key] + piece if key in cofactors else piece
+    return cofactors
 
 
 def check_minor_commutation(
@@ -539,37 +525,39 @@ def check_minor_commutation(
     rows, cols = tuple(rows), tuple(cols)
     mp = x_prime_minor(shape, rows, cols)
     gi, gj = g
-    x = loc(gen(shape, gi, gj))
+    x = gen(shape, gi, gj)
     label = f"X[{gi},{gj}] vs [{list(rows)}|{list(cols)}]' in {shape}"
+
+    def difference(twist: LaurentScalar, corrections=()) -> LocalizedElement:
+        # x mp - twist * mp x minus the correction sum, accumulated once
+        return LocalizedElement.sum(shape, [loc(x) * mp, mp * loc(x.scale(-twist)), *corrections])
 
     if gi == 1 and gj <= shape.n - 1:
         l = gj
         if l in cols:
-            return check_zero(f"{label}: q^-1 twist", x * mp - (mp * x).scale(QINV))
-        correction = LocalizedElement(AlgebraElement.zero(shape))
+            return check_zero(f"{label}: q^-1 twist", difference(QINV))
+        corrections = []
         enlarged = sorted(set(cols) | {l})
         for j in (c for c in cols if c < l):
             newcols = tuple(sorted(set(cols) - {j} | {l}))
             e = laws.commutation_col_exponent(enlarged.index(j) + 1, enlarged.index(l) + 1)
-            piece = loc(gen(shape, 1, j)) * x_prime_minor(shape, rows, newcols)
-            correction = correction + piece.scale(LaurentScalar.minus_q_power(e))
-        lhs = x * mp - mp * x
-        rhs = correction.scale(Q * Q_MINUS_QINV)
-        return check_zero(f"{label}: correction sum", lhs - rhs)
+            c = -Q * Q_MINUS_QINV * LaurentScalar.minus_q_power(e)
+            piece = loc(gen(shape, 1, j).scale(c)) * x_prime_minor(shape, rows, newcols)
+            corrections.append(piece)
+        return check_zero(f"{label}: correction sum", difference(ONE, corrections))
 
     if gj == shape.n and gi >= 2:
         k = gi
         if k in rows:
-            return check_zero(f"{label}: q twist", x * mp - (mp * x).scale(Q))
-        correction = LocalizedElement(AlgebraElement.zero(shape))
+            return check_zero(f"{label}: q twist", difference(Q))
+        corrections = []
         enlarged = sorted(set(rows) | {k})
         for j in (r for r in rows if r > k):
             newrows = tuple(sorted(set(rows) - {j} | {k}))
             e = laws.commutation_row_exponent(enlarged.index(j) + 1, enlarged.index(k) + 1)
-            piece = loc(gen(shape, j, shape.n)) * x_prime_minor(shape, newrows, cols)
-            correction = correction + piece.scale(LaurentScalar.minus_q_power(e))
-        lhs = x * mp - mp * x
-        rhs = correction.scale(QINV * (QINV - Q))
-        return check_zero(f"{label}: correction sum", lhs - rhs)
+            c = -QINV * (QINV - Q) * LaurentScalar.minus_q_power(e)
+            piece = loc(gen(shape, j, shape.n).scale(c)) * x_prime_minor(shape, newrows, cols)
+            corrections.append(piece)
+        return check_zero(f"{label}: correction sum", difference(ONE, corrections))
 
     raise ValueError(f"generator X[{gi},{gj}] is not an edge generator for {shape}")

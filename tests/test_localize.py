@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from qmv import laws
 from qmv.algebra import AlgebraElement, Shape, gen, random_element
 from qmv.localize import (
     LocalizedElement,
@@ -233,6 +234,22 @@ def test_minor_over_derived_generators_all_cases():
         cofactors, check = minor_over_derived_generators(s, rows, cols)
         assert check.ok, check.name
         assert cofactors
+
+
+@pytest.mark.parametrize("law, perturbed, cases", [
+    # A constant shift would cancel in e(b) - e(last); perturb by the squared position.
+    ("minor_row_first_exponent", lambda law: lambda b: law(b) + b * b,
+     (((1, 2), (1, 2)), ((2, 3), (1, 2)))),
+    ("col_expansion_exponent", lambda law: lambda a, p: law(a, p) + a * a,
+     (((2, 3), (1, 3)), ((2, 3), (1, 2)))),
+])
+def test_cofactor_check_catches_a_wrong_law(monkeypatch, law, perturbed, cases):
+    # Each case is missing-column, missing-row or missing-both; the returned
+    # check alone must expose cofactors built from a wrong law.
+    monkeypatch.setattr(laws, law, perturbed(getattr(laws, law)))
+    for rows, cols in cases:
+        _, check = minor_over_derived_generators(Shape(3, 3), rows, cols)
+        assert not check.ok and check.witness, (law, rows, cols)
 
 
 def test_commutation_clean_twists():

@@ -1,5 +1,6 @@
 """Suite runner, exponent fitting, and the graded membership solver."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,24 @@ def test_suite_reports_are_deterministic():
     b = run_suite("appendix", m=3, n=3).as_dict()
     a.pop("timings"), b.pop("timings")
     assert a == b
+
+
+# sha256 of the newline-joined check names, in report order, with the check count.
+GOLDEN_CHECK_ORDER = {
+    "lemma23": (131, "d630d2138e41dcb3d89ccc1699e4bb909013488642cc3d12c2e4f77190ed337f"),
+    "thm25": (114, "db65d1eefc5159f28edab269c6a6f47fb86b5548c6fa923391380eee6ac084a3"),
+    "cor22": (38, "f21b7288098985393aa1264735d520a5ecddbb5b34321f5801b9970398be653b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHECK_ORDER))
+def test_localization_suites_keep_their_check_order(name):
+    report = run_suite(name, m=4, n=4)
+    names = [c.name for c in report.checks]
+    count, digest = GOLDEN_CHECK_ORDER[name]
+    assert report.passed, report.summary()
+    assert len(names) == count
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == digest
 
 
 def test_suite_report_shape_fields():
