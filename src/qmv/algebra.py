@@ -287,6 +287,8 @@ class AlgebraElement:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check_shape(other)
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
@@ -302,6 +304,8 @@ class AlgebraElement:
         return AlgebraElement(self.shape, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check_shape(other)
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
@@ -329,6 +333,8 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement | LaurentScalar | int") -> "AlgebraElement":
         if isinstance(other, (LaurentScalar, int)):
             return self.scale(other)
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check_shape(other)
         left = {
             (mono.pairs, e): c

@@ -34,7 +34,7 @@ def _config(args, need_shape: bool = True) -> SessionConfig:
         m = n = 1
     m = m if m is not None else n
     n = n if n is not None else m
-    return SessionConfig(m=m, n=n, t=args.t, fmt=args.fmt)
+    return SessionConfig(m=m, n=n, t=args.t)
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -40,7 +40,6 @@ class SessionConfig:
     m: int
     n: int
     t: int | None = None
-    fmt: str = "text"
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:

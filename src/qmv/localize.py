@@ -17,7 +17,8 @@ through the corner, and the commutation relations between derived minors and
 the edge generators.
 
 The cofactor map writing a minor over derived minors (Lemma 2.3) is read off
-the frozen expansion laws alone; no supporting expansion is run to build it.
+the expansion term tables of the laws module alone; no supporting expansion
+is run to build it.
 Each map is verified by one exact check, sum of derived minor times cofactor
 minus the minor, so a wrong law shows up as a failing check.  The expansions
 themselves are checked and reported once per minor by the lemma23 suite.
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraElement, PbwMonomial, Shape, gen
 from .checks import IdentityCheck, check_zero
-from .minors import minor
+from .minors import expansion, minor
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV
 from . import laws
 
@@ -51,7 +52,10 @@ def tau_weight(mono: PbwMonomial, shape: Shape) -> int:
 
 
 def tau(a: AlgebraElement, power: int = 1) -> AlgebraElement:
-    """The automorphism with a * X[1,n] = X[1,n] * tau(a); tau^power for any integer."""
+    """The automorphism with a * X[1,n] = X[1,n] * tau(a); tau^power for any
+    integer (tau^0 returns a itself: elements are immutable)."""
+    if power == 0:
+        return a
     return AlgebraElement(
         a.shape,
         {
@@ -138,11 +142,17 @@ class LocalizedElement:
         k = max(self.k, other.k)
         return LocalizedElement(self.numerator_over(k) + other.numerator_over(k), k)
 
+    def __radd__(self, other: AlgebraElement) -> "LocalizedElement":
+        return self + other
+
     def __neg__(self) -> "LocalizedElement":
         return LocalizedElement(-self.numerator, self.k)
 
     def __sub__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
         return self + (-_coerce_localized(other, self.shape))
+
+    def __rsub__(self, other: AlgebraElement) -> "LocalizedElement":
+        return _coerce_localized(other, self.shape) - self
 
     def __mul__(self, other) -> "LocalizedElement":
         if isinstance(other, (LaurentScalar, int)):
@@ -268,9 +278,9 @@ def _x_prime_minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -
     if len(rows) == 1:
         return x_prime(shape, rows[0], cols[0])
     return LocalizedElement.sum(shape, (
-        x_prime(shape, rows[0], c).scale(LaurentScalar.minus_q_power(laws.row_expansion_exponent(1, b)))
-        * _x_prime_minor(shape, rows[1:], cols[: b - 1] + cols[b:])
-        for b, c in enumerate(cols, start=1)
+        x_prime(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
+        * _x_prime_minor(shape, *t.minor)
+        for t in laws.row_terms(rows, cols, 1, rows[0])
     ))
 
 
@@ -306,7 +316,7 @@ def check_det_reduction(n: int) -> list[IdentityCheck]:
     shape = Shape(n, n)
     detp = full_x_prime_determinant(shape)
     corner = loc(gen(shape, 1, n))
-    rhs = loc(minor(shape, range(1, n + 1), range(1, n + 1)).scale(LaurentScalar.minus_q_power(1 - n)))
+    rhs = minor(shape, range(1, n + 1), range(1, n + 1)).scale(LaurentScalar.minus_q_power(1 - n))
     return [
         check_zero(f"detX' * X[1,{n}] = (-q)^{1 - n} detX (n={n})", detp * corner - rhs),
         check_zero(f"X[1,{n}] * detX' = (-q)^{1 - n} detX (n={n})", corner * detp - rhs),
@@ -324,7 +334,7 @@ def check_minor_reduction(shape: Shape, rows: tuple[int, ...], cols: tuple[int, 
     big = minor(shape, rows, cols)
     scaled = LaurentScalar.minus_q_power(1 - p)
     right = LocalizedElement(big.scale(scaled), 1)
-    left = corner_inverse(shape).scale(scaled) * loc(big)
+    left = corner_inverse(shape).scale(scaled) * big
     label = f"[{list(rows)}|{list(cols)}] reduction in {shape}"
     return [
         check_zero(f"{label}, right denominator", mp - right),
@@ -345,9 +355,6 @@ class MinorExpansion:
         return all(c.ok for c in self.checks)
 
 
-MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-
 def _corner_case(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> str:
     """Which of row 1 and column n the minor [rows|cols] contains: "corner" when
     both, otherwise the name of the expansion that rewrites it."""
@@ -356,46 +363,36 @@ def _corner_case(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> 
     return "missing-row" if cols[-1] == shape.n else "missing-both"
 
 
-def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str
-               ) -> list[tuple[MinorKey, LocalizedElement]]:
-    """The rewriting of a minor missing row 1 and/or column n as a sum of
-    [r|c] * right over ((r, c), right) pairs, read off the frozen laws; each
-    right cofactor is a scaled generator (or scalar) times X[1,n]^-1."""
-    mq = LaurentScalar.minus_q_power
-    e = laws.minor_row_first_exponent
-    if case == "missing-column":
-        # solve the vanishing row-1 expansion over cols + (n,) for its column-n term
-        enlarged = cols + (shape.n,)
-        last = e(len(enlarged))
-        return [
-            ((rows, _without(enlarged, j)),
-             LocalizedElement(gen(shape, 1, j).scale(-mq(e(b) - last)), 1))
-            for b, j in enumerate(cols, start=1)
-        ]
+def _solved_terms(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str
+                  ) -> list[laws.Term]:
+    """The expansion that the rewriting of [rows|cols] solves, as a term table
+    (generators right): along row 1 with column n adjoined, or along column n
+    with row 1 adjoined, both of which vanish; or, when both are missing, the
+    first-row expansion of the enlarged minor.  Its term with the corner
+    generator X[1,n] holds the target."""
+    n = shape.n
     if case == "missing-row":
-        # solve the vanishing column-n expansion over (1,) + rows for its row-1 term
-        enlarged = (1,) + rows
-        p = len(enlarged)
-        col = laws.col_expansion_exponent
-        first = col(1, p)
-        return [
-            ((_without(enlarged, i), cols),
-             LocalizedElement(gen(shape, i, shape.n).scale(-mq(col(a, p) - first)), 1))
-            for a, i in enumerate(enlarged[1:], start=2)
-        ]
-    # missing-both: solve the first-row expansion of the enlarged minor for the target
-    big_rows, big_cols = (1,) + rows, cols + (shape.n,)
-    scale_all = mq(-e(len(big_rows)))
-    whole = ((big_rows, big_cols), LocalizedElement(AlgebraElement.from_scalar(shape, scale_all), 1))
-    return [whole] + [
-        ((rows, _without(big_cols, j)),
-         LocalizedElement(gen(shape, 1, j).scale(-mq(e(b)) * scale_all), 1))
-        for b, j in enumerate(cols, start=1)
+        return laws.col_terms((1,) + rows, cols + (n,), len(rows) + 1, n)
+    return laws.first_row_terms((1,) + rows, cols + (n,))
+
+
+def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str
+               ) -> list[tuple[laws.MinorKey, LocalizedElement]]:
+    """The rewriting of a minor missing row 1 and/or column n as a sum of
+    [r|c] * right over ((r, c), right) pairs, read off the frozen laws by
+    solving the expansion for its corner term; each right cofactor is a scaled
+    generator (or scalar) times X[1,n]^-1."""
+    mq = LaurentScalar.minus_q_power
+    terms = _solved_terms(shape, rows, cols, case)
+    target = next(t for t in terms if t.gen == (1, shape.n))
+    out = [
+        (t.minor, LocalizedElement(gen(shape, *t.gen).scale(-mq(t.exponent - target.exponent)), 1))
+        for t in terms if t is not target
     ]
-
-
-def _without(indices: tuple[int, ...], x: int) -> tuple[int, ...]:
-    return tuple(i for i in indices if i != x)
+    if case == "missing-both":
+        whole = LocalizedElement(AlgebraElement.from_scalar(shape, mq(-target.exponent)), 1)
+        out.insert(0, (((1,) + rows, cols + (shape.n,)), whole))
+    return out
 
 
 def expand_minor_without_corner(
@@ -415,71 +412,28 @@ def expand_minor_without_corner(
     case = _corner_case(shape, rows, cols)
     if case == "corner":
         raise ValueError(f"{label} already contains the corner; use the minor reduction")
-    checks = _EXPANSION_CHECKS[case](shape, rows, cols, label)
+    solved = expansion(shape, _solved_terms(shape, rows, cols, case))
+    if case == "missing-both":
+        big_rows, big_cols = (1,) + rows, cols + (shape.n,)
+        big = minor(shape, big_rows, big_cols)
+        checks = [
+            check_zero(f"{label}: first-row expansion of the enlarged minor", big - solved),
+            check_zero(f"{label}: last-row expansion of the enlarged minor",
+                       big - expansion(shape, laws.last_row_terms(big_rows, big_cols))),
+        ]
+    else:
+        line = "row-1" if case == "missing-column" else "column-n"
+        checks = [check_zero(f"{label}: {line} expansion vanishes", solved)]
     rewriting = LocalizedElement.sum(shape, (
         loc(minor(shape, r, c)) * right for (r, c), right in _rewriting(shape, rows, cols, case)
     ))
-    checks.append(check_zero(f"{label}: rewriting agrees", rewriting - loc(target)))
+    checks.append(check_zero(f"{label}: rewriting agrees", rewriting - target))
     return MinorExpansion(case, checks, rewriting)
-
-
-def _expand_missing_column(shape, rows, cols, label) -> list[IdentityCheck]:
-    # Row-1 expansion over the enlarged column set vanishes.
-    enlarged = cols + (shape.n,)
-    vanish = AlgebraElement.sum(shape, (
-        minor(shape, rows, _without(enlarged, j))
-        * gen(shape, 1, j).scale(LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b)))
-        for b, j in enumerate(enlarged, start=1)
-    ))
-    return [check_zero(f"{label}: row-1 expansion vanishes", vanish)]
-
-
-def _expand_missing_row(shape, rows, cols, label) -> list[IdentityCheck]:
-    # Column-n expansion over the enlarged row set vanishes.
-    enlarged = (1,) + rows
-    p = len(enlarged)
-    vanish = AlgebraElement.sum(shape, (
-        minor(shape, _without(enlarged, i), cols)
-        * gen(shape, i, shape.n).scale(LaurentScalar.minus_q_power(laws.col_expansion_exponent(a, p)))
-        for a, i in enumerate(enlarged, start=1)
-    ))
-    return [check_zero(f"{label}: column-n expansion vanishes", vanish)]
-
-
-def _expand_missing_both(shape, rows, cols, label) -> list[IdentityCheck]:
-    # Both expansions of the enlarged minor: along its first row and along its
-    # last row.
-    big_rows = (1,) + rows
-    big_cols = cols + (shape.n,)
-    big = minor(shape, big_rows, big_cols)
-    p = len(big_rows)
-    first_row = AlgebraElement.sum(shape, (
-        minor(shape, rows, _without(big_cols, j))
-        * gen(shape, 1, j).scale(LaurentScalar.minus_q_power(laws.minor_row_first_exponent(b)))
-        for b, j in enumerate(big_cols, start=1)
-    ))
-    s = big_rows[-1]
-    last_row = AlgebraElement.sum(shape, (
-        minor(shape, big_rows[:-1], _without(big_cols, j))
-        * gen(shape, s, j).scale(LaurentScalar.minus_q_power(laws.minor_row_last_exponent(p, b)))
-        for b, j in enumerate(big_cols, start=1)
-    ))
-    return [
-        check_zero(f"{label}: first-row expansion of the enlarged minor", big - first_row),
-        check_zero(f"{label}: last-row expansion of the enlarged minor", big - last_row),
-    ]
-
-
-_EXPANSION_CHECKS = {
-    "missing-column": _expand_missing_column,
-    "missing-row": _expand_missing_row,
-    "missing-both": _expand_missing_both,
-}
 
 
 def minor_over_derived_generators(
     shape: Shape, rows: tuple[int, ...] | list[int], cols: tuple[int, ...] | list[int]
-) -> tuple[dict[MinorKey, LocalizedElement], IdentityCheck]:
+) -> tuple[dict[laws.MinorKey, LocalizedElement], IdentityCheck]:
     """Express a minor as sum of (derived minor) * (localized right cofactor).
 
     Returns the cofactor map and the check that the combination reproduces the
@@ -495,11 +449,11 @@ def minor_over_derived_generators(
     total = LocalizedElement.sum(
         shape, (x_prime_minor(shape, r, c) * piece for (r, c), piece in cofactors.items())
     )
-    return cofactors, check_zero(label, total - loc(target))
+    return cofactors, check_zero(label, total - target)
 
 
 def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]
-                       ) -> dict[MinorKey, LocalizedElement]:
+                       ) -> dict[laws.MinorKey, LocalizedElement]:
     """The cofactor map of [rows|cols]: a minor through the corner is
     (-q)^(p-1) [R-1|C-n]' X[1,n]; any other is rewritten over minors closer to
     the corner, whose maps are taken times the rewriting's right cofactors.
@@ -508,7 +462,7 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
     if case == "corner":
         corner = gen(shape, 1, shape.n).scale(LaurentScalar.minus_q_power(len(rows) - 1))
         return {(rows[1:], cols[:-1]): loc(corner)}
-    cofactors: dict[MinorKey, LocalizedElement] = {}
+    cofactors: dict[laws.MinorKey, LocalizedElement] = {}
     for (r, c), right in _rewriting(shape, rows, cols, case):
         for key, piece in _derived_cofactors(shape, r, c).items():
             piece = piece * right
@@ -530,34 +484,21 @@ def check_minor_commutation(
 
     def difference(twist: LaurentScalar, corrections=()) -> LocalizedElement:
         # x mp - twist * mp x minus the correction sum, accumulated once
-        return LocalizedElement.sum(shape, [loc(x) * mp, mp * loc(x.scale(-twist)), *corrections])
+        return LocalizedElement.sum(shape, [loc(x) * mp, mp * x.scale(-twist), *corrections])
 
     if gi == 1 and gj <= shape.n - 1:
-        l = gj
-        if l in cols:
+        if gj in cols:
             return check_zero(f"{label}: q^-1 twist", difference(QINV))
-        corrections = []
-        enlarged = sorted(set(cols) | {l})
-        for j in (c for c in cols if c < l):
-            newcols = tuple(sorted(set(cols) - {j} | {l}))
-            e = laws.commutation_col_exponent(enlarged.index(j) + 1, enlarged.index(l) + 1)
-            c = -Q * Q_MINUS_QINV * LaurentScalar.minus_q_power(e)
-            piece = loc(gen(shape, 1, j).scale(c)) * x_prime_minor(shape, rows, newcols)
-            corrections.append(piece)
-        return check_zero(f"{label}: correction sum", difference(ONE, corrections))
-
-    if gj == shape.n and gi >= 2:
-        k = gi
-        if k in rows:
+        terms, c = laws.col_commutation_terms(rows, cols, gj), -Q * Q_MINUS_QINV
+    elif gj == shape.n and gi >= 2:
+        if gi in rows:
             return check_zero(f"{label}: q twist", difference(Q))
-        corrections = []
-        enlarged = sorted(set(rows) | {k})
-        for j in (r for r in rows if r > k):
-            newrows = tuple(sorted(set(rows) - {j} | {k}))
-            e = laws.commutation_row_exponent(enlarged.index(j) + 1, enlarged.index(k) + 1)
-            c = -QINV * (QINV - Q) * LaurentScalar.minus_q_power(e)
-            piece = loc(gen(shape, j, shape.n).scale(c)) * x_prime_minor(shape, newrows, cols)
-            corrections.append(piece)
-        return check_zero(f"{label}: correction sum", difference(ONE, corrections))
-
-    raise ValueError(f"generator X[{gi},{gj}] is not an edge generator for {shape}")
+        terms, c = laws.row_commutation_terms(rows, cols, gi, shape.n), -QINV * (QINV - Q)
+    else:
+        raise ValueError(f"generator X[{gi},{gj}] is not an edge generator for {shape}")
+    corrections = [
+        loc(gen(shape, *t.gen).scale(c * LaurentScalar.minus_q_power(t.exponent)))
+        * x_prime_minor(shape, *t.minor)
+        for t in terms
+    ]
+    return check_zero(f"{label}: correction sum", difference(ONE, corrections))

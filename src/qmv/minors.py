@@ -6,8 +6,9 @@ subset of rows and columns and takes the determinant of the relabeled
 submatrix; because the row indices are strictly increasing, every permutation
 product is already in PBW order, so minors are assembled without rewriting.
 
-Row and column expansions both take their exponent laws from the table fitted
-by the exponent solver and frozen with the package.
+Row and column expansions both take their terms and exponent laws from the
+tables in the laws module, fitted by the exponent solver and frozen with the
+package.
 """
 
 from __future__ import annotations
@@ -86,30 +87,36 @@ def complement_minor(shape: Shape, i: int, j: int) -> AlgebraElement:
     n = shape.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"A({i},{j}) out of range for {shape}")
-    if n == 1:
-        return AlgebraElement.one(shape)
-    rows = [r for r in range(1, n + 1) if r != i]
-    cols = [c for c in range(1, n + 1) if c != j]
-    return minor(shape, rows, cols)
+    rows = tuple(r for r in range(1, n + 1) if r != i)
+    cols = tuple(c for c in range(1, n + 1) if c != j)
+    return term_minor(shape, (rows, cols))
+
+
+def term_minor(shape: Shape, key: laws.MinorKey) -> AlgebraElement:
+    """The minor named by a term table's (rows, cols) key; the empty key names 1."""
+    return minor(shape, *key) if key[0] else AlgebraElement.one(shape)
 
 
 def laplace_expand_row(shape: Shape, i: int, k: int) -> AlgebraElement:
     """sum_j (-q)^(j-i) X[k,j] A(i,j): the determinant when k = i, zero otherwise."""
-    n = _square_side(shape, i, k)
+    full = tuple(range(1, _square_side(shape, i, k) + 1))
     return AlgebraElement.sum(shape, (
-        gen(shape, k, j).scale(LaurentScalar.minus_q_power(laws.row_expansion_exponent(i, j)))
-        * complement_minor(shape, i, j)
-        for j in range(1, n + 1)
+        gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent)) * term_minor(shape, t.minor)
+        for t in laws.row_terms(full, full, i, k)
     ))
 
 
 def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
     """sum_i (-q)^e(i,j) A(i,j) X[i,l] with the fitted column exponent law."""
-    n = _square_side(shape, j, l)
+    full = tuple(range(1, _square_side(shape, j, l) + 1))
+    return expansion(shape, laws.col_terms(full, full, j, l))
+
+
+def expansion(shape: Shape, terms: list[laws.Term]) -> AlgebraElement:
+    """sum (-q)^e [minor] X[gen] over a term table whose generators stand right."""
     return AlgebraElement.sum(shape, (
-        complement_minor(shape, i, j)
-        * gen(shape, i, l).scale(LaurentScalar.minus_q_power(laws.col_expansion_exponent(i, j)))
-        for i in range(1, n + 1)
+        term_minor(shape, t.minor) * gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
+        for t in terms
     ))
 
 

@@ -6,7 +6,9 @@ Three jobs live here:
   report pass/fail with failure witnesses;
 * fit_exponents: solve for the q-power coefficients the identity families leave
   unspecified, by exact linear algebra in the relevant graded component, and
-  compare the result against the frozen table shipped with the package;
+  compare the result against the frozen table shipped with the package.  Each
+  family's terms come from its table in the laws module, the same table the
+  suites read; the solver takes only their indices and products;
 * solve_membership / jordan_ingredients: the column-expansion split of the
   determinant c = d x + e and the certified check that e is not expressible as
   d alpha + beta X[1,n] inside the bidegree-(1,...,1;1,...,1) component.
@@ -33,7 +35,6 @@ from .algebra import (
 )
 from .checks import IdentityCheck, check_zero
 from .localize import (
-    LocalizedElement,
     check_det_reduction,
     check_minor_commutation,
     check_minor_reduction,
@@ -50,6 +51,7 @@ from .minors import (
     laplace_expand_row,
     minor,
     qdet,
+    term_minor,
 )
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV, ScalarFraction, ZERO
 from . import laws
@@ -136,11 +138,6 @@ def solve_element_combination(
     return solve_linear(matrix, rhs, ScalarFraction(0))
 
 
-def _common_numerators(parts: list[LocalizedElement]) -> list[AlgebraElement]:
-    k = max((p.k for p in parts), default=0)
-    return [p.numerator_over(k) for p in parts]
-
-
 # ---------------------------------------------------------------------------
 # exponent fitting
 # ---------------------------------------------------------------------------
@@ -195,6 +192,64 @@ def _solved_exponents(columns, target, family) -> list[int]:
     return _scalars_to_exponents(sol, family)
 
 
+def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
+    """The identities the family enters at one size, as (target, terms,
+    product): target = sum over the terms of (-q)^e * product(term), with
+    every exponent e unknown.  The terms come from the family's table in the
+    laws module; only their indices and products are used here."""
+    if family in ("row-laplace", "col-laplace"):
+        side = n or 2
+        shape = Shape(side, side)
+        full = tuple(range(1, side + 1))
+        det = qdet(shape)
+        for a in full:
+            if family == "row-laplace":
+                yield det, laws.row_terms(full, full, a, a), lambda term: (
+                    gen(shape, *term.gen) * term_minor(shape, term.minor))
+            else:
+                yield det, laws.col_terms(full, full, a, a), lambda term: (
+                    term_minor(shape, term.minor) * gen(shape, *term.gen))
+
+    elif family in ("lemma23-eq1", "lemma23-eq2"):
+        shape = Shape(m or 3, n or 3)
+
+        def product(term):
+            return minor(shape, *term.minor) * gen(shape, *term.gen)
+
+        for p in ((t + 1,) if t else (2, 3)):
+            for rows in itertools.combinations(range(1, shape.m + 1), p):
+                for cols in itertools.combinations(range(1, shape.n + 1), p):
+                    if family == "lemma23-eq2":
+                        yield minor(shape, rows, cols), laws.last_row_terms(rows, cols), product
+                    elif rows[0] == 1:
+                        yield minor(shape, rows, cols), laws.first_row_terms(rows, cols), product
+
+    else:
+        col_family = family == "thm25-2prime"
+        shape = Shape(m or 3, n or 4) if col_family else Shape(m or 4, n or 3)
+        scalar = Q * Q_MINUS_QINV if col_family else QINV * (QINV - Q)
+
+        def product(term):
+            # derived minors have denominator exponent 1 (Cor. 2.2), so every
+            # side of the identity is read as a numerator over X[1,n]^-1
+            piece = loc(gen(shape, *term.gen).scale(scalar)) * x_prime_minor(shape, *term.minor)
+            return piece.numerator_over(1)
+
+        for size in ((t - 1,) if t else (1, 2)):
+            for rows in itertools.combinations(range(2, shape.m + 1), size):
+                for cols in itertools.combinations(range(1, shape.n), size):
+                    if col_family:
+                        edges = [((1, l), laws.col_commutation_terms(rows, cols, l))
+                                 for l in range(1, shape.n) if l not in cols]
+                    else:
+                        edges = [((k, shape.n), laws.row_commutation_terms(rows, cols, k, shape.n))
+                                 for k in range(2, shape.m + 1) if k not in rows]
+                    for g, terms in edges:
+                        if terms:
+                            x, mp = loc(gen(shape, *g)), x_prime_minor(shape, rows, cols)
+                            yield (x * mp - mp * x).numerator_over(1), terms, product
+
+
 def fit_exponents(family: str, m: int | None = None, n: int | None = None,
                   t: int | None = None) -> ExponentFit:
     """Fit one exponent family at the smallest (or requested) size and compare
@@ -202,110 +257,16 @@ def fit_exponents(family: str, m: int | None = None, n: int | None = None,
 
     For the minor-expansion families, t is the size of the minor being
     rewritten (the expanded minor has size t + 1); for the commutation
-    families it bounds the derived-minor size at t - 1.
+    families it bounds the derived-minor size at t - 1.  The exponents are
+    solved for, never read from the term tables, and only then compared with
+    the frozen law.
     """
     if family not in FIT_FAMILIES:
         raise FitError(f"unknown exponent family {family!r}; choose from {FIT_FAMILIES}")
     instances: list[dict] = []
-
-    if family in ("row-laplace", "col-laplace"):
-        side = n or 2
-        shape = Shape(side, side)
-        det = qdet(shape)
-        for a in range(1, side + 1):
-            if family == "row-laplace":
-                columns = [gen(shape, a, j) * complement_minor(shape, a, j) for j in range(1, side + 1)]
-                keys = [{"i": a, "j": j} for j in range(1, side + 1)]
-            else:
-                columns = [complement_minor(shape, i, a) * gen(shape, i, a) for i in range(1, side + 1)]
-                keys = [{"i": i, "j": a} for i in range(1, side + 1)]
-            for key, e in zip(keys, _solved_exponents(columns, det, family)):
-                instances.append({"indices": key, "exponent": e})
-
-    elif family == "lemma23-eq1":
-        shape = Shape(m or 3, n or 3)
-        for p in ((t + 1,) if t else (2, 3)):
-            if p - 1 > shape.m - 1 or p > shape.n:
-                continue
-            for rows in itertools.combinations(range(2, shape.m + 1), p - 1):
-                for cols in itertools.combinations(range(1, shape.n + 1), p):
-                    big = minor(shape, (1,) + rows, cols)
-                    columns = [
-                        minor(shape, rows, tuple(c for c in cols if c != j)) * gen(shape, 1, j)
-                        for j in cols
-                    ]
-                    for b, e in enumerate(_solved_exponents(columns, big, family), start=1):
-                        instances.append({"indices": {"b": b}, "exponent": e})
-
-    elif family == "lemma23-eq2":
-        shape = Shape(m or 3, n or 3)
-        for p in ((t + 1,) if t else (2, 3)):
-            if p > min(shape.m, shape.n):
-                continue
-            for rows in itertools.combinations(range(1, shape.m + 1), p):
-                for cols in itertools.combinations(range(1, shape.n + 1), p):
-                    s = rows[-1]
-                    big = minor(shape, rows, cols)
-                    columns = [
-                        minor(shape, rows[:-1], tuple(c for c in cols if c != j)) * gen(shape, s, j)
-                        for j in cols
-                    ]
-                    for b, e in enumerate(_solved_exponents(columns, big, family), start=1):
-                        instances.append({"indices": {"p": p, "b": b}, "exponent": e})
-
-    elif family == "thm25-2prime":
-        shape = Shape(m or 3, n or 4)
-        for size in ((t - 1,) if t else (1, 2)):
-            for rows in itertools.combinations(range(2, shape.m + 1), size):
-                for cols in itertools.combinations(range(1, shape.n), size):
-                    for l in range(1, shape.n):
-                        below = [j for j in cols if j < l]
-                        if l in cols or not below:
-                            continue
-                        mp = x_prime_minor(shape, rows, cols)
-                        x = loc(gen(shape, 1, l))
-                        lhs = x * mp - mp * x
-                        parts = [
-                            (loc(gen(shape, 1, j))
-                             * x_prime_minor(shape, rows, tuple(sorted(set(cols) - {j} | {l})))
-                             ).scale(Q * Q_MINUS_QINV)
-                            for j in below
-                        ]
-                        nums = _common_numerators(parts + [lhs])
-                        enlarged = sorted(set(cols) | {l})
-                        for j, e in zip(below, _solved_exponents(nums[:-1], nums[-1], family)):
-                            instances.append({
-                                "indices": {"rj": enlarged.index(j) + 1,
-                                            "rl": enlarged.index(l) + 1},
-                                "exponent": e,
-                            })
-
-    elif family == "thm25-4prime":
-        shape = Shape(m or 4, n or 3)
-        for size in ((t - 1,) if t else (1, 2)):
-            for rows in itertools.combinations(range(2, shape.m + 1), size):
-                for cols in itertools.combinations(range(1, shape.n), size):
-                    for k in range(2, shape.m + 1):
-                        above = [j for j in rows if j > k]
-                        if k in rows or not above:
-                            continue
-                        mp = x_prime_minor(shape, rows, cols)
-                        x = loc(gen(shape, k, shape.n))
-                        lhs = x * mp - mp * x
-                        parts = [
-                            (loc(gen(shape, j, shape.n))
-                             * x_prime_minor(shape, tuple(sorted(set(rows) - {j} | {k})), cols)
-                             ).scale(QINV * (QINV - Q))
-                            for j in above
-                        ]
-                        nums = _common_numerators(parts + [lhs])
-                        enlarged = sorted(set(rows) | {k})
-                        for j, e in zip(above, _solved_exponents(nums[:-1], nums[-1], family)):
-                            instances.append({
-                                "indices": {"rj": enlarged.index(j) + 1,
-                                            "rk": enlarged.index(k) + 1},
-                                "exponent": e,
-                            })
+    for target, terms, product in _fit_systems(family, m, n, t):
+        exponents = _solved_exponents([product(term) for term in terms], target, family)
+        instances.extend({"indices": term.indices, "exponent": e} for term, e in zip(terms, exponents))
 
     frozen = laws.law_coefficients(family)
     matches = all(
@@ -447,10 +408,13 @@ def jordan_ingredients(n: int) -> ColumnSplit:
     c = qdet(shape)
     d = complement_minor(shape, n, n)
     x = gen(shape, n, n)
-    e = AlgebraElement.zero(shape)
-    for i in range(1, n):
-        term = complement_minor(shape, i, n) * gen(shape, i, n)
-        e = e + term.scale(mq(laws.col_expansion_exponent(i, n)))
+    full = tuple(range(1, n + 1))
+    # the last-column expansion of det without its final term A(nn) X[n,n]
+    terms = [
+        minor(shape, *t.minor) * gen(shape, *t.gen).scale(mq(t.exponent))
+        for t in laws.col_terms(full, full, n, n)[:-1]
+    ]
+    e = AlgebraElement.sum(shape, terms)
     checks = [check_zero(f"det = A(nn) X[n,n] + e (n={n})", c - (d * x + e))]
     corner = (1, n)
     checks.append(
@@ -460,10 +424,7 @@ def jordan_ingredients(n: int) -> ColumnSplit:
         )
     )
     ones = Bidegree((1,) * n, (1,) * n)
-    for i in range(1, n):
-        term = (complement_minor(shape, i, n) * gen(shape, i, n)).scale(
-            mq(laws.col_expansion_exponent(i, n))
-        )
+    for i, term in enumerate(terms, start=1):
         checks.append(
             IdentityCheck(
                 f"e term {i} has bidegree (1,..,1;1,..,1)",
@@ -527,11 +488,10 @@ class SuiteReport:
         )
 
 
-def _quantum_relation_checks(entries: dict[Gen, object], label: str, scale_mul) -> list[IdentityCheck]:
+def _quantum_relation_checks(entries: dict[Gen, object], label: str) -> list[IdentityCheck]:
     """The four defining relation schemes over any grid of elements.
 
-    entries maps (row, col) positions to elements supporting * and -; scale_mul
-    applies a LaurentScalar to such an element.
+    entries maps (row, col) positions to elements supporting *, - and scale.
     """
     out: list[IdentityCheck] = []
     positions = sorted(entries)
@@ -539,30 +499,30 @@ def _quantum_relation_checks(entries: dict[Gen, object], label: str, scale_mul) 
         a, b = entries[(i, j)], entries[(k, l)]
         if i == k and j < l:
             out.append(check_zero(f"{label}: row relation ({i},{j})({k},{l})",
-                                  a * b - scale_mul(b * a, Q)))
+                                  a * b - (b * a).scale(Q)))
         elif j == l and i < k:
             out.append(check_zero(f"{label}: column relation ({i},{j})({k},{l})",
-                                  a * b - scale_mul(b * a, Q)))
+                                  a * b - (b * a).scale(Q)))
         elif i < k and j > l:
             out.append(check_zero(f"{label}: antidiagonal relation ({i},{j})({k},{l})",
                                   a * b - b * a))
         elif i < k and j < l:
             c = entries[(i, l)] * entries[(k, j)]
             out.append(check_zero(f"{label}: diagonal relation ({i},{j})({k},{l})",
-                                  a * b - b * a - scale_mul(c, Q_MINUS_QINV)))
+                                  a * b - b * a - c.scale(Q_MINUS_QINV)))
     return out
 
 
 def _suite_eq1_relations(shape: Shape, t=None) -> list[IdentityCheck]:
     entries = {(i, j): gen(shape, i, j) for i, j in shape.generators()}
-    return _quantum_relation_checks(entries, f"X over {shape}", lambda e, s: e.scale(s))
+    return _quantum_relation_checks(entries, f"X over {shape}")
 
 
 def _suite_lemma111(shape: Shape, t=None) -> list[IdentityCheck]:
     if shape.m < 2 or shape.n < 2:
         return []
     entries = x_prime_entries(shape)
-    checks = _quantum_relation_checks(entries, f"X' over {shape}", lambda e, s: e.scale(s))
+    checks = _quantum_relation_checks(entries, f"X' over {shape}")
     corner = loc(gen(shape, 1, shape.n))
     for (i, j), xp in sorted(entries.items()):
         checks.append(check_zero(f"X'[{i},{j}] commutes with X[1,{shape.n}]",

@@ -45,6 +45,21 @@ def test_tau_contract_fuzz():
             assert tau(tau(a, 1), -1) == a
 
 
+def test_tau_to_the_zero_returns_its_argument():
+    a = minor(Shape(3, 3), (1, 2), (2, 3))
+    assert tau(a, 0) is a
+
+
+def test_plain_left_operand_meets_a_localized_right_operand():
+    rng = random.Random(17)
+    s = Shape(3, 3)
+    for right in (x_prime(s, 2, 1), x_prime_minor(s, (2, 3), (1, 2)), corner_inverse(s)):
+        a = random_element(s, 2, rng)
+        for got, want in ((a + right, loc(a) + right), (a - right, loc(a) - right),
+                          (a * right, loc(a) * right)):
+            assert isinstance(got, LocalizedElement) and got == want
+
+
 def test_corner_inverse_cancels():
     s = Shape(3, 3)
     one = loc(AlgebraElement.one(s))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmv import laws, localize
 from qmv.algebra import AlgebraElement, Bidegree, PbwMonomial, Shape, component_basis, gen
 from qmv.checks import WITNESS_TERMS, check_zero
 from qmv.localize import corner_inverse, loc
@@ -102,6 +103,43 @@ def test_frozen_table_reproduced():
         "row-laplace", "col-laplace", "lemma23-eq1", "lemma23-eq2",
         "thm25-2prime", "thm25-4prime"}
     assert all(f.matches_frozen for f in fits)
+
+
+# The suite that checks the identities each fitted family enters.
+LAW_SUITES = {
+    "row-laplace": "laplace", "col-laplace": "laplace",
+    "lemma23-eq1": "lemma23", "lemma23-eq2": "lemma23",
+    "thm25-2prime": "thm25", "thm25-4prime": "thm25",
+}
+
+
+@pytest.fixture
+def fresh_derived_minors():
+    # derived minors memoize row-laplace results, so no wrong law may outlive a case
+    for cached in (localize.x_prime, localize._x_prime_minor):
+        cached.cache_clear()
+    yield
+    for cached in (localize.x_prime, localize._x_prime_minor):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("family", sorted(LAW_SUITES))
+def test_each_frozen_law_is_read_by_the_fitter_and_its_suite(monkeypatch, fresh_derived_minors, family):
+    # Add the law's first index to its exponent: not constant over the
+    # family's instances, so neither the refit nor the identities can absorb it.
+    frozen = laws.law_coefficients
+
+    def perturbed(name):
+        law = frozen(name)
+        if name == family:
+            law[next(iter(law))] += 1
+        return law
+
+    monkeypatch.setattr(laws, "law_coefficients", perturbed)
+    with pytest.raises(FitError):
+        fit_exponents(family)
+    report = run_suite(LAW_SUITES[family], **laws.table()["families"][family]["fitted_at"])
+    assert not report.passed, family
 
 
 class TestMembership:
