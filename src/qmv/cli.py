@@ -26,12 +26,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
 
-def _config(args, need_shape: bool = True) -> SessionConfig:
+def _config(args) -> SessionConfig:
     m, n = args.m, args.n
     if m is None and n is None:
-        if need_shape:
-            raise ExprError("shape required: pass --m/--n", 0)
-        m = n = 1
+        raise ExprError("shape required: pass --m/--n", 0)
     m = m if m is not None else n
     n = n if n is not None else m
     return SessionConfig(m=m, n=n, t=args.t)

@@ -2,9 +2,10 @@
 
 X[1,n] is normal: a X[1,n] = X[1,n] tau(a) for the automorphism tau scaling row
 1 by q and column n (below row 1) by q^-1.  Fractions therefore need only a
-single denominator exponent: a ``LocalizedElement`` is numerator * X[1,n]^-k,
-kept canonical by stripping denominator powers whenever every numerator term
-still contains X[1,n].
+single denominator exponent: a ``LocalizedElement`` is numerator * X[1,n]^-k.
+Moving the corner is a closed form (a PBW monomial times X[1,n]^d gains d in
+its corner exponent and a q-power), and so is the canonical form, which strips
+in one pass the corner powers every numerator term holds, up to k.
 
 On top of the localization this module builds the derived generators
 X'[i,j] = X[i,j] - q^-1 X[1,j] X[i,n] X[1,n]^-1, once per shape, and their
@@ -26,6 +27,7 @@ themselves are checked and reported once per minor by the lemma23 suite.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,28 +67,25 @@ def tau(a: AlgebraElement, power: int = 1) -> AlgebraElement:
     )
 
 
-def _divide_right_by_corner(f: AlgebraElement) -> AlgebraElement | None:
-    """g with g * X[1,n] = f, or None when some term lacks the corner generator."""
-    shape = f.shape
-    corner = (1, shape.n)
+def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
+    """f * X[1,n]^d in closed form, for any d leaving every corner exponent
+    nonnegative.  X[1,n] commutes with X[i,j] (i > 1, j < n), and
+    X[i,n] X[1,n] = q^-1 X[1,n] X[i,n], so each term gains d in its corner
+    exponent and a factor q^(-d c), c its column-n degree below row 1."""
+    if d == 0:
+        return f
+    corner = (1, f.shape.n)
     terms: dict[PbwMonomial, LaurentScalar] = {}
     for mono, coeff in f._terms.items():
-        pairs = []
-        found = False
-        shift = 0
-        for g_, e in mono.pairs:
-            if g_ == corner:
-                found = True
-                if e > 1:
-                    pairs.append((g_, e - 1))
-            else:
-                pairs.append((g_, e))
-                if g_[1] == shape.n and g_[0] > 1:
-                    shift += e
-        if not found:
-            return None
-        terms[PbwMonomial(tuple(pairs))] = coeff * LaurentScalar.q_power(shift)
-    return AlgebraElement(shape, terms)
+        # row-major order puts X[1,n] after the other row-1 letters, before the rest
+        pairs, pos = mono.pairs, bisect_left(mono.pairs, (corner,))
+        e = pairs[pos][1] if pos < len(pairs) and pairs[pos][0] == corner else 0
+        rest = pairs[pos + 1 if e else pos:]
+        c = sum(x for (_, j), x in rest if j == corner[1])
+        moved = ((corner, e + d),) if e + d else ()
+        terms[PbwMonomial(pairs[:pos] + moved + rest)] = (
+            coeff * LaurentScalar.q_power(-d * c) if c else coeff)
+    return AlgebraElement(f.shape, terms)
 
 
 class LocalizedElement:
@@ -98,12 +97,14 @@ class LocalizedElement:
     def __init__(self, numerator: AlgebraElement, k: int = 0):
         if k < 0:
             raise ValueError("denominator exponent must be nonnegative")
-        while k > 0 and numerator:
-            reduced = _divide_right_by_corner(numerator)
-            if reduced is None:
-                break
-            numerator = reduced
-            k -= 1
+        if k and numerator:
+            # strip the corner powers that every numerator term holds, up to k
+            corner, strip = (1, numerator.shape.n), k
+            for mono in numerator._terms:
+                strip = min(strip, mono.exponent(corner))
+                if not strip:
+                    break
+            numerator, k = _times_corner(numerator, -strip), k - strip
         if not numerator:
             k = 0
         self.numerator = numerator
@@ -131,16 +132,10 @@ class LocalizedElement:
 
     def numerator_over(self, k: int) -> AlgebraElement:
         """Numerator when written over X[1,n]^-k (k >= self.k)."""
-        corner = gen(self.shape, 1, self.shape.n)
-        out = self.numerator
-        for _ in range(k - self.k):
-            out = out * corner
-        return out
+        return _times_corner(self.numerator, k - self.k)
 
     def __add__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
-        other = _coerce_localized(other, self.shape)
-        k = max(self.k, other.k)
-        return LocalizedElement(self.numerator_over(k) + other.numerator_over(k), k)
+        return LocalizedElement.sum(self.shape, (self, other))
 
     def __radd__(self, other: AlgebraElement) -> "LocalizedElement":
         return self + other

@@ -39,10 +39,6 @@ class MinorSpec:
         if any(a >= b for a, b in zip(self.cols, self.cols[1:])):
             raise ValueError(f"column indices must be strictly increasing: {self.cols}")
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
 
 def inversions(perm: tuple[int, ...]) -> int:
     """Number of inversions of a permutation given in one-line notation."""

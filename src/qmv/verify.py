@@ -12,6 +12,9 @@ Three jobs live here:
 * solve_membership / jordan_ingredients: the column-expansion split of the
   determinant c = d x + e and the certified check that e is not expressible as
   d alpha + beta X[1,n] inside the bidegree-(1,...,1;1,...,1) component.
+
+Both exact solves run on sparse rows, one {column: entry} per monomial: the
+membership systems hold one nonzero per column.
 """
 
 from __future__ import annotations
@@ -70,72 +73,72 @@ class FitError(RuntimeError):
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def solve_linear(matrix: list[list], rhs: list, zero) -> tuple[str, list | None]:
-    """Exact Gauss-Jordan over any field-like entries (ScalarFraction, Fraction).
+def solve_linear(matrix: list[dict[int, object]], rhs: list, n_cols: int,
+                 zero) -> tuple[str, list | None]:
+    """Exact elimination over sparse rows {column: nonzero entry} of field-like
+    entries (ScalarFraction, Fraction), pivoting on the first live row holding
+    each column; the right-hand side rides along as column n_cols.
 
-    Returns ("unique", solution), ("none", None), or ("many", None).
+    Returns ("unique", solution), ("none", None), or ("many", solution), where
+    solution pins every free variable to zero.
     """
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if n_rows else 0
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
+    rows = [{**row, n_cols: b} if b else dict(row) for row, b in zip(matrix, rhs)]
+    live = list(range(len(rows)))
+    pivots: list[tuple[int, dict]] = []
     for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if aug[i][c]), None)
-        if pr is None:
+        holders = [i for i in live if c in rows[i]]
+        if not holders:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pivot = aug[r][c]
-        for i in range(n_rows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c] / pivot
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if aug[i][n_cols]:
-            return "none", None
+        p, *others = holders
+        live.remove(p)
+        prow = rows[p]
+        pivots.append((c, prow))
+        for i in others:
+            row = rows[i]
+            factor = row[c] / prow[c]
+            for col, v in prow.items():
+                x = row[col] - factor * v if col in row else -factor * v
+                if x:
+                    row[col] = x
+                else:
+                    del row[col]
+    if any(rows[i] for i in live):  # a live row left holds only its right-hand side
+        return "none", None
     sol = [zero] * n_cols
-    for pr, pc in pivots:
-        sol[pc] = aug[pr][n_cols] / aug[pr][pc]
-    if len(pivots) < n_cols:
-        # consistent but underdetermined; sol is the particular solution with
-        # every free variable pinned to zero
-        return "many", sol
-    return "unique", sol
+    for c, row in reversed(pivots):
+        known = sum((v * sol[col] for col, v in row.items() if c < col < n_cols), zero)
+        sol[c] = (row.get(n_cols, zero) - known) / row[c]
+    return ("many" if len(pivots) < n_cols else "unique"), sol
 
 
 def _element_system(columns: list[AlgebraElement], target: AlgebraElement, convert):
-    """Linear system matching coefficients of every monomial appearing anywhere.
-
-    Rows follow the monomial order; ``convert`` maps each nonzero LaurentScalar
-    coefficient to a field entry, and every other cell is one shared zero.
+    """Linear system matching coefficients of every monomial appearing anywhere,
+    as one sparse row {column: entry} per monomial.  ``convert`` maps each
+    LaurentScalar coefficient to a field entry; an entry that converts to zero
+    (q - q^-1 at q0 = +-1) is not stored, so it is never taken as a pivot.
     """
-    monomials: set[PbwMonomial] = set(target._terms)
-    for col in columns:
-        monomials.update(col._terms)
-    row_of = {mono: r for r, mono in enumerate(sorted(monomials, key=PbwMonomial.sort_key))}
+    row_of = {mono: r for r, mono in enumerate(target._terms)}
+    rhs = [convert(coeff) for coeff in target._terms.values()]
+    rows: list[dict] = [{} for _ in rhs]
     zero = convert(ZERO)
-    matrix = [[zero] * len(columns) for _ in row_of]
     for c, col in enumerate(columns):
         for mono, coeff in col._terms.items():
-            matrix[row_of[mono]][c] = convert(coeff)
-    rhs = [zero] * len(row_of)
-    for mono, coeff in target._terms.items():
-        rhs[row_of[mono]] = convert(coeff)
-    return matrix, rhs
+            value = convert(coeff)
+            if value:
+                r = row_of.setdefault(mono, len(rows))
+                if r == len(rows):
+                    rows.append({})
+                    rhs.append(zero)
+                rows[r][c] = value
+    return rows, rhs
 
 
 def solve_element_combination(
     columns: list[AlgebraElement], target: AlgebraElement
 ) -> tuple[str, list[ScalarFraction] | None]:
     """Solve sum_i t_i columns[i] = target for scalars t_i in the fraction field."""
-    if not columns:
-        return ("unique", []) if target.is_zero() else ("none", None)
-    matrix, rhs = _element_system(columns, target, ScalarFraction)
-    return solve_linear(matrix, rhs, ScalarFraction(0))
+    rows, rhs = _element_system(columns, target, ScalarFraction)
+    return solve_linear(rows, rhs, len(columns), ScalarFraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +352,16 @@ def solve_membership(problem: MembershipProblem):
     status, sol = solve_element_combination(columns, problem.target)
     if status == "none":
         return "no-solution", None
-    cofactors: dict[str, AlgebraElement] = {
-        unk.name: AlgebraElement.zero(problem.shape) for unk in problem.unknowns
-    }
+    terms: dict[str, dict[PbwMonomial, LaurentScalar]] = {unk.name: {} for unk in problem.unknowns}
     for (name, mono), value in zip(slots, sol):
         scalar = value.as_scalar()
         if scalar is None:
             return "solution", None
-        cofactors[name] = cofactors[name] + AlgebraElement(
-            problem.shape, {mono: scalar} if scalar else {})
-    reconstructed = AlgebraElement.zero(problem.shape)
-    for unk in problem.unknowns:
-        reconstructed = reconstructed + unk.left * cofactors[unk.name] * unk.right
+        if scalar:
+            terms[name][mono] = scalar
+    cofactors = {name: AlgebraElement(problem.shape, t) for name, t in terms.items()}
+    reconstructed = AlgebraElement.sum(problem.shape, (
+        unk.left * cofactors[unk.name] * unk.right for unk in problem.unknowns))
     if reconstructed != problem.target:
         raise AssertionError("membership witness failed to reproduce the target")
     return "solution", cofactors
@@ -369,8 +370,8 @@ def solve_membership(problem: MembershipProblem):
 def specialized_membership_verdict(problem: MembershipProblem, q0) -> str:
     """Verdict of the same linear system with q specialized to a nonzero rational."""
     columns, _ = _membership_columns(problem)
-    matrix, rhs = _element_system(columns, problem.target, lambda c: c.evaluate(q0))
-    status, _ = solve_linear(matrix, rhs, Fraction(0))
+    rows, rhs = _element_system(columns, problem.target, lambda c: c.evaluate(q0))
+    status, _ = solve_linear(rows, rhs, len(columns), Fraction(0))
     return "no-solution" if status == "none" else "solution"
 
 

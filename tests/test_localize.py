@@ -6,9 +6,10 @@ import random
 import pytest
 
 from qmv import laws
-from qmv.algebra import AlgebraElement, Shape, gen, random_element
+from qmv.algebra import AlgebraElement, PbwMonomial, Shape, gen, random_element
 from qmv.localize import (
     LocalizedElement,
+    _times_corner,
     check_det_reduction,
     check_minor_commutation,
     check_minor_reduction,
@@ -23,7 +24,7 @@ from qmv.localize import (
     x_prime_minor_substituted,
 )
 from qmv.minors import minor, qdet
-from qmv.scalar import Q, QINV
+from qmv.scalar import ONE, Q, QINV, LaurentScalar
 from qmv.verify import run_suite
 
 
@@ -58,6 +59,36 @@ def test_plain_left_operand_meets_a_localized_right_operand():
         for got, want in ((a + right, loc(a) + right), (a - right, loc(a) - right),
                           (a * right, loc(a) * right)):
             assert isinstance(got, LocalizedElement) and got == want
+
+
+def test_corner_closed_form_matches_the_kernel():
+    rng = random.Random(41)
+    for shape in (Shape(3, 3), Shape(2, 4)):
+        corner = gen(shape, 1, shape.n)
+        for _ in range(30):
+            f = random_element(shape, 3, rng)
+            via_kernel = f
+            for d in range(4):
+                assert _times_corner(f, d) == via_kernel
+                assert _times_corner(_times_corner(f, d), -d) == f
+                via_kernel = via_kernel * corner
+
+
+def test_canonical_form_strips_the_smallest_corner_power():
+    s = Shape(3, 3)
+    mono = lambda *pairs: PbwMonomial(pairs)
+    f = AlgebraElement(s, {
+        mono(((1, 1), 1), ((1, 3), 2), ((2, 3), 1), ((3, 1), 1)): ONE,
+        mono(((1, 3), 3), ((3, 3), 2)): ONE,
+    })
+    got = LocalizedElement(f, 4)
+    # X[1,3]^-2 passes X[2,3] (q^2) in the first term and X[3,3]^2 (q^4) in the second
+    assert got.k == 2
+    assert got.numerator == AlgebraElement(s, {
+        mono(((1, 1), 1), ((2, 3), 1), ((3, 1), 1)): LaurentScalar.q_power(2),
+        mono(((1, 3), 1), ((3, 3), 2)): LaurentScalar.q_power(4),
+    })
+    assert LocalizedElement(f, 1).k == 0
 
 
 def test_corner_inverse_cancels():

@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmv import laws, localize
 from qmv.algebra import AlgebraElement, Bidegree, PbwMonomial, Shape, component_basis, gen
@@ -34,30 +35,103 @@ class TestLinearSolver:
 
     def test_unique(self):
         status, sol = solve_linear(
-            [[self.sf(1), self.sf(1)], [self.sf(1), self.sf(-1)]],
+            [{0: self.sf(1), 1: self.sf(1)}, {0: self.sf(1), 1: self.sf(-1)}],
             [self.sf(3), self.sf(1)],
-            ScalarFraction(0))
+            2, ScalarFraction(0))
         assert status == "unique"
         assert sol[0] == self.sf(2) and sol[1] == self.sf(1)
 
     def test_inconsistent(self):
         status, _ = solve_linear(
-            [[self.sf(1)], [self.sf(1)]], [self.sf(1), self.sf(2)],
-            ScalarFraction(0))
+            [{0: self.sf(1)}, {0: self.sf(1)}], [self.sf(1), self.sf(2)],
+            1, ScalarFraction(0))
         assert status == "none"
 
     def test_underdetermined(self):
         status, _ = solve_linear(
-            [[self.sf(1), self.sf(1)]], [self.sf(1)],
-            ScalarFraction(0))
+            [{0: self.sf(1), 1: self.sf(1)}], [self.sf(1)],
+            2, ScalarFraction(0))
         assert status == "many"
 
     def test_over_rationals(self):
         status, sol = solve_linear(
-            [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]],
-            [Fraction(1), Fraction(1)], Fraction(0))
+            [{0: Fraction(2)}, {1: Fraction(3)}],
+            [Fraction(1), Fraction(1)], 2, Fraction(0))
         assert status == "unique"
         assert sol == [Fraction(1, 2), Fraction(1, 3)]
+
+
+def dense_solve(matrix, rhs, zero):
+    """Reference solver: dense Gauss-Jordan over full rows, the elimination
+    ``solve_linear`` used before its rows became sparse."""
+    n_rows = len(matrix)
+    n_cols = len(matrix[0]) if n_rows else 0
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pr = next((i for i in range(r, n_rows) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pivot = aug[r][c]
+        for i in range(n_rows):
+            if i != r and aug[i][c]:
+                factor = aug[i][c] / pivot
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == n_rows:
+            break
+    for i in range(r, n_rows):
+        if aug[i][n_cols]:
+            return "none", None
+    sol = [zero] * n_cols
+    for pr, pc in pivots:
+        sol[pc] = aug[pr][n_cols] / aug[pr][pc]
+    return ("many" if len(pivots) < n_cols else "unique"), sol
+
+
+# small integers, mostly zero
+SPARSE_ENTRY = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+
+
+@st.composite
+def linear_systems(draw):
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(1, 6))
+    dense = [[Fraction(draw(SPARSE_ENTRY)) for _ in range(n_cols)] for _ in range(n_rows)]
+    if draw(st.booleans()):
+        # consistent by construction: the right-hand side of a random point
+        x = [Fraction(draw(SPARSE_ENTRY)) for _ in range(n_cols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in dense]
+    else:
+        rhs = [Fraction(draw(SPARSE_ENTRY)) for _ in range(n_rows)]
+    return dense, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_sparse_solver_matches_dense_reference(system):
+    dense, rhs = system
+    n_cols = len(dense[0])
+    rows = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    status, sol = solve_linear(rows, rhs, n_cols, Fraction(0))
+    assert (status, sol) == dense_solve(dense, rhs, Fraction(0))
+    if status != "none":
+        assert [sum((a * x for a, x in zip(row, sol)), Fraction(0)) for row in dense] == rhs
+
+
+def test_coefficient_vanishing_at_the_specialization_is_no_pivot():
+    # X[2,2] X[1,1] = X[1,1] X[2,2] - (q - q^-1) X[1,2] X[2,1]: at q0 = +-1 the
+    # target's row keeps only its right-hand side, so there is no solution
+    s = Shape(2, 2)
+    problem = MembershipProblem(
+        s, gen(s, 1, 2) * gen(s, 2, 1),
+        [UnknownCofactor("u", gen(s, 2, 2), AlgebraElement.one(s), [PbwMonomial((((1, 1), 1),))])])
+    assert solve_membership(problem) == ("no-solution", None)
+    for q0 in (1, -1, 2):
+        assert specialized_membership_verdict(problem, q0) == "no-solution"
 
 
 def test_row_laplace_fit_matches_adopted_law():
