@@ -13,10 +13,20 @@ straightened onto that basis.  Straightening swaps an out-of-order adjacent
 pair into at most two words, each strictly smaller in the length-graded
 lexicographic word order, so rewriting terminates.
 
+A monomial is a tuple of int letter codes.  The letter X[i,j]^e is the code
+(gid << 18) | e with generator id gid = (i << 6) | j.  For j < 64 the id is
+order-isomorphic to row-major (i, j), so a sorted code tuple is a PBW monomial
+and tuple comparison, hashing and splitting work on flat ints.  The encoding
+bounds the grid to 63 x 63 (``Shape`` rejects larger) and a letter's exponent
+to 2^18 - 1 (a monomial or product that would exceed it raises ValueError);
+every code is then below 2^30, a single CPython digit.  ``PbwMonomial`` keeps
+the decoded views (``pairs``, ``word()``, ``bidegree()``, ``str``) for printing
+and inspection; the kernel never decodes.
+
 Straightening computes with integer coefficients.  A term is c * q^e * monomial
 with c a Python int, and the q exponent travels in the key: the cache
-``_mono_times_gen(pairs, g)`` returns ``(pairs, e, c)`` triples, and a product
-accumulates into one flat ``{(pairs, e): c}`` dict.  ``LaurentScalar`` appears
+``_mono_times_gen(codes, gid)`` returns ``(codes, e, c)`` triples, and a product
+accumulates into one flat ``{(codes, e): c}`` dict.  ``LaurentScalar`` appears
 only at the element boundary: an element stores ``{PbwMonomial: LaurentScalar}``,
 and a product regroups its flat dict into that form once, at the end.
 
@@ -46,13 +56,50 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
 
 from .scalar import LaurentScalar, ONE
 
 Gen = tuple[int, int]
 Pairs = tuple[tuple[Gen, int], ...]
-Flat = dict[tuple[Pairs, int], int]  # (monomial pairs, q exponent) -> integer coefficient
+Codes = tuple[int, ...]
+Flat = dict[tuple[Codes, int], int]  # (monomial codes, q exponent) -> integer coefficient
+
+COL_BITS = 6  # generator id: (i << COL_BITS) | j
+EXP_BITS = 18  # letter code: (gid << EXP_BITS) | e
+GRID_LIMIT = 1 << COL_BITS  # rows and columns must stay below this
+EXP_LIMIT = 1 << EXP_BITS  # letter exponents must stay below this
+EXP_MASK = EXP_LIMIT - 1
+COL_MASK = GRID_LIMIT - 1
+
+
+def gen_id(i: int, j: int) -> int:
+    """The generator id of X[i,j]; ids sort like row-major (i, j)."""
+    return i << COL_BITS | j
+
+
+def letter(i: int, j: int, e: int = 1) -> int:
+    """The letter code of X[i,j]^e."""
+    return gen_id(i, j) << EXP_BITS | e
+
+
+def decode(code: int) -> tuple[Gen, int]:
+    """The ((i, j), e) pair a letter code stands for."""
+    gid = code >> EXP_BITS
+    return (gid >> COL_BITS, gid & COL_MASK), code & EXP_MASK
+
+
+def _word_ids(codes: Codes) -> tuple[int, ...]:
+    """The generator ids of a monomial's word, each repeated by its exponent."""
+    ids: list[int] = []
+    for c in codes:
+        e = c & EXP_MASK
+        if e == 1:
+            ids.append(c >> EXP_BITS)
+        else:
+            ids.extend(repeat(c >> EXP_BITS, e))
+    return tuple(ids)
 
 
 @dataclass(frozen=True)
@@ -65,6 +112,9 @@ class Shape:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError(f"shape must have positive dimensions, got {self.m}x{self.n}")
+        if self.m >= GRID_LIMIT or self.n >= GRID_LIMIT:
+            raise ValueError(
+                f"shape {self.m}x{self.n} is too large: rows and columns must be below {GRID_LIMIT}")
 
     def contains(self, i: int, j: int) -> bool:
         return 1 <= i <= self.m and 1 <= j <= self.n
@@ -85,29 +135,48 @@ class Bidegree:
 
 
 class PbwMonomial:
-    """An ordered monomial: sparse generator -> positive exponent, row-major order."""
+    """An ordered monomial: a sorted tuple of letter codes, one per generator
+    with a positive exponent."""
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ("codes", "_hash")
 
     def __init__(self, pairs: Pairs = ()):
-        self.pairs = pairs
-        self._hash: int | None = None
+        codes = []
+        for (i, j), e in pairs:
+            if not (0 <= i < GRID_LIMIT and 0 <= j < GRID_LIMIT):
+                raise ValueError(f"generator X[{i},{j}] is outside the {GRID_LIMIT - 1}x"
+                                 f"{GRID_LIMIT - 1} grid the letter code holds")
+            if not 0 < e < EXP_LIMIT:
+                raise ValueError(f"monomial exponent {e} of X[{i},{j}] must lie in 1..{EXP_MASK}")
+            codes.append(letter(i, j, e))
+        self.codes = codes = tuple(codes)
+        self._hash = hash(codes)
+
+    @classmethod
+    def from_codes(cls, codes: Codes) -> "PbwMonomial":
+        """Trusted constructor: codes sorted, each a valid letter code."""
+        mono = cls.__new__(cls)
+        mono.codes = codes
+        mono._hash = hash(codes)
+        return mono
 
     @classmethod
     def from_exponents(cls, exps: dict[Gen, int]) -> "PbwMonomial":
-        pairs = tuple(sorted((g, e) for g, e in exps.items() if e))
-        if any(e < 0 for _, e in pairs):
-            raise ValueError("monomial exponents must be nonnegative")
-        return cls(pairs)
+        return cls(tuple(sorted((g, e) for g, e in exps.items() if e)))
+
+    @property
+    def pairs(self) -> Pairs:
+        """The monomial as ((i, j), e) pairs in row-major order."""
+        return tuple(map(decode, self.codes))
 
     def degree(self) -> int:
-        return sum(e for _, e in self.pairs)
+        return sum(c & EXP_MASK for c in self.codes)
 
     def exponent(self, g: Gen) -> int:
-        for gen, e in self.pairs:
-            if gen == g:
-                return e
-        return 0
+        lo = letter(*g, 0)
+        codes = self.codes
+        pos = bisect_left(codes, lo)
+        return codes[pos] - lo if pos < len(codes) and codes[pos] < lo + EXP_LIMIT else 0
 
     def word(self) -> tuple[Gen, ...]:
         """The monomial as an explicit sequence of generators."""
@@ -116,27 +185,27 @@ class PbwMonomial:
     def bidegree(self, shape: Shape) -> Bidegree:
         rows = [0] * shape.m
         cols = [0] * shape.n
-        for (i, j), e in self.pairs:
-            rows[i - 1] += e
-            cols[j - 1] += e
+        for c in self.codes:
+            gid, e = c >> EXP_BITS, c & EXP_MASK
+            rows[(gid >> COL_BITS) - 1] += e
+            cols[(gid & COL_MASK) - 1] += e
         return Bidegree(tuple(rows), tuple(cols))
 
-    def sort_key(self) -> tuple[int, tuple[Gen, ...]]:
-        return (self.degree(), self.word())
+    def sort_key(self) -> tuple[int, tuple[int, ...]]:
+        """(degree, word) with generator ids for generators: the same order."""
+        return (self.degree(), _word_ids(self.codes))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PbwMonomial) and self.pairs == other.pairs
+        return isinstance(other, PbwMonomial) and self.codes == other.codes
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.pairs)
         return self._hash
 
     def __lt__(self, other: "PbwMonomial") -> bool:
         return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
-        if not self.pairs:
+        if not self.codes:
             return "1"
         ats = []
         for (i, j), e in self.pairs:
@@ -151,21 +220,23 @@ IDENTITY_MONOMIAL = PbwMonomial()
 
 
 @lru_cache(maxsize=None)
-def _mono_times_gen(pairs: Pairs, g: Gen) -> tuple[tuple[Pairs, int, int], ...]:
-    """Normal form of (ordered monomial) * (single generator), as (monomial, e, c)
+def _mono_times_gen(codes: Codes, g: int) -> tuple[tuple[Codes, int, int], ...]:
+    """Normal form of (ordered monomial) * (generator with id g), as (codes, e, c)
     triples meaning the sum of c * q^e * monomial.
 
     Shape-independent: the rewriting rules only look at index pairs.  Inside
     this module only moving suffixes reach the cache (every letter >= g, the
     last one > g); any other monomial is split at g by ``_fold_gen``.
     """
-    if bisect_left(pairs, (g,)) or not pairs or pairs[-1][0] <= g:
-        return tuple((p, e, c) for (p, e), c in _fold_gen({(pairs, 0): 1}, g).items() if c)
-    h, eh = pairs[-1]
+    lo = g << EXP_BITS
+    if bisect_left(codes, lo) or not codes or codes[-1] < lo + EXP_LIMIT:
+        return tuple((p, e, c) for (p, e), c in _fold_gen({(codes, 0): 1}, g).items() if c)
+    last = codes[-1]
+    h = last >> EXP_BITS
     # g must move left past one copy of h; h > g in row-major order.
-    rest = pairs[:-1] + ((h, eh - 1),) if eh > 1 else pairs[:-1]
-    i, j = h
-    k, l = g
+    rest = codes[:-1] + (last - 1,) if last & EXP_MASK > 1 else codes[:-1]
+    i, j = h >> COL_BITS, h & COL_MASK
+    k, l = g >> COL_BITS, g & COL_MASK
     # (u, v, ((e, c), ...)): h g contributes sum c q^e * u v
     if k == i or l == j:
         # same row or same column: h g = q^-1 g h
@@ -175,7 +246,7 @@ def _mono_times_gen(pairs: Pairs, g: Gen) -> tuple[tuple[Pairs, int, int], ...]:
         expansion = ((g, h, ((0, 1),)),)
     else:
         # g strictly north-west of h: h g = g h - (q - q^-1) X[k,j] X[i,l]
-        expansion = ((g, h, ((0, 1),)), ((k, j), (i, l), ((1, -1), (-1, 1))))
+        expansion = ((g, h, ((0, 1),)), (gen_id(k, j), gen_id(i, l), ((1, -1), (-1, 1))))
     acc: Flat = {}
     for u, v, scales in expansion:
         for (mono, e), c in _fold_gen(_fold_gen({(rest, 0): 1}, u), v).items():
@@ -185,32 +256,46 @@ def _mono_times_gen(pairs: Pairs, g: Gen) -> tuple[tuple[Pairs, int, int], ...]:
     return tuple((mono, e, c) for (mono, e), c in acc.items() if c)
 
 
-def _fold_gen(flat: Flat, g: Gen) -> Flat:
-    """Right-multiply a flat sum of c * q^e * monomial by the generator g; the
-    result may keep cancelled keys with coefficient 0.
+def _fold_gen(flat: Flat, g: int) -> Flat:
+    """Right-multiply a flat sum of c * q^e * monomial by the generator with id
+    g; the result may keep cancelled keys with coefficient 0.
 
-    A monomial whose last letter is <= g takes g by a plain append.  Any other
-    splits at g: the prefix of letters < g is passive, only the suffix goes
-    through the cache, and the prefix is concatenated into each output key.
+    A monomial whose last letter is <= g takes g by a plain append: its last
+    code plus one when that letter is g, else the code of g^1 appended.  Any
+    other splits at g: the prefix of letters < g is passive, only the suffix
+    goes through the cache, and the prefix is concatenated into each output
+    key.  Exponents are not checked here; ``AlgebraElement.__mul__`` bounds
+    them before it folds.
     """
+    lo = g << EXP_BITS
+    hi = lo + EXP_LIMIT  # the codes of g's letters lie in [lo, hi)
+    single = (lo | 1,)
     out: Flat = {}
-    for (pairs, e), c in flat.items():
+    for (codes, e), c in flat.items():
         if not c:
             continue
-        if pairs:
-            h, eh = pairs[-1]
-            if h > g:
-                s = bisect_left(pairs, (g,))
-                prefix = pairs[:s]
-                for mono, e2, c2 in _mono_times_gen(pairs[s:], g):
+        if codes:
+            last = codes[-1]
+            if last >= hi:
+                s = bisect_left(codes, lo)
+                prefix = codes[:s]
+                for mono, e2, c2 in _mono_times_gen(codes[s:], g):
                     key = (prefix + mono, e + e2)
                     out[key] = out.get(key, 0) + c * c2
                 continue
-            key = (pairs[:-1] + ((g, eh + 1),) if h == g else pairs + ((g, 1),), e)
+            key = (codes[:-1] + (last + 1,) if last >= lo else codes + single, e)
         else:
-            key = (((g, 1),), e)
+            key = (single, e)
         out[key] = out.get(key, 0) + c
     return out
+
+
+def check_degree(degree: int) -> None:
+    """Refuse a product whose terms could reach degree ``degree``: some letter
+    exponent might then no longer fit in its code."""
+    if degree >= EXP_LIMIT:
+        raise ValueError(
+            f"product of degree up to {degree} exceeds the letter exponent limit {EXP_MASK}")
 
 
 class AlgebraElement:
@@ -330,19 +415,20 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_shape(other)
-        left = {
-            (mono.pairs, e): c
-            for mono, coeff in self._terms.items()
-            for e, c in coeff._terms.items()
-        }
         # Walk the right factor's words in sorted order; each word resumes from
         # the kept fold of the prefix it shares with the previous word.
         words = sorted(
-            ((mono.word(), coeff._terms) for mono, coeff in other._terms.items()),
+            ((_word_ids(mono.codes), coeff._terms) for mono, coeff in other._terms.items()),
             key=itemgetter(0),
         )
+        check_degree(self.max_degree() + max((len(word) for word, _ in words), default=0))
+        left = {
+            (mono.codes, e): c
+            for mono, coeff in self._terms.items()
+            for e, c in coeff._terms.items()
+        }
         path: list[Flat] = [left]  # path[k]: left folded by the first k letters
-        prev: tuple[Gen, ...] = ()
+        prev: tuple[int, ...] = ()
         acc: Flat = {}
         for word, right in words:
             k, stop = 0, min(len(prev), len(word))
@@ -352,17 +438,18 @@ class AlgebraElement:
             for g in word[k:]:
                 path.append(_fold_gen(path[-1], g))
             prev = word
-            for (pairs, e), c in path[-1].items():
+            for (codes, e), c in path[-1].items():
                 for er, cr in right.items():
-                    key = (pairs, e + er)
+                    key = (codes, e + er)
                     acc[key] = acc.get(key, 0) + c * cr
-        grouped: dict[Pairs, dict[int, int]] = {}
-        for (pairs, e), c in acc.items():
+        grouped: dict[Codes, dict[int, int]] = {}
+        for (codes, e), c in acc.items():
             if c:
-                grouped.setdefault(pairs, {})[e] = c
+                grouped.setdefault(codes, {})[e] = c
+        from_codes = PbwMonomial.from_codes
         return AlgebraElement(
             self.shape,
-            {PbwMonomial(pairs): LaurentScalar.from_clean(d) for pairs, d in grouped.items()},
+            {from_codes(codes): LaurentScalar.from_clean(d) for codes, d in grouped.items()},
         )
 
     def __rmul__(self, other: "LaurentScalar | int") -> "AlgebraElement":
@@ -373,10 +460,15 @@ class AlgebraElement:
     def __pow__(self, e: int) -> "AlgebraElement":
         if e < 0:
             raise ValueError("negative powers are not defined in the algebra")
+        check_degree(e * self.max_degree())
         result = AlgebraElement.one(self.shape)
         for _ in range(e):
             result = result * self
         return result
+
+    def max_degree(self) -> int:
+        """The largest total degree of a term (0 for the zero element)."""
+        return max((mono.degree() for mono in self._terms), default=0)
 
     def bidegree_of(self) -> Bidegree | None:
         """The common bidegree of all terms, or None when inhomogeneous."""
@@ -415,7 +507,7 @@ def gen(shape: Shape, i: int, j: int) -> AlgebraElement:
     """The generator X[i,j] as a one-term element."""
     if not shape.contains(i, j):
         raise ValueError(f"generator X[{i},{j}] out of range for shape {shape}")
-    return AlgebraElement(shape, {PbwMonomial((((i, j), 1),)): ONE})
+    return AlgebraElement(shape, {PbwMonomial.from_codes((letter(i, j),)): ONE})
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -437,21 +529,21 @@ def component_basis(shape: Shape, d: Bidegree) -> list[PbwMonomial]:
         return []
     out: list[PbwMonomial] = []
 
-    def fill_row(i: int, cols_left: tuple[int, ...], acc: list[tuple[Gen, int]]):
+    def fill_row(i: int, cols_left: tuple[int, ...], acc: list[int]):
         if i > shape.m:
             if all(c == 0 for c in cols_left):
-                out.append(PbwMonomial(tuple(acc)))
+                out.append(PbwMonomial.from_codes(tuple(acc)))
             return
         target = d.rowdeg[i - 1]
 
-        def fill_cell(j: int, remaining: int, cols: tuple[int, ...], row_acc: list[tuple[Gen, int]]):
+        def fill_cell(j: int, remaining: int, cols: tuple[int, ...], row_acc: list[int]):
             if j > shape.n:
                 if remaining == 0:
                     fill_row(i + 1, cols, acc + row_acc)
                 return
             for e in range(min(remaining, cols[j - 1]) + 1):
                 new_cols = cols[: j - 1] + (cols[j - 1] - e,) + cols[j:]
-                fill_cell(j + 1, remaining - e, new_cols, row_acc + ([((i, j), e)] if e else []))
+                fill_cell(j + 1, remaining - e, new_cols, row_acc + ([letter(i, j, e)] if e else []))
 
         fill_cell(1, target, cols_left, [])
 
@@ -506,7 +598,7 @@ def render_element(a: AlgebraElement, limit: int | None = None) -> str:
         body = c.render(increasing=False)
         if len(c.items()) > 1:
             body = f"({body})"
-        if mono.pairs:
+        if mono.codes:
             text = str(mono) if c.is_one() else f"{body}*{mono}"
         else:
             text = body

@@ -32,9 +32,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraElement, PbwMonomial, Shape, gen
+from .algebra import (
+    COL_BITS, COL_MASK, EXP_BITS, EXP_LIMIT, EXP_MASK,
+    AlgebraElement, PbwMonomial, Shape, check_degree, gen, letter,
+)
 from .checks import IdentityCheck, check_zero
-from .minors import expansion, minor
+from .minors import check_term_count, expansion, minor
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV
 from . import laws
 
@@ -44,12 +47,13 @@ Gen = tuple[int, int]
 def tau_weight(mono: PbwMonomial, shape: Shape) -> int:
     """Grading weight driving the conjugation by X[1,n]: +1 per row-1 letter,
     -1 per column-n letter (the corner itself weighs 0)."""
-    w = 0
-    for (i, j), e in mono.pairs:
-        if i == 1:
-            w += e
-        if j == shape.n:
-            w -= e
+    w, n = 0, shape.n
+    for code in mono.codes:
+        gid = code >> EXP_BITS
+        if gid >> COL_BITS == 1:
+            w += code & EXP_MASK
+        if gid & COL_MASK == n:
+            w -= code & EXP_MASK
     return w
 
 
@@ -74,16 +78,20 @@ def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
     exponent and a factor q^(-d c), c its column-n degree below row 1."""
     if d == 0:
         return f
-    corner = (1, f.shape.n)
+    n = f.shape.n
+    corner = letter(1, n, 0)
     terms: dict[PbwMonomial, LaurentScalar] = {}
     for mono, coeff in f._terms.items():
         # row-major order puts X[1,n] after the other row-1 letters, before the rest
-        pairs, pos = mono.pairs, bisect_left(mono.pairs, (corner,))
-        e = pairs[pos][1] if pos < len(pairs) and pairs[pos][0] == corner else 0
-        rest = pairs[pos + 1 if e else pos:]
-        c = sum(x for (_, j), x in rest if j == corner[1])
-        moved = ((corner, e + d),) if e + d else ()
-        terms[PbwMonomial(pairs[:pos] + moved + rest)] = (
+        codes = mono.codes
+        pos = bisect_left(codes, corner)
+        e = codes[pos] - corner if pos < len(codes) and codes[pos] < corner + EXP_LIMIT else 0
+        if e + d >= EXP_LIMIT:
+            raise ValueError(f"corner exponent {e + d} exceeds the letter exponent limit {EXP_MASK}")
+        rest = codes[pos + 1 if e else pos:]
+        c = sum(x & EXP_MASK for x in rest if (x >> EXP_BITS) & COL_MASK == n)
+        moved = (corner | (e + d),) if e + d else ()
+        terms[PbwMonomial.from_codes(codes[:pos] + moved + rest)] = (
             coeff * LaurentScalar.q_power(-d * c) if c else coeff)
     return AlgebraElement(f.shape, terms)
 
@@ -144,7 +152,9 @@ class LocalizedElement:
         return LocalizedElement(-self.numerator, self.k)
 
     def __sub__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
-        return self + (-_coerce_localized(other, self.shape))
+        other = _coerce_localized(other, self.shape)
+        k = max(self.k, other.k)
+        return LocalizedElement(self.numerator_over(k) - other.numerator_over(k), k)
 
     def __rsub__(self, other: AlgebraElement) -> "LocalizedElement":
         return _coerce_localized(other, self.shape) - self
@@ -166,6 +176,7 @@ class LocalizedElement:
     def __pow__(self, e: int) -> "LocalizedElement":
         if e < 0:
             raise ValueError("negative powers are available only through the corner inverse")
+        check_degree(e * self.numerator.max_degree())
         result = LocalizedElement(AlgebraElement.one(self.shape))
         for _ in range(e):
             result = result * self
@@ -265,6 +276,7 @@ def x_prime_minor(
         raise ValueError("derived minor indices must be strictly increasing")
     if rows[0] < 2 or rows[-1] > shape.m or cols[0] < 1 or cols[-1] > shape.n - 1:
         raise ValueError(f"derived minor [{rows}|{cols}]' does not fit in shape {shape}")
+    check_term_count(len(rows) + 1)  # its numerator is a (t+1)-minor's size
     return _x_prime_minor(shape, rows, cols)
 
 

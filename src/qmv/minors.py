@@ -16,12 +16,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
-from .algebra import AlgebraElement, PbwMonomial, Shape, gen
+from .algebra import AlgebraElement, PbwMonomial, Shape, decode, gen, letter
 from .scalar import LaurentScalar
 from . import laws
 
 Gen = tuple[int, int]
+
+# The most permutation terms a minor may have: 9!, so every minor of a grid up
+# to 9 x 9 is built, and a larger one is refused before it is built.
+MAX_MINOR_TERMS = 362_880
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,15 @@ def minor(shape: Shape, rows: tuple[int, ...] | list[int], cols: tuple[int, ...]
     spec = MinorSpec(tuple(rows), tuple(cols))
     if spec.rows[-1] > shape.m or spec.cols[-1] > shape.n or spec.rows[0] < 1 or spec.cols[0] < 1:
         raise ValueError(f"minor {spec} does not fit in shape {shape}")
+    check_term_count(len(spec.rows))
     return _minor(shape, spec.rows, spec.cols)
+
+
+def check_term_count(t: int) -> None:
+    """Refuse a t-minor whose t! permutation terms exceed ``MAX_MINOR_TERMS``."""
+    if factorial(t) > MAX_MINOR_TERMS:
+        raise ValueError(f"a {t}-minor has {t}! = {factorial(t):,} terms, "
+                         f"more than the limit of {MAX_MINOR_TERMS:,}")
 
 
 @lru_cache(maxsize=None)
@@ -64,8 +77,8 @@ def _minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> Algebr
     terms: dict[PbwMonomial, LaurentScalar] = {}
     for perm in itertools.permutations(range(t)):
         # rows ascend, so the product below is already a PBW monomial
-        word = tuple(((rows[a], cols[perm[a]]), 1) for a in range(t))
-        terms[PbwMonomial(word)] = LaurentScalar.minus_q_power(inversions(perm))
+        codes = tuple(letter(rows[a], cols[perm[a]]) for a in range(t))
+        terms[PbwMonomial.from_codes(codes)] = LaurentScalar.minus_q_power(inversions(perm))
     return AlgebraElement(shape, terms)
 
 
@@ -135,6 +148,6 @@ def project_pi(element: AlgebraElement, target: Shape) -> AlgebraElement:
         )
     terms: dict[PbwMonomial, LaurentScalar] = {}
     for mono, coeff in element.terms():
-        if all(target.contains(i, j) for (i, j), _ in mono.pairs):
+        if all(target.contains(*decode(code)[0]) for code in mono.codes):
             terms[mono] = coeff
     return AlgebraElement(target, terms)

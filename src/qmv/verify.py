@@ -33,6 +33,7 @@ from .algebra import (
     commutator,
     component_basis,
     gen,
+    letter,
     monomial_count,
     random_element,
 )
@@ -735,7 +736,7 @@ def _classical_det(n: int) -> dict[PbwMonomial, Fraction]:
 
     idx = tuple(range(1, n + 1))
     return {
-        PbwMonomial(tuple((g, 1) for g in mono)): coeff
+        PbwMonomial.from_codes(tuple(letter(*g) for g in mono)): coeff
         for mono, coeff in expand(idx, idx).items()
     }
 
@@ -785,7 +786,7 @@ def _suite_jordan(shape: Shape, t=None) -> list[IdentityCheck]:
     # the bidegree restriction forces the first cofactor onto the excluded
     # corner generator: inside the subalgebra its basis is empty
     full_alpha = component_basis(shape, Bidegree((0,) * (n - 1) + (1,), (0,) * (n - 1) + (1,)))
-    corner_mono = PbwMonomial((((n, n), 1),))
+    corner_mono = PbwMonomial.from_codes((letter(n, n),))
     checks.append(IdentityCheck(
         "alpha component in the full algebra is spanned by X[n,n] alone",
         full_alpha == [corner_mono], None if full_alpha == [corner_mono] else str(full_alpha)))

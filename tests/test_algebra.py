@@ -88,19 +88,30 @@ def test_renormalizing_is_identity():
         assert one * a == a
 
 
+def kernel(pairs, g):
+    """``_mono_times_gen`` called with ((i, j), e) pairs and an (i, j)
+    generator, through a local letter encoder, with its (codes, e, c) triples
+    decoded back to pairs."""
+    codes = tuple(((i << 6 | j) << 18) | e for (i, j), e in pairs)
+    return tuple(
+        (tuple((((c >> 24), (c >> 18) & 63), c & (2**18 - 1)) for c in out), e, k)
+        for out, e, k in _mono_times_gen(codes, g[0] << 6 | g[1])
+    )
+
+
 def test_mono_times_gen_pinned_triples():
     # (monomial pairs, q exponent, integer coefficient) for each relation type
     x11, x12, x21, x22 = (1, 1), (1, 2), (2, 1), (2, 2)
-    assert _mono_times_gen((), x11) == ((((x11, 1),), 0, 1),)
-    assert _mono_times_gen(((x11, 1),), x11) == ((((x11, 2),), 0, 1),)
-    assert _mono_times_gen(((x11, 1),), x22) == ((((x11, 1), (x22, 1)), 0, 1),)
+    assert kernel((), x11) == ((((x11, 1),), 0, 1),)
+    assert kernel(((x11, 1),), x11) == ((((x11, 2),), 0, 1),)
+    assert kernel(((x11, 1),), x22) == ((((x11, 1), (x22, 1)), 0, 1),)
     # same row and same column: swap with q^-1
-    assert _mono_times_gen(((x12, 1),), x11) == ((((x11, 1), (x12, 1)), -1, 1),)
-    assert _mono_times_gen(((x21, 1),), x11) == ((((x11, 1), (x21, 1)), -1, 1),)
+    assert kernel(((x12, 1),), x11) == ((((x11, 1), (x12, 1)), -1, 1),)
+    assert kernel(((x21, 1),), x11) == ((((x11, 1), (x21, 1)), -1, 1),)
     # anti-diagonal pair: plain swap
-    assert _mono_times_gen(((x21, 1),), x12) == ((((x12, 1), (x21, 1)), 0, 1),)
+    assert kernel(((x21, 1),), x12) == ((((x12, 1), (x21, 1)), 0, 1),)
     # diagonal pair: swap minus (q - q^-1) times the anti-diagonal monomial
-    assert set(_mono_times_gen(((x22, 1),), x11)) == {
+    assert set(kernel(((x22, 1),), x11)) == {
         (((x11, 1), (x22, 1)), 0, 1),
         (((x12, 1), (x21, 1)), 1, -1),
         (((x12, 1), (x21, 1)), -1, 1),
@@ -111,20 +122,20 @@ def test_mono_times_gen_passive_prefix():
     # letters below g pass through untouched; only the suffix from g on moves
     x11, x12, x21, x22 = (1, 1), (1, 2), (2, 1), (2, 2)
     x23, x32, x33 = (2, 3), (3, 2), (3, 3)
-    assert _mono_times_gen(((x11, 1), (x22, 1)), x12) == (
+    assert kernel(((x11, 1), (x22, 1)), x12) == (
         (((x11, 1), (x12, 1), (x22, 1)), -1, 1),
     )
-    assert set(_mono_times_gen(((x11, 2), (x33, 1)), x22)) == {
+    assert set(kernel(((x11, 2), (x33, 1)), x22)) == {
         (((x11, 2), (x22, 1), (x33, 1)), 0, 1),
         (((x11, 2), (x23, 1), (x32, 1)), 1, -1),
         (((x11, 2), (x23, 1), (x32, 1)), -1, 1),
     }
     # g already present: the split keeps g in the moving suffix, so its
     # exponent grows instead of the letter appearing twice
-    assert _mono_times_gen(((x11, 1), (x12, 1), (x21, 1)), x12) == (
+    assert kernel(((x11, 1), (x12, 1), (x21, 1)), x12) == (
         (((x11, 1), (x12, 2), (x21, 1)), 0, 1),
     )
-    assert _mono_times_gen(((x11, 1), (x12, 2), (x22, 1)), x12) == (
+    assert kernel(((x11, 1), (x12, 2), (x22, 1)), x12) == (
         (((x11, 1), (x12, 3), (x22, 1)), -1, 1),
     )
 
@@ -339,3 +350,61 @@ def test_render_matches_canonical_grammar():
     assert str(AlgebraElement.zero(s)) == "0"
     assert str(AlgebraElement.one(s)) == "1"
     assert str(X(s, 1, 1) ** 2) == "X[1,1]^2"
+
+
+# Letter codes: a monomial is a sorted tuple of ints, and every decoded view
+# must match the ((i, j), e) pairs it was built from.
+
+@st.composite
+def monomial_pairs(draw):
+    """Sorted ((i, j), e) pairs on a grid up to 63x63, exponents up to 2^18 - 1."""
+    gens = draw(st.lists(
+        st.tuples(st.integers(1, 63), st.integers(1, 63)), min_size=0, max_size=4, unique=True))
+    exps = st.one_of(st.integers(1, 3), st.integers(1, 2**18 - 1))
+    return tuple(sorted((g, draw(exps)) for g in gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(monomial_pairs(), min_size=1, max_size=4))
+def test_letter_codes_keep_the_order_and_the_decoded_views(all_pairs):
+    monos = [PbwMonomial(pairs) for pairs in all_pairs]
+    for pairs, mono in zip(all_pairs, monos):
+        assert list(mono.codes) == sorted(mono.codes)
+        assert mono.pairs == pairs
+        assert PbwMonomial.from_codes(mono.codes) == mono
+        assert mono.degree() == sum(e for _, e in pairs)
+        assert mono.word() == tuple(g for g, e in pairs for _ in range(e))
+        assert str(mono) == ("*".join(f"X[{i},{j}]" + (f"^{e}" if e > 1 else "")
+                                      for (i, j), e in pairs) or "1")
+        shape = Shape(63, 63)
+        rows, cols = [0] * 63, [0] * 63
+        for (i, j), e in pairs:
+            rows[i - 1] += e
+            cols[j - 1] += e
+        assert mono.bidegree(shape) == Bidegree(tuple(rows), tuple(cols))
+        for g, e in pairs:
+            assert mono.exponent(g) == e
+    by_code = sorted(monos, key=PbwMonomial.sort_key)
+    by_word = sorted(monos, key=lambda m: (m.degree(), m.word()))
+    assert [m.codes for m in by_code] == [m.codes for m in by_word]
+
+
+def test_letter_exponent_limit():
+    s = Shape(2, 2)
+    big = AlgebraElement(s, {PbwMonomial.from_exponents({(1, 1): 2**17}): LaurentScalar.from_int(1)})
+    with pytest.raises(ValueError, match="exponent limit"):
+        big * big
+    with pytest.raises(ValueError, match="exponent limit"):
+        big ** 2
+    with pytest.raises(ValueError):
+        PbwMonomial.from_exponents({(1, 1): 2**18})
+    top = PbwMonomial.from_exponents({(1, 1): 2**18 - 1})
+    assert str(top) == f"X[1,1]^{2**18 - 1}"
+
+
+def test_shape_limit():
+    assert str(Shape(63, 63)) == "63x63"
+    with pytest.raises(ValueError, match="too large"):
+        Shape(64, 1)
+    with pytest.raises(ValueError, match="too large"):
+        Shape(1, 64)

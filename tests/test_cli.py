@@ -207,6 +207,20 @@ class TestCommands:
     def test_minor_malformed_set(self, capsys):
         assert main(["minor", "--m", "3", "--n", "3", "{1;2}", "{1,2}"]) == 2
 
+    def test_oversized_determinant_fails_fast(self, capsys):
+        assert main(["det", "--n", "12"]) == 2
+        assert "12! = 479,001,600 terms" in capsys.readouterr().err
+
+    def test_grid_beyond_the_letter_code_is_usage_error(self, capsys):
+        assert main(["normalize", "--n", "64", "X[1,1]"]) == 2
+        assert "too large" in capsys.readouterr().err
+
+    def test_exponent_beyond_the_letter_code_is_usage_error(self, capsys):
+        # refused before the power loop starts
+        assert main(["normalize", "--n", "2", f"X[1,1]^{2**18}"]) == 2
+        assert main(["normalize", "--n", "2", f"(X[1,1]*inv1n)^{2**18}"]) == 2
+        assert "exponent limit" in capsys.readouterr().err
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

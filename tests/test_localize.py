@@ -91,6 +91,17 @@ def test_canonical_form_strips_the_smallest_corner_power():
     assert LocalizedElement(f, 1).k == 0
 
 
+def test_difference_matches_sum_with_the_negation():
+    s = Shape(3, 3)
+    rng = random.Random(13)
+    for _ in range(30):
+        a = LocalizedElement(random_element(s, 3, rng), rng.randint(0, 3))
+        b = LocalizedElement(random_element(s, 3, rng), rng.randint(0, 3))
+        assert a - b == a + (-b)
+        assert (a - a).is_zero() and (a - a).k == 0
+        assert b.numerator - a == -(a - b.numerator)
+
+
 def test_corner_inverse_cancels():
     s = Shape(3, 3)
     one = loc(AlgebraElement.one(s))

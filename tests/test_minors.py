@@ -5,8 +5,10 @@ import itertools
 import pytest
 
 from qmv.algebra import AlgebraElement, Bidegree, Shape, commutator, gen
+from qmv import minors
 from qmv.minors import (
     MinorSpec,
+    check_term_count,
     complement_minor,
     inversions,
     laplace_expand_col,
@@ -16,6 +18,7 @@ from qmv.minors import (
     qdet,
 )
 from qmv.laws import row_expansion_exponent
+from qmv.localize import x_prime_minor
 from qmv.scalar import LaurentScalar, Q
 
 
@@ -196,3 +199,17 @@ class TestProjection:
                         assert image == minor(small, rows, cols)
                     else:
                         assert image.is_zero()
+
+
+def test_term_guard_estimates_before_building(monkeypatch):
+    check_term_count(9)  # 9! terms: every grid up to 9x9 is built
+    with pytest.raises(ValueError, match="10! = 3,628,800 terms"):
+        check_term_count(10)
+    with pytest.raises(ValueError):
+        minor(Shape(12, 12), range(1, 13), range(1, 13))
+    monkeypatch.setattr(minors, "MAX_MINOR_TERMS", 6)
+    assert len(minor(Shape(4, 4), (1, 2, 3), (2, 3, 4)).terms()) == 6
+    with pytest.raises(ValueError, match="4! = 24 terms"):
+        qdet(Shape(4, 4))
+    with pytest.raises(ValueError, match="4! = 24 terms"):
+        x_prime_minor(Shape(4, 4), (2, 3, 4), (1, 2, 3))
