@@ -10,11 +10,11 @@ the graded non-membership obstruction, at desk scale (m, n <= 5).
 from .algebra import (
     AlgebraElement,
     Bidegree,
-    PbwMonomial,
     Shape,
     commutator,
     component_basis,
     gen,
+    monomial,
     monomial_count,
 )
 from .checks import IdentityCheck

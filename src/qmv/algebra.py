@@ -13,21 +13,23 @@ straightened onto that basis.  Straightening swaps an out-of-order adjacent
 pair into at most two words, each strictly smaller in the length-graded
 lexicographic word order, so rewriting terminates.
 
-A monomial is a tuple of int letter codes.  The letter X[i,j]^e is the code
+A PBW monomial is a sorted tuple of int letter codes (``Codes``), one per
+generator with a positive exponent.  The letter X[i,j]^e is the code
 (gid << 18) | e with generator id gid = (i << 6) | j.  For j < 64 the id is
 order-isomorphic to row-major (i, j), so a sorted code tuple is a PBW monomial
 and tuple comparison, hashing and splitting work on flat ints.  The encoding
 bounds the grid to 63 x 63 (``Shape`` rejects larger) and a letter's exponent
 to 2^18 - 1 (a monomial or product that would exceed it raises ValueError);
-every code is then below 2^30, a single CPython digit.  ``PbwMonomial`` keeps
-the decoded views (``pairs``, ``word()``, ``bidegree()``, ``str``) for printing
-and inspection; the kernel never decodes.
+every code is then below 2^30, a single CPython digit.  ``monomial`` builds
+one from ((i, j), e) pairs with those checks; ``word``, ``bidegree``,
+``exponent`` and ``render_monomial`` decode it for printing and inspection,
+and the kernel never decodes.
 
 Straightening computes with integer coefficients.  A term is c * q^e * monomial
 with c a Python int, and the q exponent travels in the key: the cache
 ``_mono_times_gen(codes, gid)`` returns ``(codes, e, c)`` triples, and a product
 accumulates into one flat ``{(codes, e): c}`` dict.  ``LaurentScalar`` appears
-only at the element boundary: an element stores ``{PbwMonomial: LaurentScalar}``,
+only at the element boundary: an element stores ``{Codes: LaurentScalar}``,
 and a product regroups its flat dict into that form once, at the end.
 
 Only the suffix of a monomial moves.  Every letter a rewrite of h * g creates
@@ -62,7 +64,6 @@ from operator import itemgetter
 from .scalar import LaurentScalar, ONE
 
 Gen = tuple[int, int]
-Pairs = tuple[tuple[Gen, int], ...]
 Codes = tuple[int, ...]
 Flat = dict[tuple[Codes, int], int]  # (monomial codes, q exponent) -> integer coefficient
 
@@ -134,89 +135,62 @@ class Bidegree:
     coldeg: tuple[int, ...]
 
 
-class PbwMonomial:
-    """An ordered monomial: a sorted tuple of letter codes, one per generator
-    with a positive exponent."""
-
-    __slots__ = ("codes", "_hash")
-
-    def __init__(self, pairs: Pairs = ()):
-        codes = []
-        for (i, j), e in pairs:
-            if not (0 <= i < GRID_LIMIT and 0 <= j < GRID_LIMIT):
-                raise ValueError(f"generator X[{i},{j}] is outside the {GRID_LIMIT - 1}x"
-                                 f"{GRID_LIMIT - 1} grid the letter code holds")
-            if not 0 < e < EXP_LIMIT:
-                raise ValueError(f"monomial exponent {e} of X[{i},{j}] must lie in 1..{EXP_MASK}")
-            codes.append(letter(i, j, e))
-        self.codes = codes = tuple(codes)
-        self._hash = hash(codes)
-
-    @classmethod
-    def from_codes(cls, codes: Codes) -> "PbwMonomial":
-        """Trusted constructor: codes sorted, each a valid letter code."""
-        mono = cls.__new__(cls)
-        mono.codes = codes
-        mono._hash = hash(codes)
-        return mono
-
-    @classmethod
-    def from_exponents(cls, exps: dict[Gen, int]) -> "PbwMonomial":
-        return cls(tuple(sorted((g, e) for g, e in exps.items() if e)))
-
-    @property
-    def pairs(self) -> Pairs:
-        """The monomial as ((i, j), e) pairs in row-major order."""
-        return tuple(map(decode, self.codes))
-
-    def degree(self) -> int:
-        return sum(c & EXP_MASK for c in self.codes)
-
-    def exponent(self, g: Gen) -> int:
-        lo = letter(*g, 0)
-        codes = self.codes
-        pos = bisect_left(codes, lo)
-        return codes[pos] - lo if pos < len(codes) and codes[pos] < lo + EXP_LIMIT else 0
-
-    def word(self) -> tuple[Gen, ...]:
-        """The monomial as an explicit sequence of generators."""
-        return tuple(g for g, e in self.pairs for _ in range(e))
-
-    def bidegree(self, shape: Shape) -> Bidegree:
-        rows = [0] * shape.m
-        cols = [0] * shape.n
-        for c in self.codes:
-            gid, e = c >> EXP_BITS, c & EXP_MASK
-            rows[(gid >> COL_BITS) - 1] += e
-            cols[(gid & COL_MASK) - 1] += e
-        return Bidegree(tuple(rows), tuple(cols))
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """(degree, word) with generator ids for generators: the same order."""
-        return (self.degree(), _word_ids(self.codes))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PbwMonomial) and self.codes == other.codes
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "PbwMonomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __str__(self) -> str:
-        if not self.codes:
-            return "1"
-        ats = []
-        for (i, j), e in self.pairs:
-            ats.append(f"X[{i},{j}]" if e == 1 else f"X[{i},{j}]^{e}")
-        return "*".join(ats)
-
-    def __repr__(self) -> str:
-        return f"PbwMonomial({self})"
+def monomial(pairs: Iterable[tuple[Gen, int]]) -> Codes:
+    """The PBW monomial with the given ((i, j), e) pairs, in any order: their
+    letter codes, sorted.  Checks that each generator fits the letter code, is
+    given once, and has an exponent in 1..2^18 - 1."""
+    codes = []
+    for (i, j), e in pairs:
+        if not (0 <= i < GRID_LIMIT and 0 <= j < GRID_LIMIT):
+            raise ValueError(f"generator X[{i},{j}] is outside the {GRID_LIMIT - 1}x"
+                             f"{GRID_LIMIT - 1} grid the letter code holds")
+        if not 0 < e < EXP_LIMIT:
+            raise ValueError(f"monomial exponent {e} of X[{i},{j}] must lie in 1..{EXP_MASK}")
+        codes.append(letter(i, j, e))
+    codes.sort()
+    if any(a >> EXP_BITS == b >> EXP_BITS for a, b in zip(codes, codes[1:])):
+        raise ValueError("a monomial lists each generator once")
+    return tuple(codes)
 
 
-IDENTITY_MONOMIAL = PbwMonomial()
+def degree(mono: Codes) -> int:
+    return sum(c & EXP_MASK for c in mono)
+
+
+def exponent(mono: Codes, g: Gen) -> int:
+    """The exponent of the generator g in the monomial (0 when absent)."""
+    lo = letter(*g, 0)
+    pos = bisect_left(mono, lo)
+    return mono[pos] - lo if pos < len(mono) and mono[pos] < lo + EXP_LIMIT else 0
+
+
+def word(mono: Codes) -> tuple[Gen, ...]:
+    """The monomial as an explicit sequence of generators."""
+    return tuple(g for g, e in map(decode, mono) for _ in range(e))
+
+
+def bidegree(mono: Codes, shape: Shape) -> Bidegree:
+    rows = [0] * shape.m
+    cols = [0] * shape.n
+    for c in mono:
+        gid, e = c >> EXP_BITS, c & EXP_MASK
+        rows[(gid >> COL_BITS) - 1] += e
+        cols[(gid & COL_MASK) - 1] += e
+    return Bidegree(tuple(rows), tuple(cols))
+
+
+def sort_key(mono: Codes) -> tuple[int, tuple[int, ...]]:
+    """The printing order (degree, word), with generator ids for generators."""
+    return (degree(mono), _word_ids(mono))
+
+
+def render_monomial(mono: Codes) -> str:
+    """Canonical text of a monomial, e.g. ``X[1,1]^2*X[2,3]``; ``1`` when empty."""
+    return "*".join(f"X[{i},{j}]" if e == 1 else f"X[{i},{j}]^{e}"
+                    for (i, j), e in map(decode, mono)) or "1"
+
+
+IDENTITY_MONOMIAL: Codes = ()
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +277,7 @@ class AlgebraElement:
 
     __slots__ = ("shape", "_terms")
 
-    def __init__(self, shape: Shape, terms: dict[PbwMonomial, LaurentScalar]):
+    def __init__(self, shape: Shape, terms: dict[Codes, LaurentScalar]):
         self.shape = shape
         self._terms = terms
 
@@ -325,7 +299,7 @@ class AlgebraElement:
     def sum(cls, shape: Shape, elements: Iterable["AlgebraElement"]) -> "AlgebraElement":
         """The sum of elements of one shape, accumulated once with integer
         coefficients instead of one intermediate element per partial sum."""
-        acc: dict[PbwMonomial, dict[int, int]] = {}
+        acc: dict[Codes, dict[int, int]] = {}
         for a in elements:
             if a.shape != shape:
                 raise ValueError(f"shape mismatch: {a.shape} vs {shape}")
@@ -343,9 +317,9 @@ class AlgebraElement:
                 terms[mono] = LaurentScalar.from_clean(clean)
         return cls(shape, terms)
 
-    def terms(self) -> list[tuple[PbwMonomial, LaurentScalar]]:
+    def terms(self) -> list[tuple[Codes, LaurentScalar]]:
         """(monomial, coefficient) pairs in the canonical printing order."""
-        return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
+        return sorted(self._terms.items(), key=lambda t: sort_key(t[0]))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -418,12 +392,12 @@ class AlgebraElement:
         # Walk the right factor's words in sorted order; each word resumes from
         # the kept fold of the prefix it shares with the previous word.
         words = sorted(
-            ((_word_ids(mono.codes), coeff._terms) for mono, coeff in other._terms.items()),
+            ((_word_ids(mono), coeff._terms) for mono, coeff in other._terms.items()),
             key=itemgetter(0),
         )
         check_degree(self.max_degree() + max((len(word) for word, _ in words), default=0))
         left = {
-            (mono.codes, e): c
+            (mono, e): c
             for mono, coeff in self._terms.items()
             for e, c in coeff._terms.items()
         }
@@ -446,11 +420,8 @@ class AlgebraElement:
         for (codes, e), c in acc.items():
             if c:
                 grouped.setdefault(codes, {})[e] = c
-        from_codes = PbwMonomial.from_codes
         return AlgebraElement(
-            self.shape,
-            {from_codes(codes): LaurentScalar.from_clean(d) for codes, d in grouped.items()},
-        )
+            self.shape, {codes: LaurentScalar.from_clean(d) for codes, d in grouped.items()})
 
     def __rmul__(self, other: "LaurentScalar | int") -> "AlgebraElement":
         if isinstance(other, (LaurentScalar, int)):
@@ -468,11 +439,11 @@ class AlgebraElement:
 
     def max_degree(self) -> int:
         """The largest total degree of a term (0 for the zero element)."""
-        return max((mono.degree() for mono in self._terms), default=0)
+        return max(map(degree, self._terms), default=0)
 
     def bidegree_of(self) -> Bidegree | None:
         """The common bidegree of all terms, or None when inhomogeneous."""
-        degs = {mono.bidegree(self.shape) for mono in self._terms}
+        degs = {bidegree(mono, self.shape) for mono in self._terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -480,10 +451,10 @@ class AlgebraElement:
     def kill_generator(self, g: Gen) -> "AlgebraElement":
         """Image under the specialization sending X[g] to 0 (drop terms containing it)."""
         return AlgebraElement(
-            self.shape, {m: c for m, c in self._terms.items() if m.exponent(g) == 0}
+            self.shape, {m: c for m, c in self._terms.items() if exponent(m, g) == 0}
         )
 
-    def specialize(self, q0: Fraction | int) -> dict[PbwMonomial, Fraction]:
+    def specialize(self, q0: Fraction | int) -> dict[Codes, Fraction]:
         """Evaluate every coefficient at q = q0; zero coefficients dropped."""
         out = {}
         for mono, coeff in self._terms.items():
@@ -507,7 +478,7 @@ def gen(shape: Shape, i: int, j: int) -> AlgebraElement:
     """The generator X[i,j] as a one-term element."""
     if not shape.contains(i, j):
         raise ValueError(f"generator X[{i},{j}] out of range for shape {shape}")
-    return AlgebraElement(shape, {PbwMonomial.from_codes((letter(i, j),)): ONE})
+    return AlgebraElement(shape, {(letter(i, j),): ONE})
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -515,7 +486,7 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
-def component_basis(shape: Shape, d: Bidegree) -> list[PbwMonomial]:
+def component_basis(shape: Shape, d: Bidegree) -> list[Codes]:
     """All PBW monomials of exactly bidegree d, in deterministic (sorted) order.
 
     Equivalent to enumerating nonnegative integer m-by-n matrices with row sums
@@ -527,12 +498,12 @@ def component_basis(shape: Shape, d: Bidegree) -> list[PbwMonomial]:
         raise ValueError("bidegree entries must be nonnegative")
     if sum(d.rowdeg) != sum(d.coldeg):
         return []
-    out: list[PbwMonomial] = []
+    out: list[Codes] = []
 
     def fill_row(i: int, cols_left: tuple[int, ...], acc: list[int]):
         if i > shape.m:
             if all(c == 0 for c in cols_left):
-                out.append(PbwMonomial.from_codes(tuple(acc)))
+                out.append(tuple(acc))
             return
         target = d.rowdeg[i - 1]
 
@@ -548,7 +519,7 @@ def component_basis(shape: Shape, d: Bidegree) -> list[PbwMonomial]:
         fill_cell(1, target, cols_left, [])
 
     fill_row(1, d.coldeg, [])
-    return sorted(out, key=PbwMonomial.sort_key)
+    return sorted(out, key=sort_key)
 
 
 def monomial_count(shape: Shape, d: int) -> int:
@@ -598,8 +569,8 @@ def render_element(a: AlgebraElement, limit: int | None = None) -> str:
         body = c.render(increasing=False)
         if len(c.items()) > 1:
             body = f"({body})"
-        if mono.codes:
-            text = str(mono) if c.is_one() else f"{body}*{mono}"
+        if mono:
+            text = render_monomial(mono) if c.is_one() else f"{body}*{render_monomial(mono)}"
         else:
             text = body
         if not parts:

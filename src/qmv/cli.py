@@ -22,7 +22,6 @@ USAGE_ERROR, CHECK_FAILURE = 2, 1
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, default=None, help="row count of the generator grid")
     parser.add_argument("--n", type=int, default=None, help="column count of the generator grid")
-    parser.add_argument("--t", type=int, default=None, help="minor size, where applicable")
     parser.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
 
@@ -32,7 +31,7 @@ def _config(args) -> SessionConfig:
         raise ExprError("shape required: pass --m/--n", 0)
     m = m if m is not None else n
     n = n if n is not None else m
-    return SessionConfig(m=m, n=n, t=args.t)
+    return SessionConfig(m=m, n=n)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -178,12 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a named identity suite")
     p.add_argument("name")
     _add_common(p)
+    p.add_argument("--t", type=int, default=None, help="minor size, for suites that take one")
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("fit-exponents",
                        help="fit unspecified q-power exponents and compare to the frozen table")
     p.add_argument("family", nargs="?", choices=FIT_FAMILIES, default=None)
     _add_common(p)
+    p.add_argument("--t", type=int, default=None, help="size of the identity instances to fit")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("jordan", help="run the determinant-splitting obstruction computation")

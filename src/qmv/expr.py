@@ -35,17 +35,14 @@ class ExprError(ValueError):
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Ambient shape and session options for parsing and suite runs."""
+    """The ambient shape that expressions are parsed and evaluated over."""
 
     m: int
     n: int
-    t: int | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("shape dimensions must be positive")
-        if self.t is not None and not (1 <= self.t <= min(self.m, self.n)):
-            raise ValueError(f"t={self.t} must satisfy 1 <= t <= min(m, n)")
 
     @property
     def shape(self) -> Shape:

@@ -34,21 +34,21 @@ from functools import lru_cache
 
 from .algebra import (
     COL_BITS, COL_MASK, EXP_BITS, EXP_LIMIT, EXP_MASK,
-    AlgebraElement, PbwMonomial, Shape, check_degree, gen, letter,
+    AlgebraElement, Codes, Shape, check_degree, exponent, gen, letter, word,
 )
 from .checks import IdentityCheck, check_zero
-from .minors import check_term_count, expansion, minor
+from .minors import check_term_count, expansion, expansion_products, minor
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV
 from . import laws
 
 Gen = tuple[int, int]
 
 
-def tau_weight(mono: PbwMonomial, shape: Shape) -> int:
+def tau_weight(mono: Codes, shape: Shape) -> int:
     """Grading weight driving the conjugation by X[1,n]: +1 per row-1 letter,
     -1 per column-n letter (the corner itself weighs 0)."""
     w, n = 0, shape.n
-    for code in mono.codes:
+    for code in mono:
         gid = code >> EXP_BITS
         if gid >> COL_BITS == 1:
             w += code & EXP_MASK
@@ -80,10 +80,9 @@ def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
         return f
     n = f.shape.n
     corner = letter(1, n, 0)
-    terms: dict[PbwMonomial, LaurentScalar] = {}
-    for mono, coeff in f._terms.items():
+    terms: dict[Codes, LaurentScalar] = {}
+    for codes, coeff in f._terms.items():
         # row-major order puts X[1,n] after the other row-1 letters, before the rest
-        codes = mono.codes
         pos = bisect_left(codes, corner)
         e = codes[pos] - corner if pos < len(codes) and codes[pos] < corner + EXP_LIMIT else 0
         if e + d >= EXP_LIMIT:
@@ -91,7 +90,7 @@ def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
         rest = codes[pos + 1 if e else pos:]
         c = sum(x & EXP_MASK for x in rest if (x >> EXP_BITS) & COL_MASK == n)
         moved = (corner | (e + d),) if e + d else ()
-        terms[PbwMonomial.from_codes(codes[:pos] + moved + rest)] = (
+        terms[codes[:pos] + moved + rest] = (
             coeff * LaurentScalar.q_power(-d * c) if c else coeff)
     return AlgebraElement(f.shape, terms)
 
@@ -109,7 +108,7 @@ class LocalizedElement:
             # strip the corner powers that every numerator term holds, up to k
             corner, strip = (1, numerator.shape.n), k
             for mono in numerator._terms:
-                strip = min(strip, mono.exponent(corner))
+                strip = min(strip, exponent(mono, corner))
                 if not strip:
                     break
             numerator, k = _times_corner(numerator, -strip), k - strip
@@ -302,7 +301,7 @@ def x_prime_minor_substituted(
     total = LocalizedElement(AlgebraElement.zero(shape))
     for mono, coeff in abstract.terms():
         prod = LocalizedElement(AlgebraElement.one(shape))
-        for (r, c) in mono.word():
+        for (r, c) in word(mono):
             prod = prod * entries[(r + 1, c)]
         total = total + prod.scale(coeff)
     return total
@@ -412,6 +411,10 @@ def expand_minor_without_corner(
     adjoined column n, along column n with an adjoined row 1, or through the
     enlarged minor when both are missing (its other terms miss only row 1).
     The expansion the rewriting solves is checked first, then the rewriting.
+    The rewriting is that expansion solved for its corner term
+    (-q)^e* [rows|cols] X[1,n], so it reuses the expansion's other products:
+    (-q)^-e* (E - their sum) X[1,n]^-1, with E the enlarged minor when both
+    are missing and 0 otherwise.
     """
     rows, cols = tuple(rows), tuple(cols)
     target = minor(shape, rows, cols)  # validates the index sets
@@ -419,10 +422,15 @@ def expand_minor_without_corner(
     case = _corner_case(shape, rows, cols)
     if case == "corner":
         raise ValueError(f"{label} already contains the corner; use the minor reduction")
-    solved = expansion(shape, _solved_terms(shape, rows, cols, case))
+    terms = _solved_terms(shape, rows, cols, case)
+    products = expansion_products(shape, terms)
+    solved = AlgebraElement.sum(shape, products)
+    corner = next(k for k, t in enumerate(terms) if t.gen == (1, shape.n))
+    others = products[:corner] + products[corner + 1:]
     if case == "missing-both":
         big_rows, big_cols = (1,) + rows, cols + (shape.n,)
         big = minor(shape, big_rows, big_cols)
+        others.append(-big)
         checks = [
             check_zero(f"{label}: first-row expansion of the enlarged minor", big - solved),
             check_zero(f"{label}: last-row expansion of the enlarged minor",
@@ -431,9 +439,8 @@ def expand_minor_without_corner(
     else:
         line = "row-1" if case == "missing-column" else "column-n"
         checks = [check_zero(f"{label}: {line} expansion vanishes", solved)]
-    rewriting = LocalizedElement.sum(shape, (
-        loc(minor(shape, r, c)) * right for (r, c), right in _rewriting(shape, rows, cols, case)
-    ))
+    scale = -LaurentScalar.minus_q_power(-terms[corner].exponent)
+    rewriting = LocalizedElement(AlgebraElement.sum(shape, others).scale(scale), 1)
     checks.append(check_zero(f"{label}: rewriting agrees", rewriting - target))
     return MinorExpansion(case, checks, rewriting)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .algebra import AlgebraElement, PbwMonomial, Shape, decode, gen, letter
+from .algebra import AlgebraElement, Codes, Shape, decode, gen, letter
 from .scalar import LaurentScalar
 from . import laws
 
@@ -74,11 +74,11 @@ def check_term_count(t: int) -> None:
 def _minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
     """Built once per (shape, rows, cols); elements are immutable, so callers share it."""
     t = len(rows)
-    terms: dict[PbwMonomial, LaurentScalar] = {}
+    terms: dict[Codes, LaurentScalar] = {}
     for perm in itertools.permutations(range(t)):
         # rows ascend, so the product below is already a PBW monomial
         codes = tuple(letter(rows[a], cols[perm[a]]) for a in range(t))
-        terms[PbwMonomial.from_codes(codes)] = LaurentScalar.minus_q_power(inversions(perm))
+        terms[codes] = LaurentScalar.minus_q_power(inversions(perm))
     return AlgebraElement(shape, terms)
 
 
@@ -123,10 +123,15 @@ def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
 
 def expansion(shape: Shape, terms: list[laws.Term]) -> AlgebraElement:
     """sum (-q)^e [minor] X[gen] over a term table whose generators stand right."""
-    return AlgebraElement.sum(shape, (
+    return AlgebraElement.sum(shape, expansion_products(shape, terms))
+
+
+def expansion_products(shape: Shape, terms: list[laws.Term]) -> list[AlgebraElement]:
+    """The products (-q)^e [minor] X[gen] of such a term table, in table order."""
+    return [
         term_minor(shape, t.minor) * gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
         for t in terms
-    ))
+    ]
 
 
 def _square_side(shape: Shape, a: int, b: int) -> int:
@@ -146,8 +151,8 @@ def project_pi(element: AlgebraElement, target: Shape) -> AlgebraElement:
         raise ValueError(
             f"projection expects a square {s}x{s} source for target {target}, got {source}"
         )
-    terms: dict[PbwMonomial, LaurentScalar] = {}
+    terms: dict[Codes, LaurentScalar] = {}
     for mono, coeff in element.terms():
-        if all(target.contains(*decode(code)[0]) for code in mono.codes):
+        if all(target.contains(*decode(code)[0]) for code in mono):
             terms[mono] = coeff
     return AlgebraElement(target, terms)

@@ -237,29 +237,35 @@ class ScalarFraction:
         return ScalarFraction(self.num * other.den, self.den * other.num)
 
     def as_scalar(self) -> LaurentScalar | None:
-        """Exact LaurentScalar value if the denominator divides evenly, else None.
+        """The quotient in Z[q, q^-1] when the denominator divides the
+        numerator there, else None.
 
-        Found by matching against q-power denominators and by solving the
-        candidate directly; sufficient for the fitted-coefficient use case
-        where quotients are plus-or-minus q-powers.
+        Exact long division from the top exponent down: each step cancels the
+        remainder's top term, which the denominator's top coefficient must
+        divide.  It stops once the remainder spans fewer exponents above the
+        numerator's lowest than the denominator spans, and divides exactly
+        when nothing remains.
         """
-        den_items = self.den.items()
-        if len(den_items) == 1:
-            exp, coeff = den_items[0]
-            if coeff in (1, -1):
-                sign = coeff
-                return LaurentScalar({e - exp: sign * c for e, c in self.num.items()})
-        # General small search: try num = s * den for s a signed q-power.
-        if not self.num:
-            return ZERO
-        lo = self.num.items()[0][0] - self.den.items()[0][0]
-        hi = self.num.items()[-1][0] - self.den.items()[-1][0]
-        for e in range(min(lo, hi), max(lo, hi) + 1):
-            for sign in (1, -1):
-                cand = LaurentScalar({e: sign})
-                if cand * self.den == self.num:
-                    return cand
-        return None
+        den = self.den._terms
+        low, top = min(den), max(den)
+        lead = den[top]
+        rem = dict(self.num._terms)
+        base = min(rem, default=0)
+        quot: dict[int, int] = {}
+        while rem and max(rem) - base >= top - low:
+            e = max(rem)
+            c, r = divmod(rem[e], lead)
+            if r:
+                return None
+            shift = e - top
+            quot[shift] = c
+            for k, v in den.items():
+                x = rem.get(k + shift, 0) - c * v
+                if x:
+                    rem[k + shift] = x
+                else:
+                    del rem[k + shift]
+        return None if rem else LaurentScalar.from_clean(quot)
 
     def __str__(self) -> str:
         if self.den.is_one():

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from qmv.algebra import PbwMonomial, Shape, monomial_count, random_element
+from qmv.algebra import Shape, monomial, monomial_count, random_element
 from qmv.minors import inversions, laplace_expand_row
 from qmv.verify import fit_exponents, run_suite, verify_frozen_table
 
@@ -133,7 +133,7 @@ def _permutation_sum_classical_det(n):
     """Independent oracle: commutative determinant as a signed permutation sum."""
     out = {}
     for perm in itertools.permutations(range(1, n + 1)):
-        mono = PbwMonomial(tuple(((i, perm[i - 1]), 1) for i in range(1, n + 1)))
+        mono = monomial(((i, perm[i - 1]), 1) for i in range(1, n + 1))
         out[mono] = Fraction(-1) ** inversions(perm)
     return out
 

@@ -221,6 +221,12 @@ class TestCommands:
         assert main(["normalize", "--n", "2", f"(X[1,1]*inv1n)^{2**18}"]) == 2
         assert "exponent limit" in capsys.readouterr().err
 
+    def test_minor_size_flag_only_where_it_is_read(self, capsys):
+        assert main(["suite", "lemma23", "--m", "3", "--n", "3", "--t", "2"]) == 0
+        assert main(["fit-exponents", "row-laplace", "--n", "2", "--t", "2"]) == 0
+        assert main(["normalize", "--m", "3", "--n", "3", "--t", "2", "X[1,1]"]) == 2
+        assert main(["jordan", "--n", "3", "--t", "2"]) == 2
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qmv import laws
-from qmv.algebra import AlgebraElement, PbwMonomial, Shape, gen, random_element
+from qmv.algebra import AlgebraElement, Shape, gen, monomial, random_element
 from qmv.localize import (
     LocalizedElement,
     _times_corner,
@@ -76,7 +76,7 @@ def test_corner_closed_form_matches_the_kernel():
 
 def test_canonical_form_strips_the_smallest_corner_power():
     s = Shape(3, 3)
-    mono = lambda *pairs: PbwMonomial(pairs)
+    mono = lambda *pairs: monomial(pairs)
     f = AlgebraElement(s, {
         mono(((1, 1), 1), ((1, 3), 2), ((2, 3), 1), ((3, 1), 1)): ONE,
         mono(((1, 3), 3), ((3, 3), 2)): ONE,

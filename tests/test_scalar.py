@@ -122,3 +122,24 @@ class TestScalarFraction:
         assert ScalarFraction(qp(3), -Q).as_scalar() == -qp(2)
         assert ScalarFraction(Q * (Q - QINV), Q - QINV).as_scalar() == Q
         assert ScalarFraction(ONE, Q + ONE).as_scalar() is None
+
+    def test_as_scalar_divides_laurent_polynomials(self):
+        one_plus_q = ONE + Q
+        assert ScalarFraction(one_plus_q * one_plus_q, one_plus_q).as_scalar() == one_plus_q
+        assert ScalarFraction(ZERO, one_plus_q).as_scalar() == ZERO
+        # integer leading coefficients must divide, and so must the whole remainder
+        assert ScalarFraction(LaurentScalar({-2: 4, 3: 6}), LaurentScalar({-1: 2})).as_scalar() \
+            == LaurentScalar({-1: 2, 4: 3})
+        assert ScalarFraction(LaurentScalar({-2: 4, 3: 6}), LaurentScalar({-1: 4})).as_scalar() is None
+        assert ScalarFraction(one_plus_q * one_plus_q + ONE, one_plus_q).as_scalar() is None
+        assert ScalarFraction(Q - QINV, ONE - Q).as_scalar() == -(QINV + ONE)
+
+    def test_as_scalar_recovers_random_quotients(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            a, b = (LaurentScalar({rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(3)})
+                    for _ in range(2))
+            if b:
+                k = rng.randint(-3, 3)
+                assert ScalarFraction(a * b, b).as_scalar() == a
+                assert ScalarFraction(-(a * b), b * qp(k)).as_scalar() == -(a * qp(-k))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmv import laws, localize
-from qmv.algebra import AlgebraElement, Bidegree, PbwMonomial, Shape, component_basis, gen
+from qmv.algebra import AlgebraElement, Bidegree, Shape, component_basis, exponent, gen, monomial
 from qmv.checks import WITNESS_TERMS, check_zero
 from qmv.localize import corner_inverse, loc
 from qmv.minors import qdet
-from qmv.scalar import LaurentScalar, ScalarFraction, ONE
+from qmv.scalar import LaurentScalar, ScalarFraction, ONE, Q
 from qmv.verify import (
     FitError,
     MembershipProblem,
@@ -128,7 +128,7 @@ def test_coefficient_vanishing_at_the_specialization_is_no_pivot():
     s = Shape(2, 2)
     problem = MembershipProblem(
         s, gen(s, 1, 2) * gen(s, 2, 1),
-        [UnknownCofactor("u", gen(s, 2, 2), AlgebraElement.one(s), [PbwMonomial((((1, 1), 1),))])])
+        [UnknownCofactor("u", gen(s, 2, 2), AlgebraElement.one(s), [monomial((((1, 1), 1),))])])
     assert solve_membership(problem) == ("no-solution", None)
     for q0 in (1, -1, 2):
         assert specialized_membership_verdict(problem, q0) == "no-solution"
@@ -223,10 +223,20 @@ class TestMembership:
         problem = MembershipProblem(
             s, x11,
             [UnknownCofactor("u", AlgebraElement.one(s), AlgebraElement.one(s),
-                             [PbwMonomial((((1, 1), 1),))])])
+                             [monomial((((1, 1), 1),))])])
         verdict, cofactors = solve_membership(problem)
         assert verdict == "solution"
         assert cofactors["u"] == x11
+
+    def test_witness_with_a_laurent_polynomial_cofactor(self):
+        s = Shape(2, 2)
+        x11, one_plus_q = gen(s, 1, 1), ONE + Q
+        unknowns = [UnknownCofactor("u", x11.scale(one_plus_q), AlgebraElement.one(s), [monomial(())])]
+        problem = MembershipProblem(s, x11.scale(one_plus_q * one_plus_q), unknowns)
+        assert solve_membership(problem) == (
+            "solution", {"u": AlgebraElement.from_scalar(s, one_plus_q)})
+        # the cofactor 1 / (1 + q) is no Laurent polynomial: the witness is omitted
+        assert solve_membership(MembershipProblem(s, x11, unknowns)) == ("solution", None)
 
     def test_obstruction_at_three(self):
         problem = jordan_membership_problem(3)
@@ -254,7 +264,7 @@ class TestMembership:
         # two copies of the same column: solvable with the free column at zero
         s = Shape(2, 2)
         x11 = gen(s, 1, 1)
-        mono = PbwMonomial((((1, 1), 1),))
+        mono = monomial((((1, 1), 1),))
         problem = MembershipProblem(
             s, x11,
             [UnknownCofactor("u", AlgebraElement.one(s), AlgebraElement.one(s), [mono]),
@@ -271,7 +281,7 @@ def test_subalgebra_component_excludes_corner():
     assert len(full) == 6
     restricted = subalgebra_component(s, ones, (3, 3))
     assert len(restricted) == 4
-    assert all(m.exponent((3, 3)) == 0 for m in restricted)
+    assert all(exponent(m, (3, 3)) == 0 for m in restricted)
 
 
 class TestColumnSplit:
