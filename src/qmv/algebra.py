@@ -29,8 +29,11 @@ Straightening computes with integer coefficients.  A term is c * q^e * monomial
 with c a Python int, and the q exponent travels in the key: the cache
 ``_mono_times_gen(codes, gid)`` returns ``(codes, e, c)`` triples, and a product
 accumulates into one flat ``{(codes, e): c}`` dict.  ``LaurentScalar`` appears
-only at the element boundary: an element stores ``{Codes: LaurentScalar}``,
-and a product regroups its flat dict into that form once, at the end.
+only at the element boundary: an element stores ``{Codes: LaurentScalar}``.
+Sums and products share one accumulator and one regroup: ``_flatten`` adds an
+element's terms into a flat dict, and ``_regroup`` turns a flat dict into an
+element once, at the end, dropping what cancelled.  ``AlgebraElement.sum``,
+``+``, ``-`` and ``*`` all end there, so no other code merges terms.
 
 Only the suffix of a monomial moves.  Every letter a rewrite of h * g creates
 is >= g: the swap gives g and h, and the correction X[k,j] * X[i,l] of a
@@ -264,6 +267,26 @@ def _fold_gen(flat: Flat, g: int) -> Flat:
     return out
 
 
+def _flatten(acc: Flat, terms: dict[Codes, LaurentScalar]) -> Flat:
+    """Add an element's terms into a flat accumulator; returns the accumulator.
+    Cancelled keys stay with coefficient 0 until ``_regroup`` drops them."""
+    for mono, coeff in terms.items():
+        for e, c in coeff._terms.items():
+            key = (mono, e)
+            acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+def _regroup(shape: Shape, acc: Flat) -> "AlgebraElement":
+    """The element a flat accumulator sums to: its nonzero coefficients grouped
+    by monomial into one ``LaurentScalar`` each."""
+    grouped: dict[Codes, dict[int, int]] = {}
+    for (codes, e), c in acc.items():
+        if c:
+            grouped.setdefault(codes, {})[e] = c
+    return AlgebraElement(shape, {codes: LaurentScalar.from_clean(d) for codes, d in grouped.items()})
+
+
 def check_degree(degree: int) -> None:
     """Refuse a product whose terms could reach degree ``degree``: some letter
     exponent might then no longer fit in its code."""
@@ -299,23 +322,12 @@ class AlgebraElement:
     def sum(cls, shape: Shape, elements: Iterable["AlgebraElement"]) -> "AlgebraElement":
         """The sum of elements of one shape, accumulated once with integer
         coefficients instead of one intermediate element per partial sum."""
-        acc: dict[Codes, dict[int, int]] = {}
+        acc: Flat = {}
         for a in elements:
             if a.shape != shape:
                 raise ValueError(f"shape mismatch: {a.shape} vs {shape}")
-            for mono, coeff in a._terms.items():
-                d = acc.get(mono)
-                if d is None:
-                    acc[mono] = dict(coeff._terms)
-                else:
-                    for e, c in coeff._terms.items():
-                        d[e] = d.get(e, 0) + c
-        terms = {}
-        for mono, d in acc.items():
-            clean = {e: c for e, c in d.items() if c}
-            if clean:
-                terms[mono] = LaurentScalar.from_clean(clean)
-        return cls(shape, terms)
+            _flatten(acc, a._terms)
+        return _regroup(shape, acc)
 
     def terms(self) -> list[tuple[Codes, LaurentScalar]]:
         """(monomial, coefficient) pairs in the canonical printing order."""
@@ -335,23 +347,10 @@ class AlgebraElement:
     def __hash__(self) -> int:
         return hash((self.shape, frozenset(self._terms.items())))
 
-    def _check_shape(self, other: "AlgebraElement") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check_shape(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono)
-            c = coeff if c is None else c + coeff
-            if c:
-                out[mono] = c
-            elif mono in out:
-                del out[mono]
-        return AlgebraElement(self.shape, out)
+        return AlgebraElement.sum(self.shape, (self, other))
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.shape, {m: -c for m, c in self._terms.items()})
@@ -359,22 +358,7 @@ class AlgebraElement:
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check_shape(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono)
-            if c is None:
-                out[mono] = -coeff
-                continue
-            d = dict(c._terms)
-            for e, v in coeff._terms.items():
-                d[e] = d.get(e, 0) - v
-            clean = {e: v for e, v in d.items() if v}
-            if clean:
-                out[mono] = LaurentScalar.from_clean(clean)
-            else:
-                del out[mono]
-        return AlgebraElement(self.shape, out)
+        return AlgebraElement.sum(self.shape, (self, -other))
 
     def scale(self, c: LaurentScalar | int) -> "AlgebraElement":
         if isinstance(c, int):
@@ -388,7 +372,8 @@ class AlgebraElement:
             return self.scale(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._check_shape(other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         # Walk the right factor's words in sorted order; each word resumes from
         # the kept fold of the prefix it shares with the previous word.
         words = sorted(
@@ -396,12 +381,7 @@ class AlgebraElement:
             key=itemgetter(0),
         )
         check_degree(self.max_degree() + max((len(word) for word, _ in words), default=0))
-        left = {
-            (mono, e): c
-            for mono, coeff in self._terms.items()
-            for e, c in coeff._terms.items()
-        }
-        path: list[Flat] = [left]  # path[k]: left folded by the first k letters
+        path: list[Flat] = [_flatten({}, self._terms)]  # path[k]: left folded by the first k letters
         prev: tuple[int, ...] = ()
         acc: Flat = {}
         for word, right in words:
@@ -416,12 +396,7 @@ class AlgebraElement:
                 for er, cr in right.items():
                     key = (codes, e + er)
                     acc[key] = acc.get(key, 0) + c * cr
-        grouped: dict[Codes, dict[int, int]] = {}
-        for (codes, e), c in acc.items():
-            if c:
-                grouped.setdefault(codes, {})[e] = c
-        return AlgebraElement(
-            self.shape, {codes: LaurentScalar.from_clean(d) for codes, d in grouped.items()})
+        return _regroup(self.shape, acc)
 
     def __rmul__(self, other: "LaurentScalar | int") -> "AlgebraElement":
         if isinstance(other, (LaurentScalar, int)):

@@ -12,7 +12,7 @@ import sys
 from functools import lru_cache
 
 from .checks import check_zero
-from .expr import ExprError, SessionConfig, evaluate_source
+from .expr import ExprError, SessionConfig, evaluate_source, parse_index_set
 from .minors import minor
 from .verify import FitError, FIT_FAMILIES, fit_exponents, run_suite, verify_frozen_table
 
@@ -75,22 +75,11 @@ def _cmd_det(args) -> int:
 
 def _cmd_minor(args) -> int:
     config = _config(args)
-    rows = _parse_set(args.rows)
-    cols = _parse_set(args.cols)
+    rows = parse_index_set(args.rows)
+    cols = parse_index_set(args.cols)
     value = minor(config.shape, rows, cols)
     _emit(args, {"rows": list(rows), "cols": list(cols), "minor": str(value)}, str(value))
     return 0
-
-
-def _parse_set(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ExprError(f"expected a set literal like {{1,2}}, got {text!r}", 0)
-    try:
-        items = tuple(int(x) for x in text[1:-1].split(","))
-    except ValueError:
-        raise ExprError(f"malformed set literal {text!r}", 0) from None
-    return items
 
 
 def _cmd_suite(args) -> int:

@@ -105,8 +105,8 @@ class _Parser:
             raise self.error(f"set elements must be strictly increasing: {items}")
         return tuple(items)
 
-    def parse(self):
-        node = self.expr()
+    def parse(self, rule):
+        node = rule(self)
         self.skip_ws()
         if self.pos != len(self.src):
             raise self.error(f"unexpected trailing input {self.src[self.pos:]!r}")
@@ -195,7 +195,12 @@ class _Parser:
 
 def parse(source: str):
     """Parse DSL source into an AST; raises ExprError with position info."""
-    return _Parser(source).parse()
+    return _Parser(source).parse(_Parser.expr)
+
+
+def parse_index_set(source: str) -> tuple[int, ...]:
+    """Parse a whole set literal such as ``{1,2}`` by the grammar's ``set`` rule."""
+    return _Parser(source).parse(_Parser.index_set)
 
 
 def evaluate(node, config: SessionConfig) -> LocalizedElement:

@@ -37,7 +37,7 @@ from .algebra import (
     AlgebraElement, Codes, Shape, check_degree, exponent, gen, letter, word,
 )
 from .checks import IdentityCheck, check_zero
-from .minors import check_term_count, expansion, expansion_products, minor
+from .minors import MinorSpec, check_term_count, expansion, expansion_products, minor
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV
 from . import laws
 
@@ -151,9 +151,7 @@ class LocalizedElement:
         return LocalizedElement(-self.numerator, self.k)
 
     def __sub__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
-        other = _coerce_localized(other, self.shape)
-        k = max(self.k, other.k)
-        return LocalizedElement(self.numerator_over(k) - other.numerator_over(k), k)
+        return LocalizedElement.sum(self.shape, (self, -_coerce_localized(other, self.shape)))
 
     def __rsub__(self, other: AlgebraElement) -> "LocalizedElement":
         return _coerce_localized(other, self.shape) - self
@@ -267,12 +265,7 @@ def x_prime_minor(
     memoized per shape, so a t-minor builds each of its about 2^t sub-minors
     once; by Cor. 2.2 each of them has denominator exponent 1."""
     rows, cols = tuple(rows), tuple(cols)
-    if len(rows) != len(cols) or not rows:
-        raise ValueError("derived minor needs equally many rows and columns")
-    if any(a >= b for a, b in zip(rows, rows[1:])) or any(
-        a >= b for a, b in zip(cols, cols[1:])
-    ):
-        raise ValueError("derived minor indices must be strictly increasing")
+    MinorSpec(rows, cols)  # equal sizes, strictly increasing
     if rows[0] < 2 or rows[-1] > shape.m or cols[0] < 1 or cols[-1] > shape.n - 1:
         raise ValueError(f"derived minor [{rows}|{cols}]' does not fit in shape {shape}")
     check_term_count(len(rows) + 1)  # its numerator is a (t+1)-minor's size
@@ -476,12 +469,11 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
     if case == "corner":
         corner = gen(shape, 1, shape.n).scale(LaurentScalar.minus_q_power(len(rows) - 1))
         return {(rows[1:], cols[:-1]): loc(corner)}
-    cofactors: dict[laws.MinorKey, LocalizedElement] = {}
+    pieces: dict[laws.MinorKey, list[LocalizedElement]] = {}
     for (r, c), right in _rewriting(shape, rows, cols, case):
         for key, piece in _derived_cofactors(shape, r, c).items():
-            piece = piece * right
-            cofactors[key] = cofactors[key] + piece if key in cofactors else piece
-    return cofactors
+            pieces.setdefault(key, []).append(piece * right)
+    return {key: LocalizedElement.sum(shape, ps) for key, ps in pieces.items()}
 
 
 def check_minor_commutation(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import chain
 
 
 class LaurentScalar:
@@ -74,15 +75,7 @@ class LaurentScalar:
         return self._hash
 
     def __add__(self, other: "LaurentScalar | int") -> "LaurentScalar":
-        other = _coerce(other)
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            c = out.get(exp, 0) + coeff
-            if c:
-                out[exp] = c
-            elif exp in out:
-                del out[exp]
-        return LaurentScalar.from_clean(out)
+        return LaurentScalar(chain(self._terms.items(), _coerce(other)._terms.items()))
 
     __radd__ = __add__
 

@@ -53,6 +53,7 @@ from .localize import (
 )
 from .minors import (
     complement_minor,
+    expansion_products,
     laplace_expand_col,
     laplace_expand_row,
     minor,
@@ -63,7 +64,6 @@ from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV, ScalarFraction, Z
 from . import laws
 
 Gen = tuple[int, int]
-mq = LaurentScalar.minus_q_power
 
 
 class FitError(RuntimeError):
@@ -414,10 +414,7 @@ def jordan_ingredients(n: int) -> ColumnSplit:
     x = gen(shape, n, n)
     full = tuple(range(1, n + 1))
     # the last-column expansion of det without its final term A(nn) X[n,n]
-    terms = [
-        minor(shape, *t.minor) * gen(shape, *t.gen).scale(mq(t.exponent))
-        for t in laws.col_terms(full, full, n, n)[:-1]
-    ]
+    terms = expansion_products(shape, laws.col_terms(full, full, n, n)[:-1])
     e = AlgebraElement.sum(shape, terms)
     checks = [check_zero(f"det = A(nn) X[n,n] + e (n={n})", c - (d * x + e))]
     corner = (1, n)
@@ -442,8 +439,13 @@ def jordan_ingredients(n: int) -> ColumnSplit:
 def jordan_membership_problem(n: int) -> MembershipProblem:
     """The system e = A(nn) alpha + beta X[1,n] with alpha, beta confined to the
     corner-free subalgebra components forced by the bidegree restriction."""
-    split = jordan_ingredients(n)
+    return _membership_problem(jordan_ingredients(n))
+
+
+def _membership_problem(split: ColumnSplit) -> MembershipProblem:
+    """The membership problem of an already built split."""
     shape = split.shape
+    n = shape.n
     excluded = (n, n)
     alpha_deg = Bidegree((0,) * (n - 1) + (1,), (0,) * (n - 1) + (1,))
     beta_deg = Bidegree((0,) + (1,) * (n - 1), (1,) * (n - 1) + (0,))
@@ -781,7 +783,7 @@ def _suite_jordan(shape: Shape, t=None) -> list[IdentityCheck]:
     split = jordan_ingredients(n)
     checks = list(split.checks)
 
-    problem = jordan_membership_problem(n)
+    problem = _membership_problem(split)
     # the bidegree restriction forces the first cofactor onto the excluded
     # corner generator: inside the subalgebra its basis is empty
     full_alpha = component_basis(shape, Bidegree((0,) * (n - 1) + (1,), (0,) * (n - 1) + (1,)))

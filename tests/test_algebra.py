@@ -227,6 +227,64 @@ def test_associativity_fuzz():
         assert (a * b) * c == a * (b * c)
 
 
+def test_generator_triples_associate():
+    """(a b) c = a (b c) for every ordered triple of generators of 3x3.  The
+    triples with a > b > c are the overlap ambiguities of the rewriting
+    system, so by Bergman's diamond lemma this is its confluence."""
+    s = Shape(3, 3)
+    gens = [X(s, *g) for g in s.generators()]
+    triples = list(itertools.product(gens, repeat=3))
+    assert len(triples) == 729
+    for a, b, c in triples:
+        assert (a * b) * c == a * (b * c), (a, b, c)
+
+
+def reference_sum(shape, signed):
+    """Merge (element, sign) pairs monomial by monomial with LaurentScalar
+    arithmetic, dropping what cancels; independent of the flat accumulator."""
+    out = {}
+    for a, sign in signed:
+        for mono, c in a.terms():
+            out[mono] = out.get(mono, LaurentScalar()) + c * sign
+    return AlgebraElement(shape, {m: c for m, c in out.items() if c})
+
+
+def stores_no_zero(a):
+    return all(c and all(c._terms.values()) for c in a._terms.values())
+
+
+@st.composite
+def elements_with_repeats(draw):
+    """Elements over a small pool of monomials, listed with repeats and with
+    negated copies, so that sums both merge and cancel."""
+    s = draw(st.sampled_from([Shape(3, 3), Shape(2, 4)]))
+    pool = [monomial(Counter(w).items())
+            for w in ((), *([g] for g in s.generators()[:3]), [(1, 1), (2, 2)], [(2, 2), (2, 2)])]
+    scalar = st.dictionaries(st.integers(-1, 1), st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2)
+    element = st.dictionaries(st.sampled_from(pool), scalar.map(LaurentScalar), max_size=3).map(
+        lambda terms: AlgebraElement(s, terms))
+    drawn = draw(st.lists(element, min_size=1, max_size=4))
+    repeats = draw(st.lists(st.sampled_from(drawn), max_size=3))
+    negated = [-x for x in draw(st.lists(st.sampled_from(drawn), max_size=3))]
+    return s, draw(st.permutations(drawn + repeats + negated))
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements_with_repeats())
+def test_sums_match_a_reference_merge(case):
+    s, elements = case
+    a, b = elements[0], elements[-1]
+    results = [
+        (a + b, reference_sum(s, [(a, 1), (b, 1)])),
+        (a - b, reference_sum(s, [(a, 1), (b, -1)])),
+        (a - a, AlgebraElement.zero(s)),
+        (AlgebraElement.sum(s, elements), reference_sum(s, [(x, 1) for x in elements])),
+    ]
+    for got, want in results:
+        assert got == want
+        assert stores_no_zero(got)
+
+
 def test_bidegree_examples():
     s = Shape(2, 2)
     prod = X(s, 1, 2) * X(s, 2, 1)

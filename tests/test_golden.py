@@ -1,6 +1,7 @@
 """Canonical text pinned by sha256: localized normal forms, the determinant, a
-failure witness, the fitted exponent table and suite reports.  A change that
-must leave behaviour alone has to keep every digest."""
+failure witness, the fitted exponent table and suite reports, among them the
+suites whose checks are differences and sums of many terms.  A change that must
+leave behaviour alone has to keep every digest."""
 
 import hashlib
 import json
@@ -28,11 +29,20 @@ GOLDEN = [
      "3688a346cffbf42af2ff0c00550a91d0f580a2d71bd9499e70affd535af5aed8"),
     (["suite", "prop112", "--n", "3", "--format", "json"],
      "0528a4556d3b4c7621e320372c51b9be7f632d26b347a640adf4df60eb5f8e1d"),
+    (["suite", "centrality", "--n", "4", "--format", "json"],
+     "690db8eba148a1ec03a335d673969873bb5841f3c26d977840ecc8e3d1f94d00"),
+    (["suite", "laplace", "--n", "4", "--format", "json"],
+     "b8805bd4660f0d3f8d9bbe19dcd7027b14276240ed741c855f4fa3ffbd5de1c4"),
+    (["suite", "lemma23", "--n", "4", "--format", "json"],
+     "6da6e9aea00d7294f155c29801be9aeaf1e535f7689d46657465a67e0ae49deb"),
+    (["suite", "thm25", "--n", "4", "--format", "json"],
+     "f347f19a65e0d435ce54b97081186f9b48356199dd7f37d4da2497439b89c689"),
 ]
 
 
 IDS = ["normalize-3x3-sum", "normalize-3x3-difference", "normalize-4x4-Mp", "det-4", "equal-4-fails",
-       "fit-exponents", "jordan-obstruction-4", "lemma111-3", "prop112-3"]
+       "fit-exponents", "jordan-obstruction-4", "lemma111-3", "prop112-3",
+       "centrality-4", "laplace-4", "lemma23-4", "thm25-4"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmv import laws, localize
+from qmv import laws, localize, verify
 from qmv.algebra import AlgebraElement, Bidegree, Shape, component_basis, exponent, gen, monomial
 from qmv.checks import WITNESS_TERMS, check_zero
 from qmv.localize import corner_inverse, loc
@@ -297,6 +297,17 @@ class TestColumnSplit:
     def test_two_rejected(self):
         with pytest.raises(ValueError, match="n >= 3"):
             jordan_ingredients(2)
+
+    def test_suite_builds_the_split_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return jordan_ingredients(n)
+
+        monkeypatch.setattr(verify, "jordan_ingredients", counted)
+        assert run_suite("jordan-obstruction", n=3).passed
+        assert calls == [3]
 
 
 def test_run_suite_unknown_name():
