@@ -137,7 +137,8 @@ class _Parser:
         if self.take("^"):
             e = self.integer(signed=True)
             if e < 0 and node != ("q",):
-                raise self.error("negative powers are allowed only on q (or via inv1n)")
+                hint = "; the inverse of inv1n is X[1,n]" if node == ("inv1n",) else " (or via inv1n)"
+                raise self.error(f"negative powers are allowed only on q{hint}")
             node = ("pow", node, e)
         return node
 

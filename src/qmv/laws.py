@@ -6,12 +6,14 @@ verify module determines them by exact linear algebra at the smallest
 nontrivial size; the resulting affine laws are frozen here (exponents.json)
 and re-derivation must reproduce this table exactly, or the suites fail.
 
-Each family's terms are written once, as a term function below: pure index
-arithmetic giving, per term, the law's variables, the frozen exponent, the
-minor and the one generator multiplying it.  The expansions, the Lemma 2.3
-rewriting, the commutation checks and the exponent solver all read these
-tables; the solver takes only their indices and products and solves for the
-exponents itself.
+One evaluator, ``exponent(family, indices)``, reads a frozen law.  Each
+family's terms are written once, as a term function below that names its
+family: pure index arithmetic giving, per term, the law's variables, the minor
+and the one generator multiplying it, with the exponent evaluated at exactly
+those variables.  The expansions, the Lemma 2.3 rewriting, the commutation
+checks and the exponent solver all read these tables; the solver builds the
+suites' own products with every exponent set to zero, solves for the
+exponents itself, and checks them through the same evaluator.
 """
 
 from __future__ import annotations
@@ -47,44 +49,10 @@ def law_coefficients(family: str) -> dict[str, int]:
     return {k: int(v) for k, v in families[family]["law"].items()}
 
 
-def _affine(family: str, **values: int) -> int:
+def exponent(family: str, indices: dict[str, int]) -> int:
+    """The family's frozen affine law at one term's indices."""
     coeffs = law_coefficients(family)
-    out = coeffs.get("1", 0)
-    for var, value in values.items():
-        out += coeffs.get(var, 0) * value
-    return out
-
-
-def row_expansion_exponent(i: int, j: int) -> int:
-    """row-laplace law at row position i, column position j (see row_terms)."""
-    return _affine("row-laplace", i=i, j=j)
-
-
-def col_expansion_exponent(i: int, j: int) -> int:
-    """col-laplace law at row position i, column position j (see col_terms)."""
-    return _affine("col-laplace", i=i, j=j)
-
-
-def minor_row_first_exponent(b: int) -> int:
-    """lemma23-eq1 law at column position b (see first_row_terms)."""
-    return _affine("lemma23-eq1", b=b)
-
-
-def minor_row_last_exponent(p: int, b: int) -> int:
-    """lemma23-eq2 law for a p-minor at column position b (see last_row_terms)."""
-    return _affine("lemma23-eq2", p=p, b=b)
-
-
-def commutation_col_exponent(r_replaced: int, r_inserted: int) -> int:
-    """thm25-2prime law at the ranks of the column leaving the minor and of the
-    generator's column (see col_commutation_terms)."""
-    return _affine("thm25-2prime", rj=r_replaced, rl=r_inserted)
-
-
-def commutation_row_exponent(r_replaced: int, r_inserted: int) -> int:
-    """thm25-4prime law at the ranks of the row leaving the minor and of the
-    generator's row (see row_commutation_terms)."""
-    return _affine("thm25-4prime", rj=r_replaced, rk=r_inserted)
+    return coeffs.get("1", 0) + sum(coeffs.get(var, 0) * value for var, value in indices.items())
 
 
 MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
@@ -101,6 +69,11 @@ class Term(NamedTuple):
     gen: tuple[int, int]
 
 
+def _term(family: str, indices: dict[str, int], minor: MinorKey, gen: tuple[int, int]) -> Term:
+    """A term of the family, its exponent the frozen law at exactly these indices."""
+    return Term(indices, exponent(family, indices), minor, gen)
+
+
 def _drop(indices: tuple[int, ...], position: int) -> tuple[int, ...]:
     return indices[: position - 1] + indices[position:]
 
@@ -112,7 +85,7 @@ def row_terms(rows: tuple[int, ...], cols: tuple[int, ...], i: int, k: int) -> l
     any other row of the minor."""
     rest = _drop(rows, i)
     return [
-        Term({"i": i, "j": j}, row_expansion_exponent(i, j), (rest, _drop(cols, j)), (k, c))
+        _term("row-laplace", {"i": i, "j": j}, (rest, _drop(cols, j)), (k, c))
         for j, c in enumerate(cols, start=1)
     ]
 
@@ -124,7 +97,7 @@ def col_terms(rows: tuple[int, ...], cols: tuple[int, ...], j: int, l: int) -> l
     vanishes for any other column of the minor (cols may repeat l for that)."""
     rest = _drop(cols, j)
     return [
-        Term({"i": i, "j": j}, col_expansion_exponent(i, j), (_drop(rows, i), rest), (r, l))
+        _term("col-laplace", {"i": i, "j": j}, (_drop(rows, i), rest), (r, l))
         for i, r in enumerate(rows, start=1)
     ]
 
@@ -134,7 +107,7 @@ def first_row_terms(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[Term]:
     generator right: [rows|cols] along its first row, or zero when rows_1 also
     lies in rows - rows_1."""
     return [
-        Term({"b": b}, minor_row_first_exponent(b), (rows[1:], _drop(cols, b)), (rows[0], c))
+        _term("lemma23-eq1", {"b": b}, (rows[1:], _drop(cols, b)), (rows[0], c))
         for b, c in enumerate(cols, start=1)
     ]
 
@@ -144,7 +117,7 @@ def last_row_terms(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[Term]:
     generator right: the p-by-p minor [rows|cols] along its last row."""
     p = len(rows)
     return [
-        Term({"p": p, "b": b}, minor_row_last_exponent(p, b), (rows[:-1], _drop(cols, b)), (rows[-1], c))
+        _term("lemma23-eq2", {"p": p, "b": b}, (rows[:-1], _drop(cols, b)), (rows[-1], c))
         for b, c in enumerate(cols, start=1)
     ]
 
@@ -156,7 +129,7 @@ def col_commutation_terms(rows: tuple[int, ...], cols: tuple[int, ...], l: int) 
     enlarged = tuple(sorted(cols + (l,)))
     rl = enlarged.index(l) + 1
     return [
-        Term({"rj": rj, "rl": rl}, commutation_col_exponent(rj, rl), (rows, _drop(enlarged, rj)), (1, j))
+        _term("thm25-2prime", {"rj": rj, "rl": rl}, (rows, _drop(enlarged, rj)), (1, j))
         for rj, j in enumerate(enlarged, start=1)
         if j < l
     ]
@@ -169,7 +142,7 @@ def row_commutation_terms(rows: tuple[int, ...], cols: tuple[int, ...], k: int, 
     enlarged = tuple(sorted(rows + (k,)))
     rk = enlarged.index(k) + 1
     return [
-        Term({"rj": rj, "rk": rk}, commutation_row_exponent(rj, rk), (_drop(enlarged, rj), cols), (j, n))
+        _term("thm25-4prime", {"rj": rj, "rk": rk}, (_drop(enlarged, rj), cols), (j, n))
         for rj, j in enumerate(enlarged, start=1)
         if j > k
     ]

@@ -117,6 +117,14 @@ class LocalizedElement:
         self.numerator = numerator
         self.k = k
 
+    def _scaled(self, numerator: AlgebraElement) -> "LocalizedElement":
+        """``numerator``, this element's numerator times a scalar, over X[1,n]^-k
+        (k = 0 when it is zero): canonical without the strip scan, since
+        Z[q,q^-1] has no zero divisors."""
+        out = object.__new__(LocalizedElement)
+        out.numerator, out.k = numerator, self.k if numerator else 0
+        return out
+
     @property
     def shape(self) -> Shape:
         return self.numerator.shape
@@ -148,7 +156,7 @@ class LocalizedElement:
         return self + other
 
     def __neg__(self) -> "LocalizedElement":
-        return LocalizedElement(-self.numerator, self.k)
+        return self._scaled(-self.numerator)
 
     def __sub__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
         return LocalizedElement.sum(self.shape, (self, -_coerce_localized(other, self.shape)))
@@ -158,14 +166,14 @@ class LocalizedElement:
 
     def __mul__(self, other) -> "LocalizedElement":
         if isinstance(other, (LaurentScalar, int)):
-            return LocalizedElement(self.numerator * other, self.k)
+            return self._scaled(self.numerator * other)
         other = _coerce_localized(other, self.shape)
         # f X^-k g X^-l = f tau^k(g) X^-(k+l)
         return LocalizedElement(self.numerator * tau(other.numerator, self.k), self.k + other.k)
 
     def __rmul__(self, other) -> "LocalizedElement":
         if isinstance(other, (LaurentScalar, int)):
-            return LocalizedElement(self.numerator * other, self.k)
+            return self._scaled(self.numerator * other)
         if isinstance(other, AlgebraElement):
             return _coerce_localized(other, self.shape) * self
         return NotImplemented
@@ -180,7 +188,7 @@ class LocalizedElement:
         return result
 
     def scale(self, c: LaurentScalar | int) -> "LocalizedElement":
-        return LocalizedElement(self.numerator.scale(c), self.k)
+        return self._scaled(self.numerator.scale(c))
 
     @classmethod
     def sum(
@@ -265,9 +273,9 @@ def x_prime_minor(
     memoized per shape, so a t-minor builds each of its about 2^t sub-minors
     once; by Cor. 2.2 each of them has denominator exponent 1."""
     rows, cols = tuple(rows), tuple(cols)
-    MinorSpec(rows, cols)  # equal sizes, strictly increasing
+    spec = MinorSpec(rows, cols)  # equal sizes, strictly increasing
     if rows[0] < 2 or rows[-1] > shape.m or cols[0] < 1 or cols[-1] > shape.n - 1:
-        raise ValueError(f"derived minor [{rows}|{cols}]' does not fit in shape {shape}")
+        raise ValueError(f"derived minor {spec}' does not fit in shape {shape}")
     check_term_count(len(rows) + 1)  # its numerator is a (t+1)-minor's size
     return _x_prime_minor(shape, rows, cols)
 
@@ -495,16 +503,26 @@ def check_minor_commutation(
     if gi == 1 and gj <= shape.n - 1:
         if gj in cols:
             return check_zero(f"{label}: q^-1 twist", difference(QINV))
-        terms, c = laws.col_commutation_terms(rows, cols, gj), -Q * Q_MINUS_QINV
+        terms = laws.col_commutation_terms(rows, cols, gj)
     elif gj == shape.n and gi >= 2:
         if gi in rows:
             return check_zero(f"{label}: q twist", difference(Q))
-        terms, c = laws.row_commutation_terms(rows, cols, gi, shape.n), -QINV * (QINV - Q)
+        terms = laws.row_commutation_terms(rows, cols, gi, shape.n)
     else:
         raise ValueError(f"generator X[{gi},{gj}] is not an edge generator for {shape}")
-    corrections = [
+    return check_zero(f"{label}: correction sum",
+                      difference(ONE, correction_products(shape, terms, g)))
+
+
+def correction_products(shape: Shape, terms: list[laws.Term], g: Gen) -> list[LocalizedElement]:
+    """The correction sum of the edge generator g = X[1,l] or X[k,n] against a
+    derived minor, as the products -c (-q)^e X[gen] [minor]' of its commutation
+    term table, in table order, that complete x [R|C]' - [R|C]' x to zero.  By
+    Theorem 2.5, c = q(q - q^-1) for X[1,l] and q^-1(q^-1 - q) for X[k,n].  The
+    scalar goes on the one-letter generator, never on the product."""
+    c = -Q * Q_MINUS_QINV if g[0] == 1 else -QINV * (QINV - Q)
+    return [
         loc(gen(shape, *t.gen).scale(c * LaurentScalar.minus_q_power(t.exponent)))
         * x_prime_minor(shape, *t.minor)
         for t in terms
     ]
-    return check_zero(f"{label}: correction sum", difference(ONE, corrections))

@@ -44,6 +44,10 @@ class MinorSpec:
         if any(a >= b for a, b in zip(self.cols, self.cols[1:])):
             raise ValueError(f"column indices must be strictly increasing: {self.cols}")
 
+    def __str__(self) -> str:
+        """The DSL's notation, e.g. [{1,2}|{2,3}]."""
+        return "[{%s}|{%s}]" % (",".join(map(str, self.rows)), ",".join(map(str, self.cols)))
+
 
 def inversions(perm: tuple[int, ...]) -> int:
     """Number of inversions of a permutation given in one-line notation."""
@@ -109,10 +113,7 @@ def term_minor(shape: Shape, key: laws.MinorKey) -> AlgebraElement:
 def laplace_expand_row(shape: Shape, i: int, k: int) -> AlgebraElement:
     """sum_j (-q)^(j-i) X[k,j] A(i,j): the determinant when k = i, zero otherwise."""
     full = tuple(range(1, _square_side(shape, i, k) + 1))
-    return AlgebraElement.sum(shape, (
-        gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent)) * term_minor(shape, t.minor)
-        for t in laws.row_terms(full, full, i, k)
-    ))
+    return AlgebraElement.sum(shape, left_expansion_products(shape, laws.row_terms(full, full, i, k)))
 
 
 def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
@@ -130,6 +131,15 @@ def expansion_products(shape: Shape, terms: list[laws.Term]) -> list[AlgebraElem
     """The products (-q)^e [minor] X[gen] of such a term table, in table order."""
     return [
         term_minor(shape, t.minor) * gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
+        for t in terms
+    ]
+
+
+def left_expansion_products(shape: Shape, terms: list[laws.Term]) -> list[AlgebraElement]:
+    """The products (-q)^e X[gen] [minor] of a term table whose generators stand
+    left, in table order."""
+    return [
+        gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent)) * term_minor(shape, t.minor)
         for t in terms
     ]
 

@@ -8,7 +8,8 @@ Three jobs live here:
   unspecified, by exact linear algebra in the relevant graded component, and
   compare the result against the frozen table shipped with the package.  Each
   family's terms come from its table in the laws module, the same table the
-  suites read; the solver takes only their indices and products;
+  suites read, and the solver's columns are the suites' own products of those
+  terms with every exponent set to zero;
 * solve_membership / jordan_ingredients: the column-expansion split of the
   determinant c = d x + e and the certified check that e is not expressible as
   d alpha + beta X[1,n] inside the bidegree-(1,...,1;1,...,1) component.
@@ -45,6 +46,7 @@ from .localize import (
     check_minor_commutation,
     check_minor_reduction,
     corner_inverse,
+    correction_products,
     expand_minor_without_corner,
     loc,
     minor_over_derived_generators,
@@ -56,9 +58,9 @@ from .minors import (
     expansion_products,
     laplace_expand_col,
     laplace_expand_row,
+    left_expansion_products,
     minor,
     qdet,
-    term_minor,
 )
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV, ScalarFraction, ZERO
 from . import laws
@@ -79,25 +81,21 @@ class FitError(RuntimeError):
 def solve_linear(matrix: list[dict[int, object]], rhs: list, n_cols: int,
                  zero) -> tuple[str, list | None]:
     """Exact elimination over sparse rows {column: nonzero entry} of field-like
-    entries (ScalarFraction, Fraction), pivoting on the first live row holding
-    each column; the right-hand side rides along as column n_cols.
+    entries (ScalarFraction, Fraction), one row at a time; the right-hand side
+    rides along as column n_cols.  Each incoming row is reduced against the
+    pivot rows found so far, always at its smallest pivoted column, and then
+    pivots on its smallest column; a row left with its right-hand side alone
+    has no solution.  The pivot columns are those of any echelon form.
 
     Returns ("unique", solution), ("none", None), or ("many", solution), where
     solution pins every free variable to zero.
     """
-    rows = [{**row, n_cols: b} if b else dict(row) for row, b in zip(matrix, rhs)]
-    live = list(range(len(rows)))
-    pivots: list[tuple[int, dict]] = []
-    for c in range(n_cols):
-        holders = [i for i in live if c in rows[i]]
-        if not holders:
-            continue
-        p, *others = holders
-        live.remove(p)
-        prow = rows[p]
-        pivots.append((c, prow))
-        for i in others:
-            row = rows[i]
+    pivots: dict[int, dict] = {}
+    for row, b in zip(matrix, rhs):
+        row = {**row, n_cols: b} if b else dict(row)
+        while hit := [c for c in row if c in pivots]:
+            c = min(hit)
+            prow = pivots[c]
             factor = row[c] / prow[c]
             for col, v in prow.items():
                 x = row[col] - factor * v if col in row else -factor * v
@@ -105,10 +103,13 @@ def solve_linear(matrix: list[dict[int, object]], rhs: list, n_cols: int,
                     row[col] = x
                 else:
                     del row[col]
-    if any(rows[i] for i in live):  # a live row left holds only its right-hand side
-        return "none", None
+        if row:
+            c = min(row)
+            if c == n_cols:
+                return "none", None
+            pivots[c] = row
     sol = [zero] * n_cols
-    for c, row in reversed(pivots):
+    for c, row in sorted(pivots.items(), reverse=True):
         known = sum((v * sol[col] for col, v in row.items() if c < col < n_cols), zero)
         sol[c] = (row.get(n_cols, zero) - known) / row[c]
     return ("many" if len(pivots) < n_cols else "unique"), sol
@@ -178,9 +179,15 @@ FIT_FAMILIES = (
 )
 
 
-def _scalars_to_exponents(solution: list[ScalarFraction], family: str) -> list[int]:
+def _solved_exponents(columns, target, family) -> list[int]:
+    """The exponents e with target = sum (-q)^e columns[i], solved exactly."""
+    status, sol = solve_element_combination(columns, target)
+    if status == "none":
+        raise FitError(f"{family}: no exponent vector satisfies the identity (convention mismatch)")
+    if status == "many":
+        raise FitError(f"{family}: underdetermined at this size; enlarge the instance")
     exps = []
-    for t in solution:
+    for t in sol:
         value = t.as_scalar()
         e = value.as_minus_q_power() if value is not None else None
         if e is None:
@@ -189,20 +196,17 @@ def _scalars_to_exponents(solution: list[ScalarFraction], family: str) -> list[i
     return exps
 
 
-def _solved_exponents(columns, target, family) -> list[int]:
-    status, sol = solve_element_combination(columns, target)
-    if status == "none":
-        raise FitError(f"{family}: no exponent vector satisfies the identity (convention mismatch)")
-    if status == "many":
-        raise FitError(f"{family}: underdetermined at this size; enlarge the instance")
-    return _scalars_to_exponents(sol, family)
+def _unknown(terms: list[laws.Term]) -> list[laws.Term]:
+    """The terms with every exponent set to zero, so no frozen exponent is read."""
+    return [term._replace(exponent=0) for term in terms]
 
 
 def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
     """The identities the family enters at one size, as (target, terms,
-    product): target = sum over the terms of (-q)^e * product(term), with
-    every exponent e unknown.  The terms come from the family's table in the
-    laws module; only their indices and products are used here."""
+    columns): target = sum over the terms of (-q)^e * column, with every
+    exponent e unknown.  The terms come from the family's table in the laws
+    module and the columns are the suites' own products of those terms, built
+    with every exponent set to zero."""
     if family in ("row-laplace", "col-laplace"):
         side = n or 2
         shape = Shape(side, side)
@@ -210,37 +214,28 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
         det = qdet(shape)
         for a in full:
             if family == "row-laplace":
-                yield det, laws.row_terms(full, full, a, a), lambda term: (
-                    gen(shape, *term.gen) * term_minor(shape, term.minor))
+                terms = laws.row_terms(full, full, a, a)
+                yield det, terms, left_expansion_products(shape, _unknown(terms))
             else:
-                yield det, laws.col_terms(full, full, a, a), lambda term: (
-                    term_minor(shape, term.minor) * gen(shape, *term.gen))
+                terms = laws.col_terms(full, full, a, a)
+                yield det, terms, expansion_products(shape, _unknown(terms))
 
     elif family in ("lemma23-eq1", "lemma23-eq2"):
         shape = Shape(m or 3, n or 3)
-
-        def product(term):
-            return minor(shape, *term.minor) * gen(shape, *term.gen)
-
         for p in ((t + 1,) if t else (2, 3)):
             for rows in itertools.combinations(range(1, shape.m + 1), p):
                 for cols in itertools.combinations(range(1, shape.n + 1), p):
                     if family == "lemma23-eq2":
-                        yield minor(shape, rows, cols), laws.last_row_terms(rows, cols), product
+                        terms = laws.last_row_terms(rows, cols)
                     elif rows[0] == 1:
-                        yield minor(shape, rows, cols), laws.first_row_terms(rows, cols), product
+                        terms = laws.first_row_terms(rows, cols)
+                    else:
+                        continue
+                    yield minor(shape, rows, cols), terms, expansion_products(shape, _unknown(terms))
 
     else:
         col_family = family == "thm25-2prime"
         shape = Shape(m or 3, n or 4) if col_family else Shape(m or 4, n or 3)
-        scalar = Q * Q_MINUS_QINV if col_family else QINV * (QINV - Q)
-
-        def product(term):
-            # derived minors have denominator exponent 1 (Cor. 2.2), so every
-            # side of the identity is read as a numerator over X[1,n]^-1
-            piece = loc(gen(shape, *term.gen).scale(scalar)) * x_prime_minor(shape, *term.minor)
-            return piece.numerator_over(1)
-
         for size in ((t - 1,) if t else (1, 2)):
             for rows in itertools.combinations(range(2, shape.m + 1), size):
                 for cols in itertools.combinations(range(1, shape.n), size):
@@ -252,8 +247,12 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
                                  for k in range(2, shape.m + 1) if k not in rows]
                     for g, terms in edges:
                         if terms:
+                            # the corrections complete x mp - mp x to zero; derived minors have
+                            # denominator exponent 1 (Cor. 2.2), so all is read over X[1,n]^-1
                             x, mp = loc(gen(shape, *g)), x_prime_minor(shape, rows, cols)
-                            yield (x * mp - mp * x).numerator_over(1), terms, product
+                            columns = correction_products(shape, _unknown(terms), g)
+                            yield ((mp * x - x * mp).numerator_over(1), terms,
+                                   [c.numerator_over(1) for c in columns])
 
 
 def fit_exponents(family: str, m: int | None = None, n: int | None = None,
@@ -265,24 +264,18 @@ def fit_exponents(family: str, m: int | None = None, n: int | None = None,
     rewritten (the expanded minor has size t + 1); for the commutation
     families it bounds the derived-minor size at t - 1.  The exponents are
     solved for, never read from the term tables, and only then compared with
-    the frozen law.
+    the frozen law through ``laws.exponent``.
     """
     if family not in FIT_FAMILIES:
         raise FitError(f"unknown exponent family {family!r}; choose from {FIT_FAMILIES}")
     instances: list[dict] = []
-    for target, terms, product in _fit_systems(family, m, n, t):
-        exponents = _solved_exponents([product(term) for term in terms], target, family)
+    for target, terms, columns in _fit_systems(family, m, n, t):
+        exponents = _solved_exponents(columns, target, family)
         instances.extend({"indices": term.indices, "exponent": e} for term, e in zip(terms, exponents))
-
-    frozen = laws.law_coefficients(family)
-    matches = all(
-        sum(frozen.get(var, 0) * val for var, val in inst["indices"].items())
-        + frozen.get("1", 0) == inst["exponent"]
-        for inst in instances
-    )
-    if not matches:
+    if any(laws.exponent(family, inst["indices"]) != inst["exponent"] for inst in instances):
         raise FitError(f"{family}: recomputed exponents diverge from the frozen table")
-    return ExponentFit(family, instances, frozen, residual_zero=True, matches_frozen=True)
+    return ExponentFit(family, instances, laws.law_coefficients(family),
+                       residual_zero=True, matches_frozen=True)
 
 
 def verify_frozen_table() -> list[ExponentFit]:

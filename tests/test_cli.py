@@ -48,6 +48,12 @@ class TestParse:
         with pytest.raises(ExprError, match="negative powers"):
             parse("X[1,1]^-1")
 
+    def test_negative_power_of_the_corner_inverse(self):
+        # inv1n is the base, so the message must not point back to it
+        with pytest.raises(ExprError, match="negative powers") as err:
+            parse("inv1n^-1")
+        assert "via inv1n" not in str(err.value) and err.value.pos == 8
+
     def test_leading_minus(self):
         s = Shape(2, 2)
         assert evaluate_source("-X[1,1] + X[1,1]", C22) == loc(AlgebraElement.zero(s))
@@ -132,6 +138,14 @@ class TestCommands:
 
     def test_out_of_shape_exit_code(self, capsys):
         assert main(["normalize", "--m", "3", "--n", "3", "X[5,1]"]) == 2
+
+    def test_out_of_shape_minor_names_its_index_sets(self, capsys):
+        assert main(["normalize", "--n", "3", "M[{4}|{1}]"]) == 2
+        assert "minor [{4}|{1}] does not fit in shape 3x3" in capsys.readouterr().err
+
+    def test_out_of_shape_derived_minor_names_its_index_sets(self, capsys):
+        assert main(["normalize", "--n", "3", "Mp[{2}|{3}]"]) == 2
+        assert "derived minor [{2}|{3}]' does not fit in shape 3x3" in capsys.readouterr().err
 
     def test_missing_shape_exit_code(self, capsys):
         assert main(["normalize", "X[1,1]"]) == 2

@@ -1,7 +1,8 @@
 """Canonical text pinned by sha256: localized normal forms, the determinant, a
 failure witness, the fitted exponent table and suite reports, among them the
-suites whose checks are differences and sums of many terms.  A change that must
-leave behaviour alone has to keep every digest."""
+suites whose checks are differences and sums of many terms, and the commutation
+corrections of both orientations.  A change that must leave behaviour alone has
+to keep every digest."""
 
 import hashlib
 import json
@@ -37,12 +38,19 @@ GOLDEN = [
      "6da6e9aea00d7294f155c29801be9aeaf1e535f7689d46657465a67e0ae49deb"),
     (["suite", "thm25", "--n", "4", "--format", "json"],
      "f347f19a65e0d435ce54b97081186f9b48356199dd7f37d4da2497439b89c689"),
+    (["fit-exponents"],
+     "04f5eaa9cba60b025cf3033d903ba60a84432c3134f3a33dc4ed67dc621e9694"),
+    (["suite", "thm25", "--m", "3", "--n", "4", "--format", "json"],
+     "0ab7770590d40b5937bf28dc4533c42009a7631f1feae237fcfc9f32af9b2a22"),
+    (["suite", "thm25", "--m", "4", "--n", "3", "--format", "json"],
+     "1d7455f17a8d13c4b2b5399c6f2786aa97224d4a8bd491e9400717246e9f3276"),
 ]
 
 
 IDS = ["normalize-3x3-sum", "normalize-3x3-difference", "normalize-4x4-Mp", "det-4", "equal-4-fails",
        "fit-exponents", "jordan-obstruction-4", "lemma111-3", "prop112-3",
-       "centrality-4", "laplace-4", "lemma23-4", "thm25-4"]
+       "centrality-4", "laplace-4", "lemma23-4", "thm25-4",
+       "fit-exponents-text", "thm25-3x4", "thm25-4x3"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)

@@ -17,7 +17,7 @@ from qmv.minors import (
     project_pi,
     qdet,
 )
-from qmv.laws import row_expansion_exponent
+from qmv import laws
 from qmv.localize import x_prime_minor
 from qmv.scalar import LaurentScalar, Q
 
@@ -94,8 +94,8 @@ def test_complement_minor_examples():
 def test_row_expansion_exponent_special_cases():
     # expansion along the first row carries (-q)^(j-1); the alien relation
     # mixing rows 1 and 2 carries (-q)^(j-2)
-    assert [row_expansion_exponent(1, j) for j in (1, 2, 3)] == [0, 1, 2]
-    assert [row_expansion_exponent(2, j) for j in (1, 2, 3)] == [-1, 0, 1]
+    assert [laws.exponent("row-laplace", {"i": 1, "j": j}) for j in (1, 2, 3)] == [0, 1, 2]
+    assert [laws.exponent("row-laplace", {"i": 2, "j": j}) for j in (1, 2, 3)] == [-1, 0, 1]
 
 
 @pytest.mark.parametrize("n", [2, 3])
