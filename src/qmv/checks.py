@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass
 class IdentityCheck:
-    """One verified identity: passes exactly when the canonical difference is zero."""
+    """One verified identity: passes exactly when the canonical difference is zero.
+    A failing check keeps that difference, so that a check of the same order
+    pattern can relabel it."""
 
     name: str
     ok: bool
     witness: str | None = None
     seconds: float = 0.0
+    difference: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "status": "pass" if self.ok else "fail"}
@@ -28,5 +31,6 @@ def check_zero(name: str, difference) -> IdentityCheck:
     """Build a check from an element or localized element.  The witness is the
     nonzero rest: in full up to WITNESS_TERMS terms, otherwise its first
     WITNESS_TERMS terms in canonical order and its term count."""
-    ok = difference.is_zero()
-    return IdentityCheck(name, ok, None if ok else difference.render(WITNESS_TERMS))
+    if difference.is_zero():
+        return IdentityCheck(name, True)
+    return IdentityCheck(name, False, difference.render(WITNESS_TERMS), difference=difference)

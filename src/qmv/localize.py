@@ -23,6 +23,10 @@ is run to build it.
 Each map is verified by one exact check, sum of derived minor times cofactor
 minus the minor, so a wrong law shows up as a failing check.  The expansions
 themselves are checked and reported once per minor by the lemma23 suite.
+
+Each check builder the cor22, lemma23 and thm25 suites use has a companion
+that names its checks, so that the patterns module, which runs one check per
+order-pattern class, names every check of a class as the builder would.
 """
 
 from __future__ import annotations
@@ -342,11 +346,14 @@ def check_minor_reduction(shape: Shape, rows: tuple[int, ...], cols: tuple[int, 
     scaled = LaurentScalar.minus_q_power(1 - p)
     right = LocalizedElement(big.scale(scaled), 1)
     left = corner_inverse(shape).scale(scaled) * big
+    right_name, left_name = reduction_names(shape, rows, cols)
+    return [check_zero(right_name, mp - right), check_zero(left_name, mp - left)]
+
+
+def reduction_names(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> list[str]:
+    """The names of the two checks ``check_minor_reduction`` builds."""
     label = f"[{list(rows)}|{list(cols)}] reduction in {shape}"
-    return [
-        check_zero(f"{label}, right denominator", mp - right),
-        check_zero(f"{label}, left denominator", mp - left),
-    ]
+    return [f"{label}, right denominator", f"{label}, left denominator"]
 
 
 @dataclass
@@ -370,17 +377,21 @@ def _corner_case(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> 
     return "missing-row" if cols[-1] == shape.n else "missing-both"
 
 
-def _solved_terms(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str
-                  ) -> list[laws.Term]:
+def _call(table, *args):
+    return table(*args)
+
+
+def _solved_terms(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str,
+                  read=_call) -> list[laws.Term]:
     """The expansion that the rewriting of [rows|cols] solves, as a term table
     (generators right): along row 1 with column n adjoined, or along column n
     with row 1 adjoined, both of which vanish; or, when both are missing, the
     first-row expansion of the enlarged minor.  Its term with the corner
-    generator X[1,n] holds the target."""
+    generator X[1,n] holds the target.  ``read(table, *args)`` reads the table."""
     n = shape.n
     if case == "missing-row":
-        return laws.col_terms((1,) + rows, cols + (n,), len(rows) + 1, n)
-    return laws.first_row_terms((1,) + rows, cols + (n,))
+        return read(laws.col_terms, (1,) + rows, cols + (n,), len(rows) + 1, n)
+    return read(laws.first_row_terms, (1,) + rows, cols + (n,))
 
 
 def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str
@@ -419,10 +430,11 @@ def expand_minor_without_corner(
     """
     rows, cols = tuple(rows), tuple(cols)
     target = minor(shape, rows, cols)  # validates the index sets
-    label = f"[{list(rows)}|{list(cols)}] in {shape}"
     case = _corner_case(shape, rows, cols)
     if case == "corner":
-        raise ValueError(f"{label} already contains the corner; use the minor reduction")
+        raise ValueError(f"[{list(rows)}|{list(cols)}] in {shape} already contains the corner; "
+                         "use the minor reduction")
+    names = expansion_names(shape, rows, cols)
     terms = _solved_terms(shape, rows, cols, case)
     products = expansion_products(shape, terms)
     solved = AlgebraElement.sum(shape, products)
@@ -433,17 +445,28 @@ def expand_minor_without_corner(
         big = minor(shape, big_rows, big_cols)
         others.append(-big)
         checks = [
-            check_zero(f"{label}: first-row expansion of the enlarged minor", big - solved),
-            check_zero(f"{label}: last-row expansion of the enlarged minor",
-                       big - expansion(shape, laws.last_row_terms(big_rows, big_cols))),
+            check_zero(names[0], big - solved),
+            check_zero(names[1], big - expansion(shape, laws.last_row_terms(big_rows, big_cols))),
         ]
     else:
-        line = "row-1" if case == "missing-column" else "column-n"
-        checks = [check_zero(f"{label}: {line} expansion vanishes", solved)]
+        checks = [check_zero(names[0], solved)]
     scale = -LaurentScalar.minus_q_power(-terms[corner].exponent)
     rewriting = LocalizedElement(AlgebraElement.sum(shape, others).scale(scale), 1)
-    checks.append(check_zero(f"{label}: rewriting agrees", rewriting - target))
+    checks.append(check_zero(names[-1], rewriting - target))
     return MinorExpansion(case, checks, rewriting)
+
+
+def expansion_names(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> list[str]:
+    """The names of the checks ``expand_minor_without_corner`` builds, in order:
+    the expansions it solves, then the rewriting."""
+    label = f"[{list(rows)}|{list(cols)}] in {shape}"
+    case = _corner_case(shape, rows, cols)
+    if case == "missing-both":
+        claims = ["first-row expansion of the enlarged minor",
+                  "last-row expansion of the enlarged minor"]
+    else:
+        claims = [f"{'row-1' if case == 'missing-column' else 'column-n'} expansion vanishes"]
+    return [f"{label}: {claim}" for claim in claims + ["rewriting agrees"]]
 
 
 def minor_over_derived_generators(
@@ -459,12 +482,16 @@ def minor_over_derived_generators(
     """
     rows, cols = tuple(rows), tuple(cols)
     target = minor(shape, rows, cols)  # validates the index sets
-    label = f"[{list(rows)}|{list(cols)}] over derived minors in {shape}"
     cofactors = _derived_cofactors(shape, rows, cols)
     total = LocalizedElement.sum(
         shape, (x_prime_minor(shape, r, c) * piece for (r, c), piece in cofactors.items())
     )
-    return cofactors, check_zero(label, total - target)
+    return cofactors, check_zero(derived_name(shape, rows, cols), total - target)
+
+
+def derived_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> str:
+    """The name of the check ``minor_over_derived_generators`` builds."""
+    return f"[{list(rows)}|{list(cols)}] over derived minors in {shape}"
 
 
 def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]
@@ -494,7 +521,7 @@ def check_minor_commutation(
     mp = x_prime_minor(shape, rows, cols)
     gi, gj = g
     x = gen(shape, gi, gj)
-    label = f"X[{gi},{gj}] vs [{list(rows)}|{list(cols)}]' in {shape}"
+    name = commutation_name(shape, rows, cols, g)
 
     def difference(twist: LaurentScalar, corrections=()) -> LocalizedElement:
         # x mp - twist * mp x minus the correction sum, accumulated once
@@ -502,16 +529,27 @@ def check_minor_commutation(
 
     if gi == 1 and gj <= shape.n - 1:
         if gj in cols:
-            return check_zero(f"{label}: q^-1 twist", difference(QINV))
+            return check_zero(name, difference(QINV))
         terms = laws.col_commutation_terms(rows, cols, gj)
     elif gj == shape.n and gi >= 2:
         if gi in rows:
-            return check_zero(f"{label}: q twist", difference(Q))
+            return check_zero(name, difference(Q))
         terms = laws.row_commutation_terms(rows, cols, gi, shape.n)
     else:
         raise ValueError(f"generator X[{gi},{gj}] is not an edge generator for {shape}")
-    return check_zero(f"{label}: correction sum",
-                      difference(ONE, correction_products(shape, terms, g)))
+    return check_zero(name, difference(ONE, correction_products(shape, terms, g)))
+
+
+def commutation_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen) -> str:
+    """The name of the check ``check_minor_commutation`` builds."""
+    gi, gj = g
+    if gi == 1 and gj in cols:
+        claim = "q^-1 twist"
+    elif gj == shape.n and gi in rows:
+        claim = "q twist"
+    else:
+        claim = "correction sum"
+    return f"X[{gi},{gj}] vs [{list(rows)}|{list(cols)}]' in {shape}: {claim}"
 
 
 def correction_products(shape: Shape, terms: list[laws.Term], g: Gen) -> list[LocalizedElement]:
@@ -526,3 +564,4 @@ def correction_products(shape: Shape, terms: list[laws.Term], g: Gen) -> list[Lo
         * x_prime_minor(shape, *t.minor)
         for t in terms
     ]
+

@@ -75,7 +75,10 @@ class LaurentScalar:
         return self._hash
 
     def __add__(self, other: "LaurentScalar | int") -> "LaurentScalar":
-        return LaurentScalar(chain(self._terms.items(), _coerce(other)._terms.items()))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return LaurentScalar(chain(self._terms.items(), other._terms.items()))
 
     __radd__ = __add__
 
@@ -83,13 +86,17 @@ class LaurentScalar:
         return LaurentScalar.from_clean({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentScalar | int") -> "LaurentScalar":
-        return self + (-_coerce(other))
+        other = _operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other: "LaurentScalar | int") -> "LaurentScalar":
-        return _coerce(other) + (-self)
+        other = _operand(other)
+        return NotImplemented if other is None else other + (-self)
 
     def __mul__(self, other: "LaurentScalar | int") -> "LaurentScalar":
-        other = _coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
             return ZERO
@@ -161,12 +168,22 @@ class LaurentScalar:
         return f"LaurentScalar({self.render()!r})"
 
 
-def _coerce(x: "LaurentScalar | int") -> LaurentScalar:
+def _operand(x: object) -> LaurentScalar | None:
+    """x as a LaurentScalar, or None when it is neither one nor an int: the
+    operators then return NotImplemented, so that ``Q * x`` reaches the
+    reflected method of an element x."""
     if isinstance(x, LaurentScalar):
         return x
     if isinstance(x, int):
         return LaurentScalar.from_int(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to LaurentScalar")
+    return None
+
+
+def _coerce(x: "LaurentScalar | int") -> LaurentScalar:
+    c = _operand(x)
+    if c is None:
+        raise TypeError(f"cannot coerce {type(x).__name__} to LaurentScalar")
+    return c
 
 
 ZERO = LaurentScalar()

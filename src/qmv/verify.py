@@ -3,7 +3,9 @@
 Three jobs live here:
 
 * run_suite: execute a named catalog of identity checks over a chosen shape and
-  report pass/fail with failure witnesses;
+  report pass/fail with failure witnesses.  The cor22, lemma23 and thm25
+  suites live in the patterns module, which runs one check per order-pattern
+  class;
 * fit_exponents: solve for the q-power coefficients the identity families leave
   unspecified, by exact linear algebra in the relevant graded component, and
   compare the result against the frozen table shipped with the package.  Each
@@ -43,13 +45,9 @@ from .algebra import (
 from .checks import IdentityCheck, check_zero
 from .localize import (
     check_det_reduction,
-    check_minor_commutation,
-    check_minor_reduction,
     corner_inverse,
     correction_products,
-    expand_minor_without_corner,
     loc,
-    minor_over_derived_generators,
     x_prime_entries,
     x_prime_minor,
 )
@@ -464,6 +462,7 @@ class SuiteReport:
     params: dict
     checks: list[IdentityCheck]
     seconds: float = 0.0
+    counts: dict[str, int] = field(default_factory=dict)  # reported under timings
 
     @property
     def passed(self) -> bool:
@@ -474,7 +473,7 @@ class SuiteReport:
             "suite": self.suite,
             "shape": self.params,
             "checks": [c.as_dict() for c in self.checks],
-            "timings": {"total_seconds": round(self.seconds, 6)},
+            "timings": {"total_seconds": round(self.seconds, 6), **self.counts},
             "status": "pass" if self.passed else "fail",
         }
 
@@ -619,46 +618,6 @@ def _suite_thm21(shape: Shape, t=None) -> list[IdentityCheck]:
     if shape.m != shape.n:
         raise ValueError("determinant reduction needs a square shape")
     return check_det_reduction(shape.n)
-
-
-def _suite_cor22(shape: Shape, t=None) -> list[IdentityCheck]:
-    checks = []
-    for p in range(2, min(shape.m, shape.n) + 1):
-        for rows in itertools.combinations(range(2, shape.m + 1), p - 1):
-            for cols in itertools.combinations(range(1, shape.n), p - 1):
-                checks.extend(check_minor_reduction(shape, (1,) + rows, cols + (shape.n,)))
-    return checks
-
-
-def _suite_lemma23(shape: Shape, t=None) -> list[IdentityCheck]:
-    sizes = [t] if t else list(range(2, min(shape.m, shape.n) + 1))
-    checks = []
-    for p in sizes:
-        for rows in itertools.combinations(range(1, shape.m + 1), p):
-            for cols in itertools.combinations(range(1, shape.n + 1), p):
-                if rows[0] == 1 and cols[-1] == shape.n:
-                    continue
-                checks.extend(expand_minor_without_corner(shape, rows, cols).checks)
-        for rows in itertools.combinations(range(1, shape.m + 1), p):
-            for cols in itertools.combinations(range(1, shape.n + 1), p):
-                _, check = minor_over_derived_generators(shape, rows, cols)
-                checks.append(check)
-    return checks
-
-
-def _suite_thm25(shape: Shape, t=None) -> list[IdentityCheck]:
-    sizes = [t - 1] if t else list(range(1, min(shape.m, shape.n)))
-    checks = []
-    for size in sizes:
-        if size < 1 or size > min(shape.m - 1, shape.n - 1):
-            continue
-        for rows in itertools.combinations(range(2, shape.m + 1), size):
-            for cols in itertools.combinations(range(1, shape.n), size):
-                for l in range(1, shape.n):
-                    checks.append(check_minor_commutation(shape, rows, cols, (1, l)))
-                for k in range(2, shape.m + 1):
-                    checks.append(check_minor_commutation(shape, rows, cols, (k, shape.n)))
-    return checks
 
 
 def _suite_centrality(shape: Shape, t=None) -> list[IdentityCheck]:
@@ -808,9 +767,6 @@ SUITES = {
     "prop112": _suite_prop112,
     "lemma111": _suite_lemma111,
     "thm21": _suite_thm21,
-    "cor22": _suite_cor22,
-    "lemma23": _suite_lemma23,
-    "thm25": _suite_thm25,
     "centrality": _suite_centrality,
     "semicentrality": _suite_semicentrality,
     "laplace": _suite_laplace,
@@ -819,12 +775,16 @@ SUITES = {
     "jordan-obstruction": _suite_jordan,
 }
 
+# The suites of the patterns module, which run one check per order-pattern class.
+PATTERN_SUITES = ("cor22", "lemma23", "thm25")
+
 
 def run_suite(name: str, m: int | None = None, n: int | None = None,
               t: int | None = None) -> SuiteReport:
     """Run one named identity suite over the given shape parameters."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+    if name not in SUITES and name not in PATTERN_SUITES:
+        available = ", ".join(sorted([*SUITES, *PATTERN_SUITES]))
+        raise ValueError(f"unknown suite {name!r}; available: {available}")
     if n is None and m is None:
         raise ValueError(f"suite {name} needs shape parameters (--m/--n)")
     if n is None:
@@ -835,9 +795,14 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
     if t is not None and not (1 <= t <= min(m, n)):
         raise ValueError(f"t={t} out of range for shape {shape}")
     start = time.monotonic()
-    checks = SUITES[name](shape, t)
+    if name in PATTERN_SUITES:
+        # loaded on first use: a process that runs no such suite never compiles it
+        from .patterns import CALLS, check_by_class
+        checks, counts = check_by_class(shape, CALLS[name](shape, t))
+    else:
+        checks, counts = SUITES[name](shape, t), {}
     elapsed = time.monotonic() - start
-    return SuiteReport(name, {"m": m, "n": n, **({"t": t} if t else {})}, checks, elapsed)
+    return SuiteReport(name, {"m": m, "n": n, **({"t": t} if t else {})}, checks, elapsed, counts)
 
 
 def associativity_fuzz(shape: Shape, count: int, max_degree: int = 3,

@@ -44,13 +44,19 @@ GOLDEN = [
      "0ab7770590d40b5937bf28dc4533c42009a7631f1feae237fcfc9f32af9b2a22"),
     (["suite", "thm25", "--m", "4", "--n", "3", "--format", "json"],
      "1d7455f17a8d13c4b2b5399c6f2786aa97224d4a8bd491e9400717246e9f3276"),
+    (["suite", "cor22", "--n", "4", "--format", "json"],
+     "d87f3008d0cccadf1c03cdaac0d51d9e9b7ac044f0d3843b18e4ba3f8ce3e396"),
+    (["suite", "lemma23", "--m", "3", "--n", "4", "--format", "json"],
+     "6a77fa6a362231b7935840ee7119c6c2d1e05bdfeed917126bab9a7d3cd3df1c"),
+    (["suite", "lemma23", "--m", "4", "--n", "3", "--format", "json"],
+     "0e1912fe2450d6022feb3a3dea269b43b46705f42d9c2b61008d95e7a0e07b85"),
 ]
 
 
 IDS = ["normalize-3x3-sum", "normalize-3x3-difference", "normalize-4x4-Mp", "det-4", "equal-4-fails",
        "fit-exponents", "jordan-obstruction-4", "lemma111-3", "prop112-3",
        "centrality-4", "laplace-4", "lemma23-4", "thm25-4",
-       "fit-exponents-text", "thm25-3x4", "thm25-4x3"]
+       "fit-exponents-text", "thm25-3x4", "thm25-4x3", "cor22-4", "lemma23-3x4", "lemma23-4x3"]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=IDS)

@@ -143,3 +143,19 @@ class TestScalarFraction:
                 k = rng.randint(-3, 3)
                 assert ScalarFraction(a * b, b).as_scalar() == a
                 assert ScalarFraction(-(a * b), b * qp(k)).as_scalar() == -(a * qp(-k))
+
+
+def test_scalar_on_the_left_of_an_element():
+    # the scalar declines an element operand, so the element's reflected method runs
+    from qmv.algebra import Shape, gen
+    from qmv.localize import LocalizedElement
+
+    s = Shape(2, 3)
+    x = gen(s, 1, 2) * gen(s, 2, 1) + gen(s, 2, 3).scale(QINV)
+    for element in (x, LocalizedElement(x, 1)):
+        for c in (Q, QINV - Q, ZERO, ONE):
+            assert c * element == element.scale(c)
+        for op in ("__add__", "__sub__", "__rsub__", "__mul__"):
+            assert getattr(Q, op)(element) is NotImplemented
+        with pytest.raises(TypeError):
+            Q + element
