@@ -44,11 +44,13 @@ appends g directly when the last letter of a monomial is <= g; otherwise it
 splits the monomial at g and straightens only the suffix through the cache,
 whose entries are therefore suffixes alone.
 
-A product walks the words of its right factor in sorted order and keeps the
-fold of the left factor by every prefix of the current word.  Each word
-resumes from the longest prefix it shares with the previous one, so words
-sharing a prefix, such as the permutation words of a determinant, fold that
-prefix once.
+The general product, ``AlgebraElement.__mul__``, walks the words of its right
+factor in sorted order and keeps the fold of the left factor by every prefix
+of the current word.  Each word resumes from the longest prefix it shares with
+the previous one, so words sharing a prefix fold that prefix once.  Products
+of a generator with a quantum minor do not take this walk: the minors module
+reduces them to two-letter straightenings and smaller minors, with the same
+flat accumulator and regroup, and keeps ``__mul__`` as their reference.
 
 Monomials and elements are immutable values and every operation is a pure
 function, so all of this is safe to use from concurrent workers.

@@ -231,7 +231,8 @@ def check_by_class(shape: Shape, calls: Iterable[Call]) -> tuple[list[IdentityCh
 
 
 def _cor22_calls(shape: Shape, t=None) -> Iterable[Call]:
-    for p in range(2, min(shape.m, shape.n) + 1):
+    sizes = [t] if t else list(range(2, min(shape.m, shape.n) + 1))
+    for p in sizes:
         for rows in itertools.combinations(range(2, shape.m + 1), p - 1):
             for cols in itertools.combinations(range(1, shape.n), p - 1):
                 yield REDUCTION, ((1,) + rows, cols + (shape.n,))
@@ -253,8 +254,6 @@ def _lemma23_calls(shape: Shape, t=None) -> Iterable[Call]:
 def _thm25_calls(shape: Shape, t=None) -> Iterable[Call]:
     sizes = [t - 1] if t else list(range(1, min(shape.m, shape.n)))
     for size in sizes:
-        if size < 1 or size > min(shape.m - 1, shape.n - 1):
-            continue
         for rows in itertools.combinations(range(2, shape.m + 1), size):
             for cols in itertools.combinations(range(1, shape.n), size):
                 for l in range(1, shape.n):

@@ -33,7 +33,7 @@ from .algebra import (
     Bidegree,
     Codes,
     Shape,
-    commutator,
+    _mono_times_gen,
     component_basis,
     exponent,
     gen,
@@ -58,6 +58,7 @@ from .minors import (
     laplace_expand_row,
     left_expansion_products,
     minor,
+    minor_commutator,
     qdet,
 )
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV, ScalarFraction, ZERO
@@ -623,9 +624,9 @@ def _suite_thm21(shape: Shape, t=None) -> list[IdentityCheck]:
 def _suite_centrality(shape: Shape, t=None) -> list[IdentityCheck]:
     if shape.m != shape.n:
         raise ValueError("centrality of the determinant needs a square shape")
-    det = qdet(shape)
+    full = tuple(range(1, shape.n + 1))
     return [
-        check_zero(f"det central vs X[{i},{j}]", commutator(det, gen(shape, i, j)))
+        check_zero(f"det central vs X[{i},{j}]", minor_commutator(gen(shape, i, j), full, full))
         for i, j in shape.generators()
     ]
 
@@ -635,12 +636,11 @@ def _suite_semicentrality(shape: Shape, t=None) -> list[IdentityCheck]:
     for p in range(1, min(shape.m, shape.n) + 1):
         for rows in itertools.combinations(range(1, shape.m + 1), p):
             for cols in itertools.combinations(range(1, shape.n + 1), p):
-                mn = minor(shape, rows, cols)
                 for i in rows:
                     for j in cols:
                         checks.append(check_zero(
                             f"[{list(rows)}|{list(cols)}] vs X[{i},{j}]",
-                            mn * gen(shape, i, j) - gen(shape, i, j) * mn))
+                            minor_commutator(gen(shape, i, j), rows, cols)))
     return checks
 
 
@@ -794,6 +794,10 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
     shape = Shape(m, n)
     if t is not None and not (1 <= t <= min(m, n)):
         raise ValueError(f"t={t} out of range for shape {shape}")
+    if t == 1 and name in PATTERN_SUITES:
+        # each relates t-minors to derived (t-1)-minors, which need t - 1 >= 1
+        raise ValueError(f"suite {name} takes t >= 2, got t=1")
+    cached = _mono_times_gen.cache_info().currsize
     start = time.monotonic()
     if name in PATTERN_SUITES:
         # loaded on first use: a process that runs no such suite never compiles it
@@ -802,6 +806,7 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
     else:
         checks, counts = SUITES[name](shape, t), {}
     elapsed = time.monotonic() - start
+    counts["straighten_cache_added"] = _mono_times_gen.cache_info().currsize - cached
     return SuiteReport(name, {"m": m, "n": n, **({"t": t} if t else {})}, checks, elapsed, counts)
 
 

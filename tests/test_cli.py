@@ -241,6 +241,22 @@ class TestCommands:
         assert main(["normalize", "--m", "3", "--n", "3", "--t", "2", "X[1,1]"]) == 2
         assert main(["jordan", "--n", "3", "--t", "2"]) == 2
 
+    @pytest.mark.parametrize("argv", [["thm25", "--n", "4"], ["lemma23", "--n", "3"],
+                                      ["cor22", "--n", "3"]])
+    def test_minor_size_below_the_suite_floor_is_usage_error(self, capsys, argv):
+        # thm25 used to report "0 checks, pass" here, and lemma23 an unrelated error
+        assert main(["suite", *argv, "--t", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"suite {argv[0]} takes t >= 2, got t=1" in out.err
+
+    def test_cor22_checks_the_given_minor_size_only(self, capsys):
+        assert main(["suite", "cor22", "--n", "4", "--t", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["shape"] == {"m": 4, "n": 4, "t": 3}
+        # 3 row pairs below row 1 times 3 column pairs before column 4, two checks each
+        assert len(payload["checks"]) == 18
+        assert all(c["name"].split("|")[0].count(",") == 2 for c in payload["checks"])
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

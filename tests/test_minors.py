@@ -4,22 +4,26 @@ import itertools
 
 import pytest
 
-from qmv.algebra import AlgebraElement, Bidegree, Shape, commutator, gen
+from qmv.algebra import AlgebraElement, Bidegree, Shape, _mono_times_gen, commutator, gen
 from qmv import minors
 from qmv.minors import (
     MinorSpec,
     check_term_count,
     complement_minor,
+    gen_times_minor,
     inversions,
     laplace_expand_col,
     laplace_expand_row,
     minor,
+    minor_commutator,
+    minor_times_gen,
     project_pi,
     qdet,
 )
 from qmv import laws
 from qmv.localize import x_prime_minor
-from qmv.scalar import LaurentScalar, Q
+from qmv.scalar import LaurentScalar, Q, QINV
+from qmv.verify import run_suite
 
 
 def test_inversion_count():
@@ -213,3 +217,57 @@ def test_term_guard_estimates_before_building(monkeypatch):
         qdet(Shape(4, 4))
     with pytest.raises(ValueError, match="4! = 24 terms"):
         x_prime_minor(Shape(4, 4), (2, 3, 4), (1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# generator times minor through sub-minors, against the kernel product
+# ---------------------------------------------------------------------------
+
+def _all_minors(shape):
+    for p in range(1, min(shape.m, shape.n) + 1):
+        for rows in itertools.combinations(range(1, shape.m + 1), p):
+            for cols in itertools.combinations(range(1, shape.n + 1), p):
+                yield rows, cols
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (3, 4), (4, 3), (5, 5)])
+def test_generator_minor_products_match_the_kernel(m, n):
+    # every generator, plain and scaled, on both sides of every minor; the
+    # reference is the permutation-sum minor times the generator in the kernel
+    s = Shape(m, n)
+    scale = Q * (Q - QINV)
+    for rows, cols in _all_minors(s):
+        mn = minor(s, rows, cols)
+        for i, j in s.generators():
+            for x in (gen(s, i, j), gen(s, i, j).scale(scale)):
+                assert gen_times_minor(x, rows, cols) == x * mn, (rows, cols, i, j)
+                assert minor_times_gen(rows, cols, x) == mn * x, (rows, cols, i, j)
+
+
+def test_minor_commutator_is_the_kernel_commutator():
+    s = Shape(4, 4)
+    x = gen(s, 2, 3).scale(-QINV) + gen(s, 4, 1)
+    for rows, cols in _all_minors(s):
+        assert minor_commutator(x, rows, cols) == commutator(minor(s, rows, cols), x), (rows, cols)
+
+
+def test_generator_minor_products_refuse_other_factors():
+    s = Shape(3, 3)
+    with pytest.raises(ValueError, match="combination of generators"):
+        gen_times_minor(gen(s, 1, 1) * gen(s, 2, 2), (1, 2), (1, 2))
+    with pytest.raises(ValueError, match="combination of generators"):
+        minor_times_gen((1, 2), (1, 2), AlgebraElement.one(s))
+    with pytest.raises(ValueError, match="does not fit"):
+        minor_times_gen((1, 4), (1, 2), gen(s, 1, 1))
+    assert gen_times_minor(AlgebraElement.zero(s), (1, 2), (1, 2)).is_zero()
+
+
+@pytest.mark.parametrize("suite", ["centrality", "laplace"])
+def test_minor_products_straighten_generator_pairs_only(suite):
+    # through sub-minors, the kernel cache meets only two-letter products: at
+    # most one entry per pair of the 25 generators; walking the minors' words
+    # through the kernel added 2,970 (centrality) and 1,770 (laplace)
+    _mono_times_gen.cache_clear()
+    report = run_suite(suite, n=5)
+    assert report.passed
+    assert report.counts["straighten_cache_added"] == _mono_times_gen.cache_info().currsize <= 300
