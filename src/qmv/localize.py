@@ -63,16 +63,15 @@ def tau_weight(mono: Codes, shape: Shape) -> int:
 
 def tau(a: AlgebraElement, power: int = 1) -> AlgebraElement:
     """The automorphism with a * X[1,n] = X[1,n] * tau(a); tau^power for any
-    integer (tau^0 returns a itself: elements are immutable)."""
-    if power == 0:
+    integer.  A term of weight 0 keeps its coefficient, and when no term
+    moves, a itself is returned (elements are immutable)."""
+    weights = [tau_weight(mono, a.shape) for mono in a._terms] if power else []
+    if not any(weights):
         return a
-    return AlgebraElement(
-        a.shape,
-        {
-            mono: coeff * LaurentScalar.q_power(power * tau_weight(mono, a.shape))
-            for mono, coeff in a._terms.items()
-        },
-    )
+    return AlgebraElement(a.shape, {
+        mono: coeff * LaurentScalar.q_power(power * w) if w else coeff
+        for (mono, coeff), w in zip(a._terms.items(), weights)
+    })
 
 
 def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
@@ -97,6 +96,19 @@ def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
         terms[codes[:pos] + moved + rest] = (
             coeff * LaurentScalar.q_power(-d * c) if c else coeff)
     return AlgebraElement(f.shape, terms)
+
+
+def _corner_power(f: AlgebraElement) -> tuple[LaurentScalar, int] | None:
+    """(c, d) when f = c X[1,n]^d with d >= 0 (scalars included), else None."""
+    if len(f._terms) != 1:
+        return None
+    (codes, coeff), = f._terms.items()
+    if not codes:
+        return coeff, 0
+    corner = letter(1, f.shape.n, 0)
+    if len(codes) == 1 and corner < codes[0] < corner + EXP_LIMIT:
+        return coeff, codes[0] - corner
+    return None
 
 
 class LocalizedElement:
@@ -172,8 +184,18 @@ class LocalizedElement:
         if isinstance(other, (LaurentScalar, int)):
             return self._scaled(self.numerator * other)
         other = _coerce_localized(other, self.shape)
-        # f X^-k g X^-l = f tau^k(g) X^-(k+l)
-        return LocalizedElement(self.numerator * tau(other.numerator, self.k), self.k + other.k)
+        k = self.k + other.k
+        # f X^-k g X^-l = f tau^k(g) X^-(k+l), where a factor c X^d (d >= 0)
+        # moves in closed form: f c X^d = c f X^d and c X^d h = c tau^-d(h) X^d
+        if power := _corner_power(other.numerator):
+            c, d = power
+            f = self.numerator
+        elif power := _corner_power(self.numerator):
+            c, d = power
+            f = tau(other.numerator, self.k - d)
+        else:
+            return LocalizedElement(self.numerator * tau(other.numerator, self.k), k)
+        return LocalizedElement(_times_corner(f if c.is_one() else f.scale(c), d), k)
 
     def __rmul__(self, other) -> "LocalizedElement":
         if isinstance(other, (LaurentScalar, int)):

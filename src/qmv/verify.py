@@ -16,17 +16,20 @@ Three jobs live here:
   determinant c = d x + e and the certified check that e is not expressible as
   d alpha + beta X[1,n] inside the bidegree-(1,...,1;1,...,1) component.
 
-Both exact solves run on sparse rows, one {column: entry} per monomial: the
-membership systems hold one nonzero per column.
+Both exact solves build one coefficient table over Z[q, q^-1], sparse rows
+{column: entry} per monomial.  A membership problem keeps its table; the exact
+and the specialized verdicts each convert it into their own field.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .algebra import (
     AlgebraElement,
@@ -65,6 +68,10 @@ from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV, ScalarFraction, Z
 from . import laws
 
 Gen = tuple[int, int]
+
+
+# Obstruction columns: (n-1)! = 5,040 at n = 8, 40,320 at n = 9 (after a 9!-term det).
+MAX_MEMBERSHIP_COLUMNS = 10_000
 
 
 class FitError(RuntimeError):
@@ -114,34 +121,44 @@ def solve_linear(matrix: list[dict[int, object]], rhs: list, n_cols: int,
     return ("many" if len(pivots) < n_cols else "unique"), sol
 
 
-def _element_system(columns: list[AlgebraElement], target: AlgebraElement, convert):
-    """Linear system matching coefficients of every monomial appearing anywhere,
-    as one sparse row {column: entry} per monomial.  ``convert`` maps each
-    LaurentScalar coefficient to a field entry; an entry that converts to zero
-    (q - q^-1 at q0 = +-1) is not stored, so it is never taken as a pivot.
-    """
+@dataclass
+class ElementSystem:
+    """sum_c t_c columns[c] = target over Z[q, q^-1]: each distinct entry once,
+    and rows {column: entry index} with right-hand sides as entry indices."""
+
+    n_cols: int
+    entries: list[LaurentScalar]
+    rows: list[dict[int, int]]
+    rhs: list[int]
+
+    def solve(self, convert, zero) -> tuple[str, list | None]:
+        """``solve_linear`` in the field ``convert`` maps entries into, each
+        converted once.  An entry converting to zero (q - q^-1 at q0 = +-1) is
+        not stored, so it is never a pivot; rows and columns keep their order."""
+        values = [convert(entry) for entry in self.entries]
+        kept = [bool(v) for v in values]
+        matrix = [{c: values[i] for c, i in row.items() if kept[i]} for row in self.rows]
+        return solve_linear(matrix, [values[i] for i in self.rhs], self.n_cols, zero)
+
+
+def _element_system(columns: Iterable[AlgebraElement], target: AlgebraElement) -> ElementSystem:
+    """Rows for the target's monomials in its order, then for each new monomial
+    in column order; the columns are read one at a time and not kept."""
+    index: dict[LaurentScalar, int] = {}
+    entry = lambda coeff: index.setdefault(coeff, len(index))
     row_of = {mono: r for r, mono in enumerate(target._terms)}
-    rhs = [convert(coeff) for coeff in target._terms.values()]
-    rows: list[dict] = [{} for _ in rhs]
-    zero = convert(ZERO)
+    rhs = [entry(coeff) for coeff in target._terms.values()]
+    rows: list[dict[int, int]] = [{} for _ in rhs]
+    n_cols = 0
     for c, col in enumerate(columns):
         for mono, coeff in col._terms.items():
-            value = convert(coeff)
-            if value:
-                r = row_of.setdefault(mono, len(rows))
-                if r == len(rows):
-                    rows.append({})
-                    rhs.append(zero)
-                rows[r][c] = value
-    return rows, rhs
-
-
-def solve_element_combination(
-    columns: list[AlgebraElement], target: AlgebraElement
-) -> tuple[str, list[ScalarFraction] | None]:
-    """Solve sum_i t_i columns[i] = target for scalars t_i in the fraction field."""
-    rows, rhs = _element_system(columns, target, ScalarFraction)
-    return solve_linear(rows, rhs, len(columns), ScalarFraction(0))
+            r = row_of.setdefault(mono, len(rows))
+            if r == len(rows):
+                rows.append({})
+                rhs.append(entry(ZERO))
+            rows[r][c] = entry(coeff)
+        n_cols = c + 1
+    return ElementSystem(n_cols, list(index), rows, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +197,7 @@ FIT_FAMILIES = (
 
 def _solved_exponents(columns, target, family) -> list[int]:
     """The exponents e with target = sum (-q)^e columns[i], solved exactly."""
-    status, sol = solve_element_combination(columns, target)
+    status, sol = _element_system(columns, target).solve(ScalarFraction, ScalarFraction(0))
     if status == "none":
         raise FitError(f"{family}: no exponent vector satisfies the identity (convention mismatch)")
     if status == "many":
@@ -315,23 +332,19 @@ class UnknownCofactor:
 
 @dataclass
 class MembershipProblem:
+    """target = sum_i left_i u_i right_i, each u_i supported on its basis.
+    Its system is built on first use and kept for every verdict, so a problem
+    must not be mutated once ``system`` has been read."""
+
     shape: Shape
     target: AlgebraElement
     unknowns: list[UnknownCofactor]
 
-
-def _membership_columns(
-    problem: MembershipProblem,
-) -> tuple[list[AlgebraElement], list[tuple[str, Codes]]]:
-    """One column left_i * mono * right_i per unknown and basis monomial, with its slot."""
-    columns: list[AlgebraElement] = []
-    slots: list[tuple[str, Codes]] = []
-    for unk in problem.unknowns:
-        for mono in unk.basis:
-            mono_elem = AlgebraElement(problem.shape, {mono: ONE})
-            columns.append(unk.left * mono_elem * unk.right)
-            slots.append((unk.name, mono))
-    return columns, slots
+    @cached_property
+    def system(self) -> ElementSystem:
+        """One column left_i * mono * right_i per unknown and basis monomial."""
+        return _element_system((unk.left * AlgebraElement(self.shape, {mono: ONE}) * unk.right
+                                for unk in self.unknowns for mono in unk.basis), self.target)
 
 
 def solve_membership(problem: MembershipProblem):
@@ -343,10 +356,10 @@ def solve_membership(problem: MembershipProblem):
     Cofactors with genuinely fractional coefficients cannot be represented as
     elements; the verdict still stands and the witness is omitted.
     """
-    columns, slots = _membership_columns(problem)
-    status, sol = solve_element_combination(columns, problem.target)
+    status, sol = problem.system.solve(ScalarFraction, ScalarFraction(0))
     if status == "none":
         return "no-solution", None
+    slots = [(unk.name, mono) for unk in problem.unknowns for mono in unk.basis]
     terms: dict[str, dict[Codes, LaurentScalar]] = {unk.name: {} for unk in problem.unknowns}
     for (name, mono), value in zip(slots, sol):
         scalar = value.as_scalar()
@@ -363,10 +376,8 @@ def solve_membership(problem: MembershipProblem):
 
 
 def specialized_membership_verdict(problem: MembershipProblem, q0) -> str:
-    """Verdict of the same linear system with q specialized to a nonzero rational."""
-    columns, _ = _membership_columns(problem)
-    rows, rhs = _element_system(columns, problem.target, lambda c: c.evaluate(q0))
-    status, _ = solve_linear(rows, rhs, len(columns), Fraction(0))
+    """Verdict of the same system with q specialized to a nonzero rational."""
+    status, _ = problem.system.solve(lambda c: c.evaluate(q0), Fraction(0))
     return "no-solution" if status == "none" else "solution"
 
 
@@ -401,6 +412,11 @@ def jordan_ingredients(n: int) -> ColumnSplit:
             "generated by the determinant and the corner is not completely prime"
         )
     shape = Shape(n, n)
+    # beta matches rows 2..n to columns 1..n-1; alpha is empty in the subalgebra
+    columns = factorial(n - 1)
+    if columns > MAX_MEMBERSHIP_COLUMNS:
+        raise ValueError(f"the obstruction system at n={n} has {columns:,} columns, "
+                         f"more than the limit of {MAX_MEMBERSHIP_COLUMNS:,}")
     c = qdet(shape)
     d = complement_minor(shape, n, n)
     x = gen(shape, n, n)
@@ -418,13 +434,9 @@ def jordan_ingredients(n: int) -> ColumnSplit:
     )
     ones = Bidegree((1,) * n, (1,) * n)
     for i, term in enumerate(terms, start=1):
-        checks.append(
-            IdentityCheck(
-                f"e term {i} has bidegree (1,..,1;1,..,1)",
-                term.bidegree_of() == ones,
-                None if term.bidegree_of() == ones else str(term.bidegree_of()),
-            )
-        )
+        got = term.bidegree_of()
+        checks.append(IdentityCheck(f"e term {i} has bidegree (1,..,1;1,..,1)",
+                                    got == ones, None if got == ones else str(got)))
     return ColumnSplit(shape, c, d, e, x, checks)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qmv import verify
 from qmv.algebra import AlgebraElement, Shape, gen
 from qmv.cli import main
 from qmv.expr import ExprError, SessionConfig, evaluate_source, parse
@@ -224,6 +225,14 @@ class TestCommands:
     def test_oversized_determinant_fails_fast(self, capsys):
         assert main(["det", "--n", "12"]) == 2
         assert "12! = 479,001,600 terms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["suite", "jordan-obstruction"], ["jordan"]])
+    def test_oversized_obstruction_fails_fast(self, capsys, monkeypatch, argv):
+        # refused from the bidegrees, before the 9! = 362,880-term determinant
+        monkeypatch.setattr(verify, "qdet", lambda shape: pytest.fail("built the determinant"))
+        assert main([*argv, "--n", "9"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "the obstruction system at n=9 has 40,320 columns" in out.err
 
     def test_grid_beyond_the_letter_code_is_usage_error(self, capsys):
         assert main(["normalize", "--n", "64", "X[1,1]"]) == 2

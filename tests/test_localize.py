@@ -51,6 +51,31 @@ def test_tau_to_the_zero_returns_its_argument():
     assert tau(a, 0) is a
 
 
+def test_tau_returns_an_element_no_term_of_which_moves():
+    # every term of a minor through row 1 and column n has weight 0
+    s = Shape(3, 3)
+    a = minor(s, (1, 2), (2, 3))
+    assert tau(a, 3) is a
+    b = a + gen(s, 1, 1)
+    assert tau(b, 2) == a + gen(s, 1, 1).scale(Q * Q)
+
+
+def test_corner_factor_products_match_the_kernel():
+    # c X[1,n]^d X[1,n]^-l on either side of f X[1,n]^-k, against the kernel
+    # product f tau^k(g) X[1,n]^-(k+l)
+    rng = random.Random(23)
+    kernel = lambda a, b: LocalizedElement(a.numerator * tau(b.numerator, a.k), a.k + b.k)
+    for shape in (Shape(3, 3), Shape(2, 4)):
+        corner = gen(shape, 1, shape.n)
+        for _ in range(12):
+            f = LocalizedElement(random_element(shape, 3, rng), rng.randint(0, 2))
+            for c in (ONE, -(Q * Q), ONE + Q):
+                for d in range(3):
+                    g = LocalizedElement((corner ** d).scale(c), rng.randint(0, 2))
+                    assert f * g == kernel(f, g)
+                    assert g * f == kernel(g, f)
+
+
 def test_plain_left_operand_meets_a_localized_right_operand():
     rng = random.Random(17)
     s = Shape(3, 3)

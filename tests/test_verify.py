@@ -1,6 +1,9 @@
 """Suite runner, exponent fitting, and the graded membership solver."""
 
+import functools
 import hashlib
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from qmv.localize import corner_inverse, loc
 from qmv.minors import qdet
 from qmv.scalar import LaurentScalar, ScalarFraction, ONE, Q
 from qmv.verify import (
+    MAX_MEMBERSHIP_COLUMNS,
     FitError,
     MembershipProblem,
     UnknownCofactor,
@@ -272,6 +276,158 @@ class TestMembership:
         verdict, cofactors = solve_membership(problem)
         assert verdict == "solution"
         assert cofactors["u"] + cofactors["v"] == x11
+
+
+def reference_solve(problem, convert, zero):
+    """The membership system rebuilt from scratch, one column per slot, with
+    every entry converted where it is read and rows opened in printing order
+    at the first nonzero entry; solved by ``solve_linear``."""
+    s = problem.shape
+    columns = [unk.left * AlgebraElement(s, {mono: ONE}) * unk.right
+               for unk in problem.unknowns for mono in unk.basis]
+    rows, rhs, row_of = [], [], {}
+
+    def row(mono):
+        if mono not in row_of:
+            row_of[mono] = len(rows)
+            rows.append({})
+            rhs.append(zero)
+        return row_of[mono]
+
+    for mono, coeff in problem.target.terms():
+        rhs[row(mono)] = convert(coeff)
+    for c, col in enumerate(columns):
+        for mono, coeff in col.terms():
+            value = convert(coeff)
+            if value:
+                rows[row(mono)][c] = value
+    return solve_linear(rows, rhs, len(columns), zero)
+
+
+def reference_membership(problem):
+    """The exact verdict and cofactors of ``reference_solve``."""
+    status, sol = reference_solve(problem, ScalarFraction, ScalarFraction(0))
+    if status == "none":
+        return "no-solution", None
+    values = [v.as_scalar() for v in sol]
+    if any(v is None for v in values):
+        return "solution", None
+    slots = [(unk.name, mono) for unk in problem.unknowns for mono in unk.basis]
+    return "solution", {
+        unk.name: AlgebraElement(problem.shape, {
+            mono: v for (name, mono), v in zip(slots, values) if name == unk.name and v})
+        for unk in problem.unknowns}
+
+
+def reference_verdict(problem, q0):
+    status, _ = reference_solve(problem, lambda c: c.evaluate(q0), Fraction(0))
+    return "no-solution" if status == "none" else "solution"
+
+
+def solvable_variant():
+    """The problem of ``test_manifestly_solvable_variant``."""
+    s = Shape(3, 3)
+    problem = jordan_membership_problem(3)
+    target = AlgebraElement(s, {problem.unknowns[1].basis[0]: ONE}) * gen(s, 1, 3)
+    return MembershipProblem(s, target, problem.unknowns)
+
+
+def laurent_cofactor_problems():
+    """The two problems of ``test_witness_with_a_laurent_polynomial_cofactor``."""
+    s = Shape(2, 2)
+    x11, one_plus_q = gen(s, 1, 1), ONE + Q
+    unknowns = [UnknownCofactor("u", x11.scale(one_plus_q), AlgebraElement.one(s), [monomial(())])]
+    return [MembershipProblem(s, x11.scale(one_plus_q * one_plus_q), unknowns),
+            MembershipProblem(s, x11, unknowns)]
+
+
+AGREEMENT_PROBLEMS = {
+    **{f"jordan-{n}": (lambda n=n: jordan_membership_problem(n)) for n in range(3, 7)},
+    "solvable-variant": solvable_variant,
+    "laurent-cofactor": lambda: laurent_cofactor_problems()[0],
+    "fractional-cofactor": lambda: laurent_cofactor_problems()[1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_PROBLEMS))
+def test_stored_system_agrees_with_a_rebuilt_one(name):
+    problem = AGREEMENT_PROBLEMS[name]()
+    assert solve_membership(problem) == reference_membership(problem)
+    for q0 in (1, -1, 2, 3, Fraction(5, 7)):
+        assert specialized_membership_verdict(problem, q0) == reference_verdict(problem, q0)
+
+
+SMALL_SCALARS = st.dictionaries(st.integers(-1, 1), st.sampled_from([-2, -1, 1, 2]),
+                                min_size=1, max_size=2).map(LaurentScalar)
+
+
+@st.composite
+def membership_problems(draw):
+    """A random problem on 2x2 or 3x3: one or two unknowns with short left
+    and right factors and a basis of monomials of degree at most one; the
+    target is either random or a combination of the columns."""
+    s = draw(st.sampled_from([Shape(2, 2), Shape(3, 3)]))
+    gens = s.generators()
+
+    def element(max_terms):
+        words = draw(st.lists(st.lists(st.sampled_from(gens), max_size=2),
+                              min_size=1, max_size=max_terms))
+        return AlgebraElement.sum(s, [
+            functools.reduce(operator.mul, (gen(s, *g) for g in word),
+                             AlgebraElement.one(s)).scale(draw(SMALL_SCALARS))
+            for word in words])
+
+    pool = [monomial(())] + [monomial(((g, 1),)) for g in gens]
+    unknowns = [
+        UnknownCofactor(name, element(2), element(2),
+                        draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)))
+        for name in ("u", "v")[:draw(st.integers(1, 2))]]
+    if draw(st.booleans()):
+        target = AlgebraElement.sum(s, [
+            unk.left * AlgebraElement(s, {mono: draw(SMALL_SCALARS)}) * unk.right
+            for unk in unknowns for mono in unk.basis])
+    else:
+        target = element(3)
+    return MembershipProblem(s, target, unknowns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(membership_problems(),
+       st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                 st.fractions(-3, 3, max_denominator=4).filter(bool)))
+def test_stored_system_agrees_on_random_problems(problem, q0):
+    assert specialized_membership_verdict(problem, q0) == reference_verdict(problem, q0)
+    assert solve_membership(problem) == reference_membership(problem)
+
+
+def test_obstruction_builds_its_columns_once(monkeypatch):
+    # the exact verdict and the three specialized ones read one system, and
+    # each verdict converts each distinct entry once
+    systems, evaluated = [], []
+    build, evaluate = verify._element_system, LaurentScalar.evaluate
+
+    def counted_build(columns, target):
+        systems.append(build(columns, target))
+        return systems[-1]
+
+    def counted_evaluate(self, q0):
+        evaluated.append(self)
+        return evaluate(self, q0)
+
+    monkeypatch.setattr(verify, "_element_system", counted_build)
+    monkeypatch.setattr(LaurentScalar, "evaluate", counted_evaluate)
+    assert run_suite("jordan-obstruction", n=4).passed
+    assert len(systems) == 1
+    assert len(evaluated) <= 3 * len(set(systems[0].entries))
+
+
+def test_obstruction_column_count_admits_eight_and_refuses_nine():
+    for n in range(3, 7):
+        problem = jordan_membership_problem(n)
+        assert sum(len(unk.basis) for unk in problem.unknowns) == math.factorial(n - 1)
+    assert math.factorial(7) <= MAX_MEMBERSHIP_COLUMNS < math.factorial(8)
+    with pytest.raises(ValueError, match="40,320 columns"):
+        jordan_ingredients(9)
 
 
 def test_subalgebra_component_excludes_corner():
