@@ -118,14 +118,26 @@ def check_term_count(t: int) -> None:
 
 @lru_cache(maxsize=None)
 def _minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
-    """Built once per (shape, rows, cols); elements are immutable, so callers share it."""
+    """Built once per (shape, rows, cols); elements and their coefficients are
+    immutable, so callers share it, and its terms share one (-q)^k each."""
     t = len(rows)
-    terms: dict[Codes, LaurentScalar] = {}
-    for perm in itertools.permutations(range(t)):
-        # rows ascend, so the product below is already a PBW monomial
-        codes = tuple(letter(rows[a], cols[perm[a]]) for a in range(t))
-        terms[codes] = LaurentScalar.minus_q_power(inversions(perm))
-    return AlgebraElement(shape, terms)
+    powers = [LaurentScalar.minus_q_power(k) for k in range(t * (t - 1) // 2 + 1)]
+    return AlgebraElement(shape, {codes: powers[inv] for codes, inv in _permutation_words(rows, cols)})
+
+
+def _permutation_words(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[tuple[Codes, int]]:
+    """(word, inv(sigma)) over the permutations sigma, in lexicographic order:
+    the first row takes the column in 0-based position b and adds b
+    inversions to the rest.  Rows ascend, so every word is a PBW monomial."""
+    if not rows:
+        return [((), 0)]
+    r, below = rows[0], rows[1:]
+    words = []
+    for b, col in enumerate(cols):
+        head = (letter(r, col),)
+        words.extend((head + codes, b + inv)
+                     for codes, inv in _permutation_words(below, cols[:b] + cols[b + 1:]))
+    return words
 
 
 def qdet(shape: Shape) -> AlgebraElement:

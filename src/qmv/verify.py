@@ -5,7 +5,8 @@ Three jobs live here:
 * run_suite: execute a named catalog of identity checks over a chosen shape and
   report pass/fail with failure witnesses.  The cor22, lemma23 and thm25
   suites live in the patterns module, which runs one check per order-pattern
-  class;
+  class, and the centrality, semicentrality and laplace suites in the
+  zerotest module, which decides each check by a row-by-row zero test;
 * fit_exponents: solve for the q-power coefficients the identity families leave
   unspecified, by exact linear algebra in the relevant graded component, and
   compare the result against the frozen table shipped with the package.  Each
@@ -47,6 +48,8 @@ from .algebra import (
 )
 from .checks import IdentityCheck, check_zero
 from .localize import (
+    _corner_power,
+    _times_corner,
     check_det_reduction,
     corner_inverse,
     correction_products,
@@ -57,11 +60,9 @@ from .localize import (
 from .minors import (
     complement_minor,
     expansion_products,
-    laplace_expand_col,
     laplace_expand_row,
     left_expansion_products,
     minor,
-    minor_commutator,
     qdet,
 )
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV, ScalarFraction, ZERO
@@ -343,8 +344,16 @@ class MembershipProblem:
     @cached_property
     def system(self) -> ElementSystem:
         """One column left_i * mono * right_i per unknown and basis monomial."""
-        return _element_system((unk.left * AlgebraElement(self.shape, {mono: ONE}) * unk.right
+        return _element_system((_column(unk, AlgebraElement(self.shape, {mono: ONE}))
                                 for unk in self.unknowns for mono in unk.basis), self.target)
+
+
+def _column(unk: UnknownCofactor, mono: AlgebraElement) -> AlgebraElement:
+    """left * mono * right, where a factor 1 is skipped and a right factor
+    X[1,n]^d moves the corner in closed form."""
+    col = mono if _corner_power(unk.left) == (ONE, 0) else unk.left * mono
+    right = _corner_power(unk.right)
+    return _times_corner(col, right[1]) if right and right[0] == ONE else col * unk.right
 
 
 def solve_membership(problem: MembershipProblem):
@@ -633,49 +642,6 @@ def _suite_thm21(shape: Shape, t=None) -> list[IdentityCheck]:
     return check_det_reduction(shape.n)
 
 
-def _suite_centrality(shape: Shape, t=None) -> list[IdentityCheck]:
-    if shape.m != shape.n:
-        raise ValueError("centrality of the determinant needs a square shape")
-    full = tuple(range(1, shape.n + 1))
-    return [
-        check_zero(f"det central vs X[{i},{j}]", minor_commutator(gen(shape, i, j), full, full))
-        for i, j in shape.generators()
-    ]
-
-
-def _suite_semicentrality(shape: Shape, t=None) -> list[IdentityCheck]:
-    checks = []
-    for p in range(1, min(shape.m, shape.n) + 1):
-        for rows in itertools.combinations(range(1, shape.m + 1), p):
-            for cols in itertools.combinations(range(1, shape.n + 1), p):
-                for i in rows:
-                    for j in cols:
-                        checks.append(check_zero(
-                            f"[{list(rows)}|{list(cols)}] vs X[{i},{j}]",
-                            minor_commutator(gen(shape, i, j), rows, cols)))
-    return checks
-
-
-def _suite_laplace(shape: Shape, t=None) -> list[IdentityCheck]:
-    if shape.m != shape.n:
-        raise ValueError("Laplace expansions need a square shape")
-    n = shape.n
-    det = qdet(shape)
-    zero = AlgebraElement.zero(shape)
-    checks = []
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            want = det if i == k else zero
-            checks.append(check_zero(f"row expansion i={i}, coefficients from row {k}",
-                                     laplace_expand_row(shape, i, k) - want))
-    for j in range(1, n + 1):
-        for l in range(1, n + 1):
-            want = det if j == l else zero
-            checks.append(check_zero(f"column expansion j={j}, coefficients from column {l}",
-                                     laplace_expand_col(shape, j, l) - want))
-    return checks
-
-
 def _suite_pbw_count(shape: Shape, t=None) -> list[IdentityCheck]:
     checks = []
     for d in range(5):
@@ -779,9 +745,6 @@ SUITES = {
     "prop112": _suite_prop112,
     "lemma111": _suite_lemma111,
     "thm21": _suite_thm21,
-    "centrality": _suite_centrality,
-    "semicentrality": _suite_semicentrality,
-    "laplace": _suite_laplace,
     "pbw-count": _suite_pbw_count,
     "grading": _suite_grading,
     "jordan-obstruction": _suite_jordan,
@@ -790,12 +753,15 @@ SUITES = {
 # The suites of the patterns module, which run one check per order-pattern class.
 PATTERN_SUITES = ("cor22", "lemma23", "thm25")
 
+# The suites of the zerotest module, which decide each check by a row-by-row zero test.
+SPLIT_SUITES = ("centrality", "semicentrality", "laplace")
+
 
 def run_suite(name: str, m: int | None = None, n: int | None = None,
               t: int | None = None) -> SuiteReport:
     """Run one named identity suite over the given shape parameters."""
-    if name not in SUITES and name not in PATTERN_SUITES:
-        available = ", ".join(sorted([*SUITES, *PATTERN_SUITES]))
+    if name not in SUITES and name not in SPLIT_SUITES and name not in PATTERN_SUITES:
+        available = ", ".join(sorted([*SUITES, *SPLIT_SUITES, *PATTERN_SUITES]))
         raise ValueError(f"unknown suite {name!r}; available: {available}")
     if n is None and m is None:
         raise ValueError(f"suite {name} needs shape parameters (--m/--n)")
@@ -815,6 +781,9 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
         # loaded on first use: a process that runs no such suite never compiles it
         from .patterns import CALLS, check_by_class
         checks, counts = check_by_class(shape, CALLS[name](shape, t))
+    elif name in SPLIT_SUITES:
+        from .zerotest import check_by_rows
+        checks, counts = check_by_rows(name, shape)
     else:
         checks, counts = SUITES[name](shape, t), {}
     elapsed = time.monotonic() - start

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qmv.algebra import AlgebraElement, Bidegree, Shape, _mono_times_gen, commutator, gen
+from qmv.algebra import AlgebraElement, Bidegree, Shape, _mono_times_gen, commutator, gen, letter
 from qmv import minors
 from qmv.minors import (
     MinorSpec,
@@ -30,6 +30,18 @@ def test_inversion_count():
     assert inversions((0, 1, 2)) == 0
     assert inversions((1, 0, 2)) == 1
     assert inversions((2, 1, 0)) == 3
+
+
+def test_minors_match_the_inversion_count_permutation_sum():
+    # every minor up to 6x6, terms and their order included
+    s = Shape(6, 6)
+    for t in range(1, 7):
+        for rows in itertools.combinations(range(1, 7), t):
+            for cols in itertools.combinations(range(1, 7), t):
+                want = [(tuple(letter(rows[a], cols[p[a]]) for a in range(t)),
+                         LaurentScalar.minus_q_power(inversions(p)))
+                        for p in itertools.permutations(range(t))]
+                assert list(minor(s, rows, cols)._terms.items()) == want, (rows, cols)
 
 
 def test_cached_minors_are_not_changed_by_callers():

@@ -220,6 +220,18 @@ def test_each_frozen_law_is_read_by_the_fitter_and_its_suite(monkeypatch, fresh_
     assert not report.passed, family
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_membership_system_matches_the_generic_build(n):
+    # columns left * mono * right through two kernel products each
+    problem = jordan_membership_problem(n)
+    generic = verify._element_system(
+        (unk.left * AlgebraElement(problem.shape, {mono: ONE}) * unk.right
+         for unk in problem.unknowns for mono in unk.basis), problem.target)
+    system = problem.system
+    assert (system.n_cols, system.entries, system.rows, system.rhs) == (
+        generic.n_cols, generic.entries, generic.rows, generic.rhs)
+
+
 class TestMembership:
     def test_trivial_yes(self):
         s = Shape(2, 2)
