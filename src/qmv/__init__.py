@@ -4,7 +4,8 @@ Normalizes arbitrary expressions in the quantized coordinate ring of m-by-n
 matrices to the PBW ordered-monomial basis, with exact Laurent-polynomial
 coefficients, and mechanically verifies the minor-reduction identities, the
 q-Laplace expansions, the localization relations at the corner generator, and
-the graded non-membership obstruction, at desk scale (m, n <= 5).
+the graded non-membership obstruction: every suite up to 6 x 6 grids, and
+most up to 8 x 8.
 """
 
 from .algebra import (

@@ -49,8 +49,11 @@ factor in sorted order and keeps the fold of the left factor by every prefix
 of the current word.  Each word resumes from the longest prefix it shares with
 the previous one, so words sharing a prefix fold that prefix once.  Products
 of a generator with a quantum minor do not take this walk: the minors module
-reduces them to two-letter straightenings and smaller minors, with the same
-flat accumulator and regroup, and keeps ``__mul__`` as their reference.
+writes them as combinations of states and splits each state along one row of
+its minor, down to two-letter straightenings and smaller states.  Its
+``flat`` builds them with the same flat accumulator and regroup, the zerotest
+module decides them with the same splits without building them, and
+``__mul__`` stays their reference.
 
 Monomials and elements are immutable values and every operation is a pure
 function, so all of this is safe to use from concurrent workers.

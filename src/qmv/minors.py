@@ -7,35 +7,39 @@ subset of rows and columns and takes the determinant of the relabeled
 submatrix; because the row indices are strictly increasing, every permutation
 product is already in PBW order, so minors are assembled without rewriting.
 
-A generator times a minor is reduced to generators times smaller minors, the
-way the source paper reduces minors.  Grouping the permutation sum by the
-column b (1-based) that sigma gives the first row r1 regroups the definition,
-since inv(sigma) = (b - 1) + inv(rest):
+Generators times minors are written as combinations: sums, with coefficients
+in Z[q, q^-1], of states X_left [R|C] X_right with a generator id or 0 on each
+side and at most one of them set, so a minor, a left product or a right
+product (a lone generator is a left state over the empty minor).  A state is
+reduced to smaller states the way the source paper reduces minors.  Grouping
+the permutation sum by the column c_b (b 0-based) that sigma gives the top
+row r regroups the definition, since inv(sigma) = b + inv(rest):
 
-    [R|C] = sum_b (-q)^(b-1) X[r1,c_b] [R - r1 | C - c_b].
+    [R|C] = sum_b (-q)^b X[r,c_b] [R - r | C - c_b].
 
-So g [R|C] = sum_b (-q)^(b-1) (g X[r1,c_b]) [R - r1 | C - c_b], and the
-two-letter product g X[r1,c_b] straightens through the kernel into terms w.
-If w lies in rows <= r1, it is prepended to the sub-minor's terms, which lie
-in rows > r1.  Otherwise g lies in a row k > r1 and w = u v with u in row r1
-and v in row k; u is prepended to the product v [R - r1 | C - c_b], which
-straightening keeps in rows > r1 (a rewrite only uses the rows of the pair it
-swaps).  Either way the concatenation is a PBW monomial, so nothing else is
-rewritten.  [R|C] g mirrors this along the last row rt: the term of c_b
-(0-based b) carries (-q)^(t-1-b), X[rt,c_b] g straightens into w, and w, or
-its letter v in row rt after the product [R - rt | C - c_b] u, is appended.
-This is a rewrite of the permutation sum, not a fitted law.
+A generator X_g in row r or below rides along on the left: X_g X[r,c_b]
+straightens through the kernel into terms w, each a monomial in row r or u v
+with u in row r and v in g's row, and v stays in front of the sub-minor (a
+rewrite only uses the rows of the pair it swaps).  A generator below r on the
+right stays behind the sub-minor.  So ``top`` writes a state as pieces u rest,
+u a monomial in row r and rest a state in the rows below; ``bottom`` mirrors
+it along the bottom row, with (-q)^(t-1-b) and the row-r part as a suffix.  A
+state splits at its top row unless it is a right product whose generator lies
+in that row over a minor other than 1 or [r|c] (X_g would have to move up past
+the minor's lower rows), and at its bottom row unless it is the mirror left
+product.  This is a rewrite of the permutation sum, not a fitted law, and the
+kernel cache meets only two-letter products, one entry per pair of generators.
 
-Every step stays in the kernel's flat {(codes, q exponent): int} form.  The
-products of one generator by a sub-minor are memoized by (generator id, rows,
-cols), with id 0 for the sub-minor itself, in a memo that one product builder
-makes and drops when it returns: one expansion, one commutator or one
-product.  Each builder regroups its flat result once.  The kernel cache meets
-only two-letter products, one entry per pair of generators.
+``flat`` builds a combination in the kernel's flat {(codes, q exponent): int}
+form.  A right product splits at its bottom row and any other state at its top
+row; each piece's rest comes from a memo of state products that one build
+makes and drops, the top-level pieces go straight into the result, and the
+result is regrouped once.  The zerotest module decides combinations with the
+same splits without building them.
 
 Row and column expansions both take their terms and exponent laws from the
 tables in the laws module, fitted by the exponent solver and frozen with the
-package.
+package, and are built as combinations.
 """
 
 from __future__ import annotations
@@ -46,16 +50,21 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import (
-    COL_BITS, EXP_BITS, EXP_MASK,
-    AlgebraElement, Codes, Flat, Shape, _fold_gen, _regroup, decode, gen, gen_id, letter,
-    render_monomial,
+    COL_BITS, EXP_BITS, AlgebraElement, Codes, Flat, Shape, _fold_gen, _regroup, decode, gen,
+    gen_id, letter,
 )
 from .scalar import LaurentScalar
 from . import laws
 
-Gen = tuple[int, int]
 Terms = tuple[tuple[Codes, int, int], ...]  # (codes, e, c) triples meaning sum c q^e codes
-Memo = dict[tuple[int, tuple[int, ...], tuple[int, ...]], Terms]
+# X_left [rows|cols] X_right, a generator id or 0 on each side, at most one of
+# them set.  A lone generator is a left state over the empty minor.
+State = tuple[int, tuple[int, ...], tuple[int, ...], int]
+Combination = dict[tuple[State, int], int]  # (state, q exponent) -> integer coefficient
+Piece = tuple[Codes, int, int, State]  # (u, e, c, rest): c q^e u rest, or c q^e rest u
+Memo = dict[State, Terms]
+
+ONE: State = (0, (), (), 0)
 
 ROW_SHIFT = EXP_BITS + COL_BITS  # a letter code shifted by this is its row
 
@@ -159,98 +168,154 @@ def complement_minor(shape: Shape, i: int, j: int) -> AlgebraElement:
     return minor(shape, rows, cols) if rows else AlgebraElement.one(shape)
 
 
-def gen_times_minor(x: AlgebraElement, rows, cols) -> AlgebraElement:
-    """x [rows|cols] for x a combination of generators, through sub-minors."""
-    return _regroup(x.shape, _product(_left, x, (rows, cols), {}, {}))
+def _factor(shape: Shape, t: laws.Term) -> AlgebraElement:
+    """The term's scaled generator (-q)^e X[gen]."""
+    return gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
 
 
-def minor_times_gen(rows, cols, x: AlgebraElement) -> AlgebraElement:
-    """[rows|cols] x for x a combination of generators, through sub-minors."""
-    return _regroup(x.shape, _product(_right, x, (rows, cols), {}, {}))
+def _state(left: int, rows: tuple[int, ...], cols: tuple[int, ...], right: int) -> State:
+    """The state, with a generator over the empty minor written on the left."""
+    return (right, (), (), 0) if right and not rows else (left, rows, cols, right)
 
 
-def minor_commutator(x: AlgebraElement, rows, cols) -> AlgebraElement:
-    """[rows|cols] x - x [rows|cols] for x a combination of generators, summed once."""
-    acc = _product(_right, x, (rows, cols), {}, {})
-    return _regroup(x.shape, _product(_left, -x, (rows, cols), {}, acc))
+def _pair(a: int, b: int) -> list[tuple[Codes, int, int]]:
+    """X_a X_b straightened, as (codes, e, c) triples."""
+    return [(w, e, c) for (w, e), c in _fold_gen({((a << EXP_BITS | 1,), 0): 1}, b).items() if c]
 
 
-def _product(side, x: AlgebraElement, key: laws.MinorKey, memo: Memo, acc: Flat) -> Flat:
-    """Add x [key] (side ``_left``) or [key] x (side ``_right``) into acc and
-    return acc, for x a combination of generators; the empty key names 1.
-    The memo serves one side only."""
-    rows, cols = key if key == ((), ()) else _fitting(x.shape, *key)
-    for mono, coeff in x._terms.items():
-        if len(mono) != 1 or mono[0] & EXP_MASK != 1:
-            raise ValueError(f"expected a combination of generators, got the term {render_monomial(mono)}")
-        side(mono[0] >> EXP_BITS, coeff._terms, rows, cols, memo, acc)
-    return acc
-
-
-def _seed(g: int, scalar: dict[int, int]) -> Flat:
-    """sum c q^e X_g over scalar's (e, c) as a flat sum; g = 0 stands for 1."""
-    codes = (g << EXP_BITS | 1,) if g else ()
-    return {(codes, e): c for e, c in scalar.items()}
-
-
-def _left(g: int, scalar: dict[int, int], rows: tuple[int, ...], cols: tuple[int, ...],
-          memo: Memo, acc: Flat) -> Flat:
-    """Add (sum c q^e X_g) [rows|cols] into acc, grouped by the first row."""
-    seed = _seed(g, scalar)
-    if not rows:
-        return _add(acc, _triples(seed), (), (), 0, 1)
-    r, below = rows[0], rows[1:]
+def top(state: State, r: int) -> list[Piece] | None:
+    """The state as pieces (u, e, c, rest) with u in row r and rest in rows
+    below it, by its first-row regrouping; None when it cannot split there."""
+    left, rows, cols, right = state
+    if right and right >> COL_BITS == r:
+        if rows != (r,):
+            return None
+        return [(w, e, c, ONE) for w, e, c in _pair(gen_id(r, cols[0]), right)]
+    if not rows or rows[0] != r:
+        if left and left >> COL_BITS == r:
+            return [((left << EXP_BITS | 1,), 0, 1, (0, rows, cols, 0))]
+        return [((), 0, 1, state)]
+    below = rows[1:]
+    pieces = []
     for b, col in enumerate(cols):
         rest = cols[:b] + cols[b + 1:]
         sign = -1 if b & 1 else 1
-        for (w, e), c in _fold_gen(seed, gen_id(r, col)).items():
-            if not c:
-                continue
-            if w[-1] >> ROW_SHIFT <= r:  # w in rows <= r, before the sub-minor
-                _add(acc, _memoized(_left, 0, below, rest, memo), w, (), e + b, sign * c)
-            else:  # w = u v with u in row r and v below it
-                _add(acc, _memoized(_left, w[1] >> EXP_BITS, below, rest, memo), w[:1], (), e + b,
-                     sign * c)
-    return acc
+        if not left:
+            pieces.append(((letter(r, col),), b, sign, _state(0, below, rest, right)))
+            continue
+        for w, e, c in _pair(left, gen_id(r, col)):
+            if w[-1] >> ROW_SHIFT <= r:  # w lies in row r
+                pieces.append((w, b + e, sign * c, (0, below, rest, 0)))
+            else:  # w = u v with v in the generator's row
+                pieces.append((w[:1], b + e, sign * c, (w[1] >> EXP_BITS, below, rest, 0)))
+    return pieces
 
 
-def _right(g: int, scalar: dict[int, int], rows: tuple[int, ...], cols: tuple[int, ...],
-           memo: Memo, acc: Flat) -> Flat:
-    """Add [rows|cols] (sum c q^e X_g) into acc, grouped by the last row."""
-    if not rows:
-        return _add(acc, _triples(_seed(g, scalar)), (), (), 0, 1)
-    r, above, last = rows[-1], rows[:-1], len(rows) - 1
+def bottom(state: State, r: int) -> list[Piece] | None:
+    """The state as pieces (v, e, c, rest) with v in row r and rest in rows
+    above it, by its last-row regrouping; None when it cannot split there."""
+    left, rows, cols, right = state
+    if left and left >> COL_BITS == r:
+        if not rows:
+            return [((left << EXP_BITS | 1,), 0, 1, ONE)]
+        if rows != (r,):
+            return None
+        return [(w, e, c, ONE) for w, e, c in _pair(left, gen_id(r, cols[0]))]
+    if not rows or rows[-1] != r:
+        if right and right >> COL_BITS == r:
+            return [((right << EXP_BITS | 1,), 0, 1, (0, rows, cols, 0))]
+        return [((), 0, 1, state)]
+    above, last = rows[:-1], len(rows) - 1
+    pieces = []
     for b, col in enumerate(cols):
         rest = cols[:b] + cols[b + 1:]
         sign = -1 if (last - b) & 1 else 1
-        pair = {((letter(r, col),), e): c for e, c in scalar.items()}
-        for (w, e), c in (_fold_gen(pair, g) if g else pair).items():
-            if not c:
-                continue
-            if w[0] >> ROW_SHIFT >= r:  # w in rows >= r, after the sub-minor
-                _add(acc, _memoized(_right, 0, above, rest, memo), (), w, e + last - b, sign * c)
-            else:  # w = u v with v in row r and u above it
-                _add(acc, _memoized(_right, w[0] >> EXP_BITS, above, rest, memo), (), w[1:],
-                     e + last - b, sign * c)
+        if not right:
+            pieces.append(((letter(r, col),), last - b, sign, (left, above, rest, 0)))
+            continue
+        for w, e, c in _pair(gen_id(r, col), right):
+            if w[0] >> ROW_SHIFT >= r:  # w lies in row r
+                pieces.append((w, last - b + e, sign * c, (0, above, rest, 0)))
+            else:  # w = u v with u in the generator's row
+                pieces.append((w[1:], last - b + e, sign * c,
+                               _state(0, above, rest, w[0] >> EXP_BITS)))
+    return pieces
+
+
+def state_rows(state: State) -> list[int]:
+    """The rows the state's letters lie in."""
+    left, rows, _, right = state
+    g = left or right
+    return [*rows, g >> COL_BITS] if g else list(rows)
+
+
+def commutator(g: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> Combination:
+    """[rows|cols] X_g - X_g [rows|cols]."""
+    return _sum([(_state(0, rows, cols, g), 0, 1), ((g, rows, cols, 0), 0, -1)])
+
+
+def table_combination(shape: Shape, terms: list[laws.Term], left: bool,
+                      minus: laws.MinorKey | None = None) -> Combination:
+    """The sum of a term table's products (-q)^e X[gen] [minor], generators on
+    the left, or (-q)^e [minor] X[gen], generators on the right; minus the
+    minor ``minus`` when one is given."""
+    entries = [((0, *minus, 0), 0, -1)] if minus else []
+    for t in terms:
+        (codes, coeff), = _factor(shape, t)._terms.items()
+        g = codes[0] >> EXP_BITS
+        state = (g, *t.minor, 0) if left else _state(0, *t.minor, g)
+        entries.extend((state, e, c) for e, c in coeff._terms.items())
+    return _sum(entries)
+
+
+def _sum(entries) -> Combination:
+    out: Combination = {}
+    for state, e, c in entries:
+        out[(state, e)] = out.get((state, e), 0) + c
+    return out
+
+
+def flat(shape: Shape, combination: Combination) -> AlgebraElement:
+    """The combination as an element, built through its states' row splits."""
+    return _flat(shape, combination, {})
+
+
+def _flat(shape: Shape, combination: Combination, memo: Memo) -> AlgebraElement:
+    """``flat`` with the given memo of state products; every state's minor is
+    fitted to the shape and the term limit before anything is built."""
+    for (_, rows, cols, _), _ in combination:
+        if rows:
+            _fitting(shape, rows, cols)
+    acc: Flat = {}
+    for (state, e), c in combination.items():
+        _expand(state, e, c, memo, acc)
+    return _regroup(shape, acc)
+
+
+def _expand(state: State, e0: int, c0: int, memo: Memo, acc: Flat) -> Flat:
+    """Add c0 q^e0 state into acc and return acc: a right product split at its
+    bottom row, any other state at its top row, each rest from the memo."""
+    if state == ONE:
+        acc[((), e0)] = acc.get(((), e0), 0) + c0
+    elif state[3]:
+        for v, e, c, rest in bottom(state, max(state_rows(state))):
+            _add(acc, _terms(rest, memo), (), v, e0 + e, c0 * c)
+    else:
+        for u, e, c, rest in top(state, min(state_rows(state))):
+            _add(acc, _terms(rest, memo), u, (), e0 + e, c0 * c)
     return acc
 
 
-def _memoized(side, g: int, rows: tuple[int, ...], cols: tuple[int, ...], memo: Memo) -> Terms:
-    """The nonzero terms of X_g [rows|cols] or [rows|cols] X_g, by side, built
-    once per memo."""
-    key = (g, rows, cols)
-    terms = memo.get(key)
+def _terms(state: State, memo: Memo) -> Terms:
+    """The nonzero terms of the state, built once per memo."""
+    terms = memo.get(state)
     if terms is None:
-        flat = side(g, {0: 1}, rows, cols, memo, {})
-        terms = memo[key] = _triples(flat)
+        terms = memo[state] = tuple(
+            (codes, e, c) for (codes, e), c in _expand(state, 0, 1, memo, {}).items() if c)
     return terms
 
 
-def _triples(flat: Flat) -> Terms:
-    return tuple((codes, e, c) for (codes, e), c in flat.items() if c)
-
-
-def _add(acc: Flat, terms: Terms, head: Codes, tail: Codes, e0: int, c0: int) -> Flat:
+def _add(acc: Flat, terms: Terms, head: Codes, tail: Codes, e0: int, c0: int) -> None:
     """Add c0 q^e0 head w tail over the (w, e, c) terms c q^e w into acc; head
     or tail is empty."""
     get = acc.get
@@ -262,34 +327,19 @@ def _add(acc: Flat, terms: Terms, head: Codes, tail: Codes, e0: int, c0: int) ->
         for codes, e, c in terms:
             key = (head + codes, e0 + e)
             acc[key] = get(key, 0) + c0 * c
-    return acc
 
 
-def _factor(shape: Shape, t: laws.Term) -> AlgebraElement:
-    """The term's scaled generator (-q)^e X[gen]."""
-    return gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
-
-
-def _summed(side, shape: Shape, terms: list[laws.Term]) -> AlgebraElement:
-    """The sum of a term table's products, generators on the given side,
-    accumulated once."""
-    acc: Flat = {}
+def _products(shape: Shape, terms: list[laws.Term], left: bool) -> list[AlgebraElement]:
+    """A term table's products, generators on the given side, in table order,
+    with one memo."""
     memo: Memo = {}
-    for t in terms:
-        _product(side, _factor(shape, t), t.minor, memo, acc)
-    return _regroup(shape, acc)
-
-
-def _products(side, shape: Shape, terms: list[laws.Term]) -> list[AlgebraElement]:
-    """A term table's products, generators on the given side, in table order."""
-    memo: Memo = {}
-    return [_regroup(shape, _product(side, _factor(shape, t), t.minor, memo, {})) for t in terms]
+    return [_flat(shape, table_combination(shape, [t], left), memo) for t in terms]
 
 
 def laplace_expand_row(shape: Shape, i: int, k: int) -> AlgebraElement:
     """sum_j (-q)^(j-i) X[k,j] A(i,j): the determinant when k = i, zero otherwise."""
     full = tuple(range(1, _square_side(shape, i, k) + 1))
-    return _summed(_left, shape, laws.row_terms(full, full, i, k))
+    return flat(shape, table_combination(shape, laws.row_terms(full, full, i, k), True))
 
 
 def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
@@ -300,18 +350,18 @@ def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
 
 def expansion(shape: Shape, terms: list[laws.Term]) -> AlgebraElement:
     """sum (-q)^e [minor] X[gen] over a term table whose generators stand right."""
-    return _summed(_right, shape, terms)
+    return flat(shape, table_combination(shape, terms, False))
 
 
 def expansion_products(shape: Shape, terms: list[laws.Term]) -> list[AlgebraElement]:
     """The products (-q)^e [minor] X[gen] of such a term table, in table order."""
-    return _products(_right, shape, terms)
+    return _products(shape, terms, False)
 
 
 def left_expansion_products(shape: Shape, terms: list[laws.Term]) -> list[AlgebraElement]:
     """The products (-q)^e X[gen] [minor] of a term table whose generators stand
     left, in table order."""
-    return _products(_left, shape, terms)
+    return _products(shape, terms, True)
 
 
 def _square_side(shape: Shape, a: int, b: int) -> int:

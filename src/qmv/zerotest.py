@@ -1,36 +1,21 @@
 """The centrality, semicentrality and laplace suites, each check decided by an
 exact zero test that works row by row and expands no minor.
 
-A combination sums, with coefficients in Z[q, q^-1], states of three kinds:
-a minor [R|C], a left product X_g [R|C] and a right product [R|C] X_g.  Each
-check of these suites asks whether such a combination is zero.  The test
-answers without building any product of up to t! terms; a check it does not
-find zero is built flat, through the minors module, whose difference decides
-it and gives its witness.
+Each check of these suites asks whether a combination of minors, left
+products X_g [R|C] and right products [R|C] X_g is zero (the minors module's
+states).  The test answers without building any product of up to t! terms; a
+check it does not find zero is built flat by ``minors.flat``, whose difference
+decides it and gives its witness.
 
 Why it is exact.  A PBW monomial factors uniquely into its row parts: the
 letters of row 1, then those of row 2, and so on.  So if every term of a
 combination lies in rows >= r, and the combination is written as
 sum_u u * F_u with u ranging over distinct monomials in row r and each F_u
-lying in rows > r, then it is zero exactly when every F_u is zero.  Each state
-splits that way, by regrouping its permutation sum along its first row
-(inv(sigma) = b + inv(rest), b the 0-based position of the column that row
-takes):
-
-    [R|C] = sum_b (-q)^b X[r,c_b] [R - r | C - c_b],
-
-and a generator in row r or below rides along: X_g X[r,c_b] straightens into
-one row-r letter times a generator v in g's row, or into a row-r monomial
-(the kernel's two-letter rule), and v stays in front of the sub-minor; a
-generator below r on the right stays behind it.  This is the regrouping that
-``minors._left`` and ``minors._right`` build products with, not a fitted law.
-The mirror split takes the bottom row r, with (-q)^(t-1-b) and the row-r
-letter as a suffix.  A state can always split at the top row unless it is a
-right product whose generator lies in that row over a minor other than 1 or
-[r|c] (then X_g would have to move up past the minor's lower rows); the
-mirror holds at the bottom row for left products.  The test splits at the top
-row while every state can, otherwise at the bottom row, and gives up
-(answers None) when neither works; the suites never build such a combination.
+lying in rows > r, then it is zero exactly when every F_u is zero.
+``minors.top`` writes each state that way, and ``minors.bottom`` does the
+mirror along the bottom row.  The test splits at the top row while every
+state can, otherwise at the bottom row, and gives up (answers None) when
+neither works; the suites never build such a combination.
 
 Each group F_u is normalized before it is looked up in the memo: its rows and
 columns compress to their ranks, and it is divided by the unit +-q^e that
@@ -44,104 +29,19 @@ changes no zero.  So equal normal forms are zero together.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 
-from .algebra import (
-    COL_BITS, COL_MASK, EXP_BITS, AlgebraElement, Codes, Shape, _fold_gen, gen, gen_id, letter,
-)
+from .algebra import COL_BITS, COL_MASK, Codes, Shape, gen_id
 from .checks import IdentityCheck, check_zero
 from .minors import (
-    ROW_SHIFT, _factor, laplace_expand_col, laplace_expand_row, minor_commutator, qdet,
+    ONE, Combination, Piece, State, bottom, commutator, flat, state_rows, table_combination, top,
 )
 from . import laws
 
-# X_left [rows|cols] X_right, a generator id or 0 on each side, at most one of
-# them set.  A lone generator is a left state over the empty minor.
-State = tuple[int, tuple[int, ...], tuple[int, ...], int]
-Combination = dict[tuple[State, int], int]  # (state, q exponent) -> integer coefficient
 Key = tuple[tuple[tuple[State, int], int], ...]
-Piece = tuple[Codes, int, int, State]  # (u, e, c, rest): c q^e u rest, or c q^e rest u
-
-ONE: State = (0, (), (), 0)
-
-
-def _state(left: int, rows: tuple[int, ...], cols: tuple[int, ...], right: int) -> State:
-    """The state, with a generator over the empty minor written on the left."""
-    return (right, (), (), 0) if right and not rows else (left, rows, cols, right)
-
-
-def _pair(a: int, b: int) -> list[tuple[Codes, int, int]]:
-    """X_a X_b straightened, as (codes, e, c) triples."""
-    return [(w, e, c) for (w, e), c in _fold_gen({((a << EXP_BITS | 1,), 0): 1}, b).items() if c]
-
-
-def _top(state: State, r: int) -> list[Piece] | None:
-    """The state as pieces (u, e, c, rest) with u in row r and rest in rows
-    below it, by its first-row regrouping; None when it cannot split there."""
-    left, rows, cols, right = state
-    if right and right >> COL_BITS == r:
-        if rows != (r,):
-            return None
-        return [(w, e, c, ONE) for w, e, c in _pair(gen_id(r, cols[0]), right)]
-    if not rows or rows[0] != r:
-        if left and left >> COL_BITS == r:
-            return [((left << EXP_BITS | 1,), 0, 1, (0, rows, cols, 0))]
-        return [((), 0, 1, state)]
-    below = rows[1:]
-    pieces = []
-    for b, col in enumerate(cols):
-        rest = cols[:b] + cols[b + 1:]
-        sign = -1 if b & 1 else 1
-        if not left:
-            pieces.append(((letter(r, col),), b, sign, _state(0, below, rest, right)))
-            continue
-        for w, e, c in _pair(left, gen_id(r, col)):
-            if w[-1] >> ROW_SHIFT <= r:  # w lies in row r
-                pieces.append((w, b + e, sign * c, (0, below, rest, 0)))
-            else:  # w = u v with v in the generator's row
-                pieces.append((w[:1], b + e, sign * c, (w[1] >> EXP_BITS, below, rest, 0)))
-    return pieces
-
-
-def _bottom(state: State, r: int) -> list[Piece] | None:
-    """The state as pieces (v, e, c, rest) with v in row r and rest in rows
-    above it, by its last-row regrouping; None when it cannot split there."""
-    left, rows, cols, right = state
-    if left and left >> COL_BITS == r:
-        if not rows:
-            return [((left << EXP_BITS | 1,), 0, 1, ONE)]
-        if rows != (r,):
-            return None
-        return [(w, e, c, ONE) for w, e, c in _pair(left, gen_id(r, cols[0]))]
-    if not rows or rows[-1] != r:
-        if right and right >> COL_BITS == r:
-            return [((right << EXP_BITS | 1,), 0, 1, (0, rows, cols, 0))]
-        return [((), 0, 1, state)]
-    above, last = rows[:-1], len(rows) - 1
-    pieces = []
-    for b, col in enumerate(cols):
-        rest = cols[:b] + cols[b + 1:]
-        sign = -1 if (last - b) & 1 else 1
-        if not right:
-            pieces.append(((letter(r, col),), last - b, sign, (left, above, rest, 0)))
-            continue
-        for w, e, c in _pair(gen_id(r, col), right):
-            if w[0] >> ROW_SHIFT >= r:  # w lies in row r
-                pieces.append((w, last - b + e, sign * c, (0, above, rest, 0)))
-            else:  # w = u v with u in the generator's row
-                pieces.append((w[1:], last - b + e, sign * c,
-                               _state(0, above, rest, w[0] >> EXP_BITS)))
-    return pieces
-
-
-def _rows(state: State) -> list[int]:
-    left, rows, _, right = state
-    g = left or right
-    return [*rows, g >> COL_BITS] if g else list(rows)
 
 
 def _pieces(side, states: set[State], r: int) -> dict[State, list[Piece]] | None:
-    """Every state split at row r by ``_top`` or ``_bottom``, or None if one cannot."""
+    """Every state split at row r by ``top`` or ``bottom``, or None if one cannot."""
     out = {}
     for s in states:
         out[s] = side(s, r)
@@ -182,7 +82,8 @@ class ZeroTest:
     """Decides combinations exactly, with one memo of normal forms; keep one
     per suite run."""
 
-    def __init__(self):
+    def __init__(self, shape: Shape):
+        self.shape = shape
         self.memo: dict[Key, bool | None] = {}
         self.splits = 0
         self.memo_hits = 0
@@ -206,8 +107,8 @@ class ZeroTest:
         states = {s for (s, _), _ in key}
         if states == {ONE}:
             return False  # a nonzero scalar
-        rows = [r for s in states for r in _rows(s)]
-        pieces = _pieces(_top, states, min(rows)) or _pieces(_bottom, states, max(rows))
+        rows = [r for s in states for r in state_rows(s)]
+        pieces = _pieces(top, states, min(rows)) or _pieces(bottom, states, max(rows))
         if pieces is None:
             return None
         groups: dict[Codes, Combination] = {}
@@ -227,16 +128,15 @@ class ZeroTest:
                     verdict = None
         return verdict
 
-    def check(self, name: str, combination: Combination,
-              flat: Callable[[], AlgebraElement]) -> IdentityCheck:
+    def check(self, name: str, combination: Combination) -> IdentityCheck:
         """The check that the combination vanishes.  Unless the test finds it
-        zero, the flat difference decides and gives the witness; a flat zero
-        after a nonzero verdict means the two paths disagree."""
+        zero, the combination built flat decides and gives the witness; a flat
+        zero after a nonzero verdict means the two paths disagree."""
         verdict = self.is_zero(combination)
         if verdict:
             return IdentityCheck(name, True)
         self.flat_checks += 1
-        check = check_zero(name, flat())
+        check = check_zero(name, flat(self.shape, combination))
         if check.ok and verdict is False:
             raise AssertionError(f"{name}: the zero test found a nonzero combination "
                                  "whose flat difference vanishes")
@@ -247,32 +147,6 @@ class ZeroTest:
                 "flat_checks": self.flat_checks}
 
 
-def commutator(g: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> Combination:
-    """[rows|cols] X_g - X_g [rows|cols]."""
-    return _sum([(_state(0, rows, cols, g), 0, 1), ((g, rows, cols, 0), 0, -1)])
-
-
-def expansion(shape: Shape, terms: list[laws.Term], left: bool,
-              minus: laws.MinorKey | None = None) -> Combination:
-    """The sum of a term table's products, from the scaled generators
-    (-q)^e X[gen] the minors module multiplies its minors by, generators on
-    the left or on the right; minus the minor ``minus`` when one is given."""
-    entries = [((0, *minus, 0), 0, -1)] if minus else []
-    for t in terms:
-        (codes, coeff), = _factor(shape, t)._terms.items()
-        g = codes[0] >> EXP_BITS
-        state = (g, *t.minor, 0) if left else _state(0, *t.minor, g)
-        entries.extend((state, e, c) for e, c in coeff._terms.items())
-    return _sum(entries)
-
-
-def _sum(entries) -> Combination:
-    out: Combination = {}
-    for state, e, c in entries:
-        out[(state, e)] = out.get((state, e), 0) + c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the suites
 # ---------------------------------------------------------------------------
@@ -281,11 +155,8 @@ def _suite_centrality(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
     if shape.m != shape.n:
         raise ValueError("centrality of the determinant needs a square shape")
     full = tuple(range(1, shape.n + 1))
-    return [
-        test.check(f"det central vs X[{i},{j}]", commutator(gen_id(i, j), full, full),
-                   lambda i=i, j=j: minor_commutator(gen(shape, i, j), full, full))
-        for i, j in shape.generators()
-    ]
+    return [test.check(f"det central vs X[{i},{j}]", commutator(gen_id(i, j), full, full))
+            for i, j in shape.generators()]
 
 
 def _suite_semicentrality(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
@@ -295,11 +166,8 @@ def _suite_semicentrality(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
             for cols in itertools.combinations(range(1, shape.n + 1), p):
                 for i in rows:
                     for j in cols:
-                        checks.append(test.check(
-                            f"[{list(rows)}|{list(cols)}] vs X[{i},{j}]",
-                            commutator(gen_id(i, j), rows, cols),
-                            lambda i=i, j=j, rows=rows, cols=cols:
-                                minor_commutator(gen(shape, i, j), rows, cols)))
+                        checks.append(test.check(f"[{list(rows)}|{list(cols)}] vs X[{i},{j}]",
+                                                 commutator(gen_id(i, j), rows, cols)))
     return checks
 
 
@@ -307,18 +175,15 @@ def _suite_laplace(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
     if shape.m != shape.n:
         raise ValueError("Laplace expansions need a square shape")
     full = tuple(range(1, shape.n + 1))
-    zero = AlgebraElement.zero(shape)
     checks = []
-    for name, table, left, flat in (
-            ("row expansion i={}, coefficients from row {}", laws.row_terms, True, laplace_expand_row),
-            ("column expansion j={}, coefficients from column {}", laws.col_terms, False,
-             laplace_expand_col)):
+    for name, table, left in (
+            ("row expansion i={}, coefficients from row {}", laws.row_terms, True),
+            ("column expansion j={}, coefficients from column {}", laws.col_terms, False)):
         for a in full:
             for b in full:
                 minus = (full, full) if a == b else None
-                checks.append(test.check(
-                    name.format(a, b), expansion(shape, table(full, full, a, b), left, minus),
-                    lambda a=a, b=b, flat=flat: flat(shape, a, b) - (qdet(shape) if a == b else zero)))
+                checks.append(test.check(name.format(a, b), table_combination(
+                    shape, table(full, full, a, b), left, minus)))
     return checks
 
 
@@ -331,5 +196,5 @@ SUITES = {
 
 def check_by_rows(name: str, shape: Shape) -> tuple[list[IdentityCheck], dict[str, int]]:
     """One suite's checks, with one zero test for the run, and its counts."""
-    test = ZeroTest()
+    test = ZeroTest(shape)
     return SUITES[name](shape, test), test.counts()

@@ -277,6 +277,17 @@ def run_module(*args):
                           capture_output=True, text=True, timeout=60)
 
 
+def test_the_cli_compiles_neither_the_split_nor_the_pattern_suites():
+    # both modules load on first use, so a process that runs none of their
+    # suites never compiles them
+    probe = ("import sys, qmv.cli; "
+             "print(sorted(m for m in ('qmv.zerotest', 'qmv.patterns') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_python_dash_m_runs_the_cli():
     done = run_module("normalize", "--m", "2", "--n", "2", "X[2,2]*X[1,1]")
     assert done.returncode == 0

@@ -4,19 +4,18 @@ import itertools
 
 import pytest
 
-from qmv.algebra import AlgebraElement, Bidegree, Shape, _mono_times_gen, commutator, gen, letter
+from qmv.algebra import AlgebraElement, Bidegree, Shape, _mono_times_gen, commutator, gen, gen_id, letter
 from qmv import minors
 from qmv.minors import (
     MinorSpec,
     check_term_count,
     complement_minor,
-    gen_times_minor,
+    expansion_products,
+    flat,
     inversions,
     laplace_expand_col,
     laplace_expand_row,
     minor,
-    minor_commutator,
-    minor_times_gen,
     project_pi,
     qdet,
 )
@@ -24,6 +23,7 @@ from qmv import laws
 from qmv.localize import x_prime_minor
 from qmv.scalar import LaurentScalar, Q, QINV
 from qmv.verify import run_suite
+from qmv.zerotest import ZeroTest
 
 
 def test_inversion_count():
@@ -229,6 +229,19 @@ def test_term_guard_estimates_before_building(monkeypatch):
         qdet(Shape(4, 4))
     with pytest.raises(ValueError, match="4! = 24 terms"):
         x_prime_minor(Shape(4, 4), (2, 3, 4), (1, 2, 3))
+    # the flat builder fits every state's minor before it builds anything,
+    # and the zero test builds no minor at all
+    monkeypatch.setattr(minors, "MAX_MINOR_TERMS", 2)
+    s, full = Shape(4, 4), (1, 2, 3, 4)
+    with pytest.raises(ValueError, match="3! = 6 terms"):
+        laplace_expand_row(s, 1, 1)
+    with pytest.raises(ValueError, match="3! = 6 terms"):
+        expansion_products(s, laws.col_terms(full, full, 4, 4))
+    with pytest.raises(ValueError, match="3! = 6 terms"):
+        ZeroTest(s).check("outside", minors.commutator(gen_id(4, 4), (1, 2, 3), (1, 2, 3)))
+    for suite in ("centrality", "laplace"):
+        report = run_suite(suite, n=4)
+        assert report.passed and report.counts["flat_checks"] == 0, suite
 
 
 # ---------------------------------------------------------------------------
@@ -244,34 +257,37 @@ def _all_minors(shape):
 
 @pytest.mark.parametrize("m,n", [(3, 3), (4, 4), (3, 4), (4, 3), (5, 5)])
 def test_generator_minor_products_match_the_kernel(m, n):
-    # every generator, plain and scaled, on both sides of every minor; the
-    # reference is the permutation-sum minor times the generator in the kernel
+    # every generator, plain and scaled by q^2 - 1, on both sides of every
+    # minor; the reference is the permutation-sum minor times the generator
+    # in the kernel
     s = Shape(m, n)
     scale = Q * (Q - QINV)
     for rows, cols in _all_minors(s):
         mn = minor(s, rows, cols)
         for i, j in s.generators():
-            for x in (gen(s, i, j), gen(s, i, j).scale(scale)):
-                assert gen_times_minor(x, rows, cols) == x * mn, (rows, cols, i, j)
-                assert minor_times_gen(rows, cols, x) == mn * x, (rows, cols, i, j)
+            g, x = gen_id(i, j), gen(s, i, j)
+            for left, right in (((g, rows, cols, 0), x * mn), ((0, rows, cols, g), mn * x)):
+                assert flat(s, {(left, 0): 1}) == right, (left, i, j)
+                assert flat(s, {(left, 2): 1, (left, 0): -1}) == right.scale(scale), (left, i, j)
 
 
 def test_minor_commutator_is_the_kernel_commutator():
+    # [R|C] x - x [R|C] for x = -q^-1 X[2,3] + X[4,1]
     s = Shape(4, 4)
     x = gen(s, 2, 3).scale(-QINV) + gen(s, 4, 1)
     for rows, cols in _all_minors(s):
-        assert minor_commutator(x, rows, cols) == commutator(minor(s, rows, cols), x), (rows, cols)
+        combination = {(state, e - 1): -c for (state, e), c in
+                       minors.commutator(gen_id(2, 3), rows, cols).items()}
+        for key, c in minors.commutator(gen_id(4, 1), rows, cols).items():
+            combination[key] = combination.get(key, 0) + c
+        assert flat(s, combination) == commutator(minor(s, rows, cols), x), (rows, cols)
 
 
 def test_generator_minor_products_refuse_other_factors():
     s = Shape(3, 3)
-    with pytest.raises(ValueError, match="combination of generators"):
-        gen_times_minor(gen(s, 1, 1) * gen(s, 2, 2), (1, 2), (1, 2))
-    with pytest.raises(ValueError, match="combination of generators"):
-        minor_times_gen((1, 2), (1, 2), AlgebraElement.one(s))
     with pytest.raises(ValueError, match="does not fit"):
-        minor_times_gen((1, 4), (1, 2), gen(s, 1, 1))
-    assert gen_times_minor(AlgebraElement.zero(s), (1, 2), (1, 2)).is_zero()
+        flat(s, {((0, (1, 4), (1, 2), gen_id(1, 1)), 0): 1})
+    assert flat(s, {}).is_zero()
 
 
 @pytest.mark.parametrize("suite", ["centrality", "laplace"])
