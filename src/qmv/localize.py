@@ -26,14 +26,17 @@ themselves are checked and reported once per minor by the lemma23 suite.
 
 Each check builder the cor22, lemma23 and thm25 suites use has a companion
 that names its checks, so that the patterns module, which runs one check per
-order-pattern class, names every check of a class as the builder would.
+order-pattern class, names every check of a class as the builder would.  The
+form of a derived check is decided once: ``_rewriting`` says which expansion
+a Lemma 2.3 rewriting solves, and ``_commutation`` whether a Theorem 2.5
+commutation is a q-twist or a correction sum.  The builders, their names and
+the law-table walkers of the patterns module all ask them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
@@ -378,116 +381,78 @@ def reduction_names(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) 
     return [f"{label}, right denominator", f"{label}, left denominator"]
 
 
-@dataclass
-class MinorExpansion:
-    """A minor rewritten over the localization, with its supporting zero-identities."""
-
-    case: str
-    checks: list[IdentityCheck]
-    rewriting: LocalizedElement
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def _corner_case(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> str:
-    """Which of row 1 and column n the minor [rows|cols] contains: "corner" when
-    both, otherwise the name of the expansion that rewrites it."""
-    if rows[0] == 1:
-        return "corner" if cols[-1] == shape.n else "missing-column"
-    return "missing-row" if cols[-1] == shape.n else "missing-both"
-
-
 def _call(table, *args):
     return table(*args)
 
 
-def _solved_terms(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str,
-                  read=_call) -> list[laws.Term]:
-    """The expansion that the rewriting of [rows|cols] solves, as a term table
-    (generators right): along row 1 with column n adjoined, or along column n
-    with row 1 adjoined, both of which vanish; or, when both are missing, the
-    first-row expansion of the enlarged minor.  Its term with the corner
-    generator X[1,n] holds the target.  ``read(table, *args)`` reads the table."""
+def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], read=_call
+               ) -> tuple[list[laws.Term], int, laws.MinorKey | None]:
+    """How Lemma 2.3 rewrites [rows|cols], a minor missing row 1, column n or
+    both, over minors closer to the corner.  Returns the expansion it solves,
+    as a term table (generators right) read through ``read(table, *args)``; the
+    position of the table's corner term (-q)^e* [rows|cols] X[1,n], which holds
+    the target; and the enlarged minor [1 u rows | cols u n] the expansion
+    equals, or None when the expansion vanishes.
+
+    With row 1 present the expansion runs along row 1 with column n adjoined,
+    and with column n present along column n with row 1 adjoined; either
+    repeats an index and vanishes.  With both missing it is the first-row
+    expansion of the enlarged minor, whose other terms miss only row 1.  The
+    rewriting is the expansion solved for its corner term:
+    (-q)^-e* (E - the other products) X[1,n]^-1, with E the enlarged minor or 0.
+    """
     n = shape.n
-    if case == "missing-row":
-        return read(laws.col_terms, (1,) + rows, cols + (n,), len(rows) + 1, n)
-    return read(laws.first_row_terms, (1,) + rows, cols + (n,))
-
-
-def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], case: str
-               ) -> list[tuple[laws.MinorKey, LocalizedElement]]:
-    """The rewriting of a minor missing row 1 and/or column n as a sum of
-    [r|c] * right over ((r, c), right) pairs, read off the frozen laws by
-    solving the expansion for its corner term; each right cofactor is a scaled
-    generator (or scalar) times X[1,n]^-1."""
-    mq = LaurentScalar.minus_q_power
-    terms = _solved_terms(shape, rows, cols, case)
-    target = next(t for t in terms if t.gen == (1, shape.n))
-    out = [
-        (t.minor, LocalizedElement(gen(shape, *t.gen).scale(-mq(t.exponent - target.exponent)), 1))
-        for t in terms if t is not target
-    ]
-    if case == "missing-both":
-        whole = LocalizedElement(AlgebraElement.from_scalar(shape, mq(-target.exponent)), 1)
-        out.insert(0, (((1,) + rows, cols + (shape.n,)), whole))
-    return out
+    if rows[0] == 1 and cols[-1] == n:
+        raise ValueError(f"[{list(rows)}|{list(cols)}] in {shape} already contains the corner; "
+                         "use the minor reduction")
+    big = ((1,) + rows, cols + (n,))
+    if cols[-1] == n:
+        terms = read(laws.col_terms, *big, len(rows) + 1, n)
+    else:
+        terms = read(laws.first_row_terms, *big)
+    corner = next(k for k, t in enumerate(terms) if t.gen == (1, n))
+    return terms, corner, big if rows[0] != 1 and cols[-1] != n else None
 
 
 def expand_minor_without_corner(
     shape: Shape, rows: tuple[int, ...] | list[int], cols: tuple[int, ...] | list[int]
-) -> MinorExpansion:
-    """Rewrite a minor missing row 1 and/or column n as a right combination of
-    minors closer to the corner, over the localization.
-
-    The three cases mirror how such a minor is expanded: along row 1 with an
-    adjoined column n, along column n with an adjoined row 1, or through the
-    enlarged minor when both are missing (its other terms miss only row 1).
-    The expansion the rewriting solves is checked first, then the rewriting.
-    The rewriting is that expansion solved for its corner term
-    (-q)^e* [rows|cols] X[1,n], so it reuses the expansion's other products:
-    (-q)^-e* (E - their sum) X[1,n]^-1, with E the enlarged minor when both
-    are missing and 0 otherwise.
-    """
+) -> list[IdentityCheck]:
+    """The checks that rewrite a minor missing row 1 and/or column n as a right
+    combination of minors closer to the corner, over the localization: the
+    expansion ``_rewriting`` solves (with the enlarged minor's last-row
+    expansion when it has one), then the rewriting, which reuses the
+    expansion's products."""
     rows, cols = tuple(rows), tuple(cols)
     target = minor(shape, rows, cols)  # validates the index sets
-    case = _corner_case(shape, rows, cols)
-    if case == "corner":
-        raise ValueError(f"[{list(rows)}|{list(cols)}] in {shape} already contains the corner; "
-                         "use the minor reduction")
+    terms, corner, enlarged = _rewriting(shape, rows, cols)
     names = expansion_names(shape, rows, cols)
-    terms = _solved_terms(shape, rows, cols, case)
     products = expansion_products(shape, terms)
     solved = AlgebraElement.sum(shape, products)
-    corner = next(k for k, t in enumerate(terms) if t.gen == (1, shape.n))
     others = products[:corner] + products[corner + 1:]
-    if case == "missing-both":
-        big_rows, big_cols = (1,) + rows, cols + (shape.n,)
-        big = minor(shape, big_rows, big_cols)
+    if enlarged:
+        big = minor(shape, *enlarged)
         others.append(-big)
         checks = [
             check_zero(names[0], big - solved),
-            check_zero(names[1], big - expansion(shape, laws.last_row_terms(big_rows, big_cols))),
+            check_zero(names[1], big - expansion(shape, laws.last_row_terms(*enlarged))),
         ]
     else:
         checks = [check_zero(names[0], solved)]
     scale = -LaurentScalar.minus_q_power(-terms[corner].exponent)
     rewriting = LocalizedElement(AlgebraElement.sum(shape, others).scale(scale), 1)
     checks.append(check_zero(names[-1], rewriting - target))
-    return MinorExpansion(case, checks, rewriting)
+    return checks
 
 
 def expansion_names(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> list[str]:
     """The names of the checks ``expand_minor_without_corner`` builds, in order:
     the expansions it solves, then the rewriting."""
     label = f"[{list(rows)}|{list(cols)}] in {shape}"
-    case = _corner_case(shape, rows, cols)
-    if case == "missing-both":
+    if rows[0] != 1 and cols[-1] != shape.n:
         claims = ["first-row expansion of the enlarged minor",
                   "last-row expansion of the enlarged minor"]
     else:
-        claims = [f"{'row-1' if case == 'missing-column' else 'column-n'} expansion vanishes"]
+        claims = [f"{'row-1' if rows[0] == 1 else 'column-n'} expansion vanishes"]
     return [f"{label}: {claim}" for claim in claims + ["rewriting agrees"]]
 
 
@@ -519,59 +484,66 @@ def derived_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> 
 def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]
                        ) -> dict[laws.MinorKey, LocalizedElement]:
     """The cofactor map of [rows|cols]: a minor through the corner is
-    (-q)^(p-1) [R-1|C-n]' X[1,n]; any other is rewritten over minors closer to
-    the corner, whose maps are taken times the rewriting's right cofactors.
-    Builds no check."""
-    case = _corner_case(shape, rows, cols)
-    if case == "corner":
+    (-q)^(p-1) [R-1|C-n]' X[1,n]; any other is rewritten by ``_rewriting`` as a
+    sum of [r|c] times a scaled generator (or scalar) times X[1,n]^-1, and the
+    maps of those minors are taken times these right cofactors.  Builds no
+    check."""
+    if rows[0] == 1 and cols[-1] == shape.n:
         corner = gen(shape, 1, shape.n).scale(LaurentScalar.minus_q_power(len(rows) - 1))
         return {(rows[1:], cols[:-1]): loc(corner)}
+    mq = LaurentScalar.minus_q_power
+    terms, corner, enlarged = _rewriting(shape, rows, cols)
+    e = terms[corner].exponent
+    rights = [(t.minor, LocalizedElement(gen(shape, *t.gen).scale(-mq(t.exponent - e)), 1))
+              for k, t in enumerate(terms) if k != corner]
+    if enlarged:
+        rights.insert(0, (enlarged, LocalizedElement(AlgebraElement.from_scalar(shape, mq(-e)), 1)))
     pieces: dict[laws.MinorKey, list[LocalizedElement]] = {}
-    for (r, c), right in _rewriting(shape, rows, cols, case):
+    for (r, c), right in rights:
         for key, piece in _derived_cofactors(shape, r, c).items():
             pieces.setdefault(key, []).append(piece * right)
     return {key: LocalizedElement.sum(shape, ps) for key, ps in pieces.items()}
 
 
+def _commutation(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen, read=_call
+                 ) -> tuple[str, LaurentScalar, list[laws.Term]]:
+    """How Theorem 2.5 commutes the edge generator x = X[1,l] or X[k,n] with
+    [rows|cols]': the claim that names the check, the twist c, and the
+    correction term table, read through ``read(table, *args)``, whose products
+    complete x [R|C]' - c [R|C]' x to zero.  When the generator's index lies
+    inside the minor it is a clean q-twist (c = q^-1 for X[1,l], q for X[k,n])
+    with no corrections; otherwise c = 1 and the fitted correction sum."""
+    (gi, gj), n = g, shape.n
+    if gi == 1 and gj < n:
+        if gj in cols:
+            return "q^-1 twist", QINV, []
+        return "correction sum", ONE, read(laws.col_commutation_terms, rows, cols, gj)
+    if gj == n and gi >= 2:
+        if gi in rows:
+            return "q twist", Q, []
+        return "correction sum", ONE, read(laws.row_commutation_terms, rows, cols, gi, n)
+    raise ValueError(f"generator X[{gi},{gj}] is not an edge generator for {shape}")
+
+
 def check_minor_commutation(
     shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen
 ) -> IdentityCheck:
-    """Commutation of a derived minor with an edge generator X[1,l] or X[k,n]:
-    a clean q-commutation when the index sits inside the minor, and a fitted
-    correction sum otherwise."""
+    """Commutation of a derived minor with an edge generator X[1,l] or X[k,n],
+    in the form ``_commutation`` decides."""
     rows, cols = tuple(rows), tuple(cols)
+    _, twist, terms = _commutation(shape, rows, cols, g)
     mp = x_prime_minor(shape, rows, cols)
-    gi, gj = g
-    x = gen(shape, gi, gj)
-    name = commutation_name(shape, rows, cols, g)
-
-    def difference(twist: LaurentScalar, corrections=()) -> LocalizedElement:
-        # x mp - twist * mp x minus the correction sum, accumulated once
-        return LocalizedElement.sum(shape, [loc(x) * mp, mp * x.scale(-twist), *corrections])
-
-    if gi == 1 and gj <= shape.n - 1:
-        if gj in cols:
-            return check_zero(name, difference(QINV))
-        terms = laws.col_commutation_terms(rows, cols, gj)
-    elif gj == shape.n and gi >= 2:
-        if gi in rows:
-            return check_zero(name, difference(Q))
-        terms = laws.row_commutation_terms(rows, cols, gi, shape.n)
-    else:
-        raise ValueError(f"generator X[{gi},{gj}] is not an edge generator for {shape}")
-    return check_zero(name, difference(ONE, correction_products(shape, terms, g)))
+    x = gen(shape, *g)
+    # x mp - twist * mp x plus the correction sum, accumulated once
+    difference = LocalizedElement.sum(
+        shape, [loc(x) * mp, mp * x.scale(-twist), *correction_products(shape, terms, g)])
+    return check_zero(commutation_name(shape, rows, cols, g), difference)
 
 
 def commutation_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen) -> str:
-    """The name of the check ``check_minor_commutation`` builds."""
-    gi, gj = g
-    if gi == 1 and gj in cols:
-        claim = "q^-1 twist"
-    elif gj == shape.n and gi in rows:
-        claim = "q twist"
-    else:
-        claim = "correction sum"
-    return f"X[{gi},{gj}] vs [{list(rows)}|{list(cols)}]' in {shape}: {claim}"
+    """The name of the check ``check_minor_commutation`` builds; it reads no law table."""
+    claim, _, _ = _commutation(shape, rows, cols, g, read=lambda table, *args: [])
+    return f"X[{g[0]},{g[1]}] vs [{list(rows)}|{list(cols)}]' in {shape}: {claim}"
 
 
 def correction_products(shape: Shape, terms: list[laws.Term], g: Gen) -> list[LocalizedElement]:

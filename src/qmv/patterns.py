@@ -24,8 +24,8 @@ from .algebra import Shape, relabel
 from .checks import IdentityCheck, check_zero
 from .localize import (
     Gen,
-    _corner_case,
-    _solved_terms,
+    _commutation,
+    _rewriting,
     check_minor_commutation,
     check_minor_reduction,
     commutation_name,
@@ -45,8 +45,10 @@ from . import laws
 # Each walker below reads, through read(table, *args) -> list[Term], every term
 # table of the laws module that the check builder of the same name in localize
 # reads, in a fixed order, and follows the table's own minors wherever the
-# builder does.  A change to what a builder reads changes its walker too;
-# tests/test_order_classes.py records both and compares them.
+# builder does.  Which expansion a rewriting solves, and whether a commutation
+# is a twist or a correction sum, a walker takes from the decider its builder
+# calls, ``localize._rewriting`` or ``localize._commutation``, passing its read
+# through.  tests/test_order_classes.py records both reads and compares them.
 
 def _x_prime_reads(rows: tuple[int, ...], cols: tuple[int, ...], read, seen: set) -> None:
     """The row-laplace tables ``x_prime_minor`` recurses through, each once."""
@@ -63,10 +65,9 @@ def reduction_reads(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], 
 
 def expansion_reads(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], read) -> None:
     """The tables ``expand_minor_without_corner`` reads."""
-    case = _corner_case(shape, rows, cols)
-    _solved_terms(shape, rows, cols, case, read)
-    if case == "missing-both":
-        read(laws.last_row_terms, (1,) + rows, cols + (shape.n,))
+    _, _, enlarged = _rewriting(shape, rows, cols, read)
+    if enlarged:
+        read(laws.last_row_terms, *enlarged)
 
 
 def derived_reads(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], read) -> None:
@@ -77,18 +78,16 @@ def derived_reads(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], re
     rewritten: set = set()
 
     def cofactor_reads(rows, cols):
-        case = _corner_case(shape, rows, cols)
-        if case == "corner":
+        if rows[0] == 1 and cols[-1] == shape.n:
             corners.append((rows[1:], cols[:-1]))
         elif (rows, cols) not in rewritten:
             rewritten.add((rows, cols))
-            terms = _solved_terms(shape, rows, cols, case, read)
-            target = next(t for t in terms if t.gen == (1, shape.n))
-            subs = [t.minor for t in terms if t is not target]
-            if case == "missing-both":
-                subs.insert(0, ((1,) + rows, cols + (shape.n,)))
-            for sub in subs:
-                cofactor_reads(*sub)
+            terms, corner, enlarged = _rewriting(shape, rows, cols, read)
+            if enlarged:
+                cofactor_reads(*enlarged)
+            for k, t in enumerate(terms):
+                if k != corner:
+                    cofactor_reads(*t.minor)
 
     cofactor_reads(rows, cols)
     seen: set = set()
@@ -99,18 +98,11 @@ def derived_reads(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], re
 def commutation_reads(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen,
                       read) -> None:
     """The tables ``check_minor_commutation`` reads: the derived minor's, the
-    correction table's when the generator's index lies outside the minor, and
-    those of the correction terms' derived minors."""
+    correction table ``_commutation`` reads, and those of the correction terms'
+    derived minors."""
     seen: set = set()
     _x_prime_reads(rows, cols, read, seen)
-    (gi, gj), n = g, shape.n
-    if gi == 1 and gj not in cols:
-        terms = read(laws.col_commutation_terms, rows, cols, gj)
-    elif gj == n and gi not in rows:
-        terms = read(laws.row_commutation_terms, rows, cols, gi, n)
-    else:
-        terms = []
-    for t in terms:
+    for t in _commutation(shape, rows, cols, g, read)[2]:
         _x_prime_reads(*t.minor, read, seen)
 
 
@@ -125,8 +117,7 @@ class CheckKind(NamedTuple):
 
 
 REDUCTION = CheckKind(check_minor_reduction, reduction_names, reduction_reads)
-EXPANSION = CheckKind(lambda shape, *args: expand_minor_without_corner(shape, *args).checks,
-                      expansion_names, expansion_reads)
+EXPANSION = CheckKind(expand_minor_without_corner, expansion_names, expansion_reads)
 DERIVED = CheckKind(lambda shape, *args: [minor_over_derived_generators(shape, *args)[1]],
                     lambda shape, *args: [derived_name(shape, *args)], derived_reads)
 COMMUTATION = CheckKind(lambda shape, *args: [check_minor_commutation(shape, *args)],

@@ -48,6 +48,7 @@ from .algebra import (
 )
 from .checks import IdentityCheck, check_zero
 from .localize import (
+    _commutation,
     _corner_power,
     _times_corner,
     check_det_reduction,
@@ -125,27 +126,29 @@ def solve_linear(matrix: list[dict[int, object]], rhs: list, n_cols: int,
 @dataclass
 class ElementSystem:
     """sum_c t_c columns[c] = target over Z[q, q^-1]: each distinct entry once,
-    and rows {column: entry index} with right-hand sides as entry indices."""
+    ZERO first, and rows {column: entry index} with right-hand sides as entry
+    indices."""
 
     n_cols: int
     entries: list[LaurentScalar]
     rows: list[dict[int, int]]
     rhs: list[int]
 
-    def solve(self, convert, zero) -> tuple[str, list | None]:
+    def solve(self, convert) -> tuple[str, list | None]:
         """``solve_linear`` in the field ``convert`` maps entries into, each
-        converted once.  An entry converting to zero (q - q^-1 at q0 = +-1) is
-        not stored, so it is never a pivot; rows and columns keep their order."""
+        converted once; the first, ``convert(ZERO)``, is the field's zero.  An
+        entry converting to zero (q - q^-1 at q0 = +-1) is not stored, so it is
+        never a pivot; rows and columns keep their order."""
         values = [convert(entry) for entry in self.entries]
         kept = [bool(v) for v in values]
         matrix = [{c: values[i] for c, i in row.items() if kept[i]} for row in self.rows]
-        return solve_linear(matrix, [values[i] for i in self.rhs], self.n_cols, zero)
+        return solve_linear(matrix, [values[i] for i in self.rhs], self.n_cols, values[0])
 
 
 def _element_system(columns: Iterable[AlgebraElement], target: AlgebraElement) -> ElementSystem:
     """Rows for the target's monomials in its order, then for each new monomial
     in column order; the columns are read one at a time and not kept."""
-    index: dict[LaurentScalar, int] = {}
+    index: dict[LaurentScalar, int] = {ZERO: 0}
     entry = lambda coeff: index.setdefault(coeff, len(index))
     row_of = {mono: r for r, mono in enumerate(target._terms)}
     rhs = [entry(coeff) for coeff in target._terms.values()]
@@ -198,7 +201,7 @@ FIT_FAMILIES = (
 
 def _solved_exponents(columns, target, family) -> list[int]:
     """The exponents e with target = sum (-q)^e columns[i], solved exactly."""
-    status, sol = _element_system(columns, target).solve(ScalarFraction, ScalarFraction(0))
+    status, sol = _element_system(columns, target).solve(ScalarFraction)
     if status == "none":
         raise FitError(f"{family}: no exponent vector satisfies the identity (convention mismatch)")
     if status == "many":
@@ -253,17 +256,14 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
     else:
         col_family = family == "thm25-2prime"
         shape = Shape(m or 3, n or 4) if col_family else Shape(m or 4, n or 3)
+        edges = ([(1, l) for l in range(1, shape.n)] if col_family
+                 else [(k, shape.n) for k in range(2, shape.m + 1)])
         for size in ((t - 1,) if t else (1, 2)):
             for rows in itertools.combinations(range(2, shape.m + 1), size):
                 for cols in itertools.combinations(range(1, shape.n), size):
-                    if col_family:
-                        edges = [((1, l), laws.col_commutation_terms(rows, cols, l))
-                                 for l in range(1, shape.n) if l not in cols]
-                    else:
-                        edges = [((k, shape.n), laws.row_commutation_terms(rows, cols, k, shape.n))
-                                 for k in range(2, shape.m + 1) if k not in rows]
-                    for g, terms in edges:
-                        if terms:
+                    for g in edges:
+                        # a q-twist has no correction table, so nothing to fit
+                        if terms := _commutation(shape, rows, cols, g)[2]:
                             # the corrections complete x mp - mp x to zero; derived minors have
                             # denominator exponent 1 (Cor. 2.2), so all is read over X[1,n]^-1
                             x, mp = loc(gen(shape, *g)), x_prime_minor(shape, rows, cols)
@@ -365,7 +365,7 @@ def solve_membership(problem: MembershipProblem):
     Cofactors with genuinely fractional coefficients cannot be represented as
     elements; the verdict still stands and the witness is omitted.
     """
-    status, sol = problem.system.solve(ScalarFraction, ScalarFraction(0))
+    status, sol = problem.system.solve(ScalarFraction)
     if status == "none":
         return "no-solution", None
     slots = [(unk.name, mono) for unk in problem.unknowns for mono in unk.basis]
@@ -386,7 +386,7 @@ def solve_membership(problem: MembershipProblem):
 
 def specialized_membership_verdict(problem: MembershipProblem, q0) -> str:
     """Verdict of the same system with q specialized to a nonzero rational."""
-    status, _ = problem.system.solve(lambda c: c.evaluate(q0), Fraction(0))
+    status, _ = problem.system.solve(lambda c: c.evaluate(q0))
     return "no-solution" if status == "none" else "solution"
 
 
@@ -533,12 +533,12 @@ def _quantum_relation_checks(entries: dict[Gen, object], label: str) -> list[Ide
     return out
 
 
-def _suite_eq1_relations(shape: Shape, t=None) -> list[IdentityCheck]:
+def _suite_eq1_relations(shape: Shape) -> list[IdentityCheck]:
     entries = {(i, j): gen(shape, i, j) for i, j in shape.generators()}
     return _quantum_relation_checks(entries, f"X over {shape}")
 
 
-def _suite_lemma111(shape: Shape, t=None) -> list[IdentityCheck]:
+def _suite_lemma111(shape: Shape) -> list[IdentityCheck]:
     if shape.m < 2 or shape.n < 2:
         return []
     entries = x_prime_entries(shape)
@@ -555,7 +555,7 @@ def _suite_lemma111(shape: Shape, t=None) -> list[IdentityCheck]:
     return checks
 
 
-def _suite_prop112(shape: Shape, t=None) -> list[IdentityCheck]:
+def _suite_prop112(shape: Shape) -> list[IdentityCheck]:
     m, n = shape.m, shape.n
     if m < 2 or n < 2:
         return []
@@ -606,7 +606,7 @@ def _suite_prop112(shape: Shape, t=None) -> list[IdentityCheck]:
     return checks
 
 
-def _suite_appendix(shape: Shape, t=None) -> list[IdentityCheck]:
+def _suite_appendix(shape: Shape) -> list[IdentityCheck]:
     if (shape.m, shape.n) == (2, 2):
         a, b, c, d = (gen(shape, i, j) for i, j in shape.generators())
         lhs = a * d - (d * a).scale(Q * Q)
@@ -636,13 +636,13 @@ def _suite_appendix(shape: Shape, t=None) -> list[IdentityCheck]:
     raise ValueError("the golden identity suite is defined on the 2x2 and 3x3 shapes")
 
 
-def _suite_thm21(shape: Shape, t=None) -> list[IdentityCheck]:
+def _suite_thm21(shape: Shape) -> list[IdentityCheck]:
     if shape.m != shape.n:
         raise ValueError("determinant reduction needs a square shape")
     return check_det_reduction(shape.n)
 
 
-def _suite_pbw_count(shape: Shape, t=None) -> list[IdentityCheck]:
+def _suite_pbw_count(shape: Shape) -> list[IdentityCheck]:
     checks = []
     for d in range(5):
         got = monomial_count(shape, d)
@@ -672,7 +672,7 @@ def _classical_det(n: int) -> dict[Codes, Fraction]:
     return expand(idx, idx)
 
 
-def _suite_grading(shape: Shape, t=None) -> list[IdentityCheck]:
+def _suite_grading(shape: Shape) -> list[IdentityCheck]:
     checks = []
     for p in range(1, min(shape.m, shape.n) + 1):
         for rows in itertools.combinations(range(1, shape.m + 1), p):
@@ -706,7 +706,7 @@ def _suite_grading(shape: Shape, t=None) -> list[IdentityCheck]:
     return checks
 
 
-def _suite_jordan(shape: Shape, t=None) -> list[IdentityCheck]:
+def _suite_jordan(shape: Shape) -> list[IdentityCheck]:
     if shape.m != shape.n:
         raise ValueError("the obstruction computation needs a square shape")
     n = shape.n
@@ -770,9 +770,11 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
     if m is None:
         m = n
     shape = Shape(m, n)
+    if t is not None and name not in PATTERN_SUITES:
+        raise ValueError(f"suite {name} takes no t; only {', '.join(PATTERN_SUITES)} do")
     if t is not None and not (1 <= t <= min(m, n)):
         raise ValueError(f"t={t} out of range for shape {shape}")
-    if t == 1 and name in PATTERN_SUITES:
+    if t == 1:
         # each relates t-minors to derived (t-1)-minors, which need t - 1 >= 1
         raise ValueError(f"suite {name} takes t >= 2, got t=1")
     cached = _mono_times_gen.cache_info().currsize
@@ -785,7 +787,7 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
         from .zerotest import check_by_rows
         checks, counts = check_by_rows(name, shape)
     else:
-        checks, counts = SUITES[name](shape, t), {}
+        checks, counts = SUITES[name](shape), {}
     elapsed = time.monotonic() - start
     counts["straighten_cache_added"] = _mono_times_gen.cache_info().currsize - cached
     return SuiteReport(name, {"m": m, "n": n, **({"t": t} if t else {})}, checks, elapsed, counts)

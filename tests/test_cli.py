@@ -249,6 +249,11 @@ class TestCommands:
         assert main(["fit-exponents", "row-laplace", "--n", "2", "--t", "2"]) == 0
         assert main(["normalize", "--m", "3", "--n", "3", "--t", "2", "X[1,1]"]) == 2
         assert main(["jordan", "--n", "3", "--t", "2"]) == 2
+        capsys.readouterr()
+        for name in ("laplace", "grading", "thm21", "centrality", "pbw-count"):
+            assert main(["suite", name, "--n", "3", "--t", "2"]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and f"suite {name} takes no t" in out.err
 
     @pytest.mark.parametrize("argv", [["thm25", "--n", "4"], ["lemma23", "--n", "3"],
                                       ["cor22", "--n", "3"]])

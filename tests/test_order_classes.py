@@ -240,7 +240,7 @@ def direct_suite(name, shape, t=None):
                 for cols in itertools.combinations(range(1, shape.n + 1), p):
                     if rows[0] == 1 and cols[-1] == shape.n:
                         continue
-                    checks.extend(expand_minor_without_corner(shape, rows, cols).checks)
+                    checks.extend(expand_minor_without_corner(shape, rows, cols))
             for rows in itertools.combinations(range(1, shape.m + 1), p):
                 for cols in itertools.combinations(range(1, shape.n + 1), p):
                     _, check = minor_over_derived_generators(shape, rows, cols)
