@@ -99,10 +99,13 @@ def _cmd_suite(args) -> int:
 def _cmd_fit(args) -> int:
     try:
         if args.family:
-            kwargs = {k: v for k, v in (("m", args.m), ("n", args.n), ("t", args.t)) if v}
+            kwargs = {k: v for k, v in (("m", args.m), ("n", args.n), ("t", args.t))
+                      if v is not None}
             fits = [fit_exponents(args.family, **kwargs)]
         else:
             fits = verify_frozen_table()
+    except ValueError:
+        raise  # a usage error, nothing to fit at this size included
     except FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return CHECK_FAILURE

@@ -24,13 +24,14 @@ Each map is verified by one exact check, sum of derived minor times cofactor
 minus the minor, so a wrong law shows up as a failing check.  The expansions
 themselves are checked and reported once per minor by the lemma23 suite.
 
-Each check builder the cor22, lemma23 and thm25 suites use has a companion
-that names its checks, so that the patterns module, which runs one check per
-order-pattern class, names every check of a class as the builder would.  The
-form of a derived check is decided once: ``_rewriting`` says which expansion
-a Lemma 2.3 rewriting solves, and ``_commutation`` whether a Theorem 2.5
-commutation is a q-twist or a correction sum.  The builders, their names and
-the law-table walkers of the patterns module all ask them.
+Each check builder the suites use has a companion that names its checks, so
+that the patterns module, which runs one check per order-pattern class, and
+the zerotest module, which certifies the reductions without building them,
+name every check as the builder would.  The form of a derived check is
+decided once: ``_rewriting`` says which expansion a Lemma 2.3 rewriting
+solves, and ``_commutation`` whether a Theorem 2.5 commutation is a q-twist
+or a correction sum.  The builders, their names and the law-table walkers of
+the patterns module all ask them.
 """
 
 from __future__ import annotations
@@ -347,16 +348,22 @@ def full_x_prime_determinant(shape: Shape) -> LocalizedElement:
 def check_det_reduction(n: int) -> list[IdentityCheck]:
     """det of the derived matrix times the corner equals (-q)^(1-n) times the
     full determinant, on either side of the corner."""
-    if n < 2:
-        raise ValueError("size reduction starts at n = 2")
+    right_name, left_name = det_reduction_names(n)
     shape = Shape(n, n)
     detp = full_x_prime_determinant(shape)
     corner = loc(gen(shape, 1, n))
     rhs = minor(shape, range(1, n + 1), range(1, n + 1)).scale(LaurentScalar.minus_q_power(1 - n))
-    return [
-        check_zero(f"detX' * X[1,{n}] = (-q)^{1 - n} detX (n={n})", detp * corner - rhs),
-        check_zero(f"X[1,{n}] * detX' = (-q)^{1 - n} detX (n={n})", corner * detp - rhs),
-    ]
+    return [check_zero(right_name, detp * corner - rhs), check_zero(left_name, corner * detp - rhs)]
+
+
+def det_reduction_names(n: int) -> list[str]:
+    """The names of the two checks ``check_det_reduction`` builds; refuses the
+    sizes it refuses."""
+    if n < 2:
+        raise ValueError("size reduction starts at n = 2")
+    check_term_count(n)  # the derived determinant's numerator is an n-minor
+    return [f"detX' * X[1,{n}] = (-q)^{1 - n} detX (n={n})",
+            f"X[1,{n}] * detX' = (-q)^{1 - n} detX (n={n})"]
 
 
 def check_minor_reduction(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> list[IdentityCheck]:

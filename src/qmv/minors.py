@@ -7,35 +7,39 @@ subset of rows and columns and takes the determinant of the relabeled
 submatrix; because the row indices are strictly increasing, every permutation
 product is already in PBW order, so minors are assembled without rewriting.
 
-Generators times minors are written as combinations: sums, with coefficients
-in Z[q, q^-1], of states X_left [R|C] X_right with a generator id or 0 on each
-side and at most one of them set, so a minor, a left product or a right
-product (a lone generator is a left state over the empty minor).  A state is
-reduced to smaller states the way the source paper reduces minors.  Grouping
-the permutation sum by the column c_b (b 0-based) that sigma gives the top
-row r regroups the definition, since inv(sigma) = b + inv(rest):
+Generators times minors, and PBW words beside minors in general, are written
+as combinations: sums, with coefficients in Z[q, q^-1], of states L [R|C] W
+with PBW words L and W, so a minor, a left or a right product, or a pure word
+L over the empty minor.  ``made`` makes every state: a minor of at most one
+row is a word, so it folds into L [R|C] W straightened, and a state has a
+minor of two or more rows or is a pure word.  A state is reduced to smaller
+states the way the source paper reduces minors.  Grouping the permutation sum
+by the column c_b (b 0-based) that sigma gives the top row r regroups the
+definition, since inv(sigma) = b + inv(rest):
 
     [R|C] = sum_b (-q)^b X[r,c_b] [R - r | C - c_b].
 
-A generator X_g in row r or below rides along on the left: X_g X[r,c_b]
-straightens through the kernel into terms w, each a monomial in row r or u v
-with u in row r and v in g's row, and v stays in front of the sub-minor (a
-rewrite only uses the rows of the pair it swaps).  A generator below r on the
-right stays behind the sub-minor.  So ``top`` writes a state as pieces u rest,
-u a monomial in row r and rest a state in the rows below; ``bottom`` mirrors
-it along the bottom row, with (-q)^(t-1-b) and the row-r part as a suffix.  A
-state splits at its top row unless it is a right product whose generator lies
-in that row over a minor other than 1 or [r|c] (X_g would have to move up past
-the minor's lower rows), and at its bottom row unless it is the mirror left
-product.  This is a rewrite of the permutation sum, not a fitted law, and the
-kernel cache meets only two-letter products, one entry per pair of generators.
+Let r be the state's top row.  L X[r,c_b] straightens through the kernel into
+words w, each the product u v of its row-r prefix u and a word v below row r
+(a rewrite only uses the rows of the pair it swaps), and v stays in front of
+the sub-minor; W, all below row r, stays behind it.  So ``top`` writes a state
+as pieces u rest, u a monomial in row r and rest a state in the rows below; a
+state whose minor misses row r gives the row-r prefix of L.  ``bottom``
+mirrors it along the bottom row, with (-q)^(t-1-b), straightening X[r,c_b] W
+and keeping its row-r suffix; a pure word gives the row-r suffix of L.  A
+state splits at its top row unless W has a row-r letter over a minor (the
+letter would have to move up past the minor's lower rows), and at its bottom
+row unless L has a row-r letter over a minor.  This is a rewrite of the
+permutation sum, not a fitted law, and with one-letter words the kernel cache
+meets only two-letter products, one entry per pair of generators.
 
 ``flat`` builds a combination in the kernel's flat {(codes, q exponent): int}
-form.  A right product splits at its bottom row and any other state at its top
-row; each piece's rest comes from a memo of state products that one build
-makes and drops, the top-level pieces go straight into the result, and the
-result is regrouped once.  The zerotest module decides combinations with the
-same splits without building them.
+form.  A state with a right word splits at its bottom row and any other state
+at its top row; each piece's rest comes from a memo of state products that one
+build makes and drops, the top-level pieces go straight into the result, and
+the result is regrouped once.  A state that splits at neither end is built
+without W, then multiplied by W.  The zerotest module decides combinations
+with the same splits without building them.
 
 Row and column expansions both take their terms and exponent laws from the
 tables in the laws module, fitted by the exponent solver and frozen with the
@@ -45,26 +49,28 @@ package, and are built as combinations.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 from .algebra import (
-    COL_BITS, EXP_BITS, AlgebraElement, Codes, Flat, Shape, _fold_gen, _regroup, decode, gen,
-    gen_id, letter,
+    COL_BITS, EXP_BITS, EXP_MASK, AlgebraElement, Codes, Flat, Shape, _fold_gen, _regroup, decode,
+    gen, letter,
 )
 from .scalar import LaurentScalar
 from . import laws
 
 Terms = tuple[tuple[Codes, int, int], ...]  # (codes, e, c) triples meaning sum c q^e codes
-# X_left [rows|cols] X_right, a generator id or 0 on each side, at most one of
-# them set.  A lone generator is a left state over the empty minor.
-State = tuple[int, tuple[int, ...], tuple[int, ...], int]
+# L [rows|cols] W, PBW words L and W beside a minor.  ``made`` folds a minor of
+# at most one row into its words, so a state has a minor of two or more rows,
+# or it is a pure word L.
+State = tuple[Codes, tuple[int, ...], tuple[int, ...], Codes]
 Combination = dict[tuple[State, int], int]  # (state, q exponent) -> integer coefficient
 Piece = tuple[Codes, int, int, State]  # (u, e, c, rest): c q^e u rest, or c q^e rest u
 Memo = dict[State, Terms]
 
-ONE: State = (0, (), (), 0)
+ONE: State = ((), (), (), ())
 
 ROW_SHIFT = EXP_BITS + COL_BITS  # a letter code shifted by this is its row
 
@@ -173,41 +179,78 @@ def _factor(shape: Shape, t: laws.Term) -> AlgebraElement:
     return gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
 
 
-def _state(left: int, rows: tuple[int, ...], cols: tuple[int, ...], right: int) -> State:
-    """The state, with a generator over the empty minor written on the left."""
-    return (right, (), (), 0) if right and not rows else (left, rows, cols, right)
+def _times(left: Codes, right: Codes) -> Flat:
+    """The PBW words left * right straightened, in flat form, where cancelled
+    keys may stay with coefficient 0."""
+    acc: Flat = {(left, 0): 1}
+    for code in right:
+        for _ in range(code & EXP_MASK):
+            acc = _fold_gen(acc, code >> EXP_BITS)
+    return acc
 
 
-def _pair(a: int, b: int) -> list[tuple[Codes, int, int]]:
-    """X_a X_b straightened, as (codes, e, c) triples."""
-    return [(w, e, c) for (w, e), c in _fold_gen({((a << EXP_BITS | 1,), 0): 1}, b).items() if c]
+@lru_cache(maxsize=1 << 12)
+def product(left: Codes, right: Codes) -> tuple[tuple[Codes, int, int], ...]:
+    """The PBW words left * right straightened, as (codes, e, c) triples;
+    cached, because ``made`` folds the same short words for many states."""
+    return tuple((w, e, c) for (w, e), c in _times(left, right).items() if c)
+
+
+def made(left: Codes, rows: tuple[int, ...], cols: tuple[int, ...],
+         right: Codes) -> list[tuple[State, int, int]]:
+    """L [rows|cols] W as (state, e, c) triples: the state itself, or, when the
+    minor has at most one row, the words of L [rows|cols] W straightened."""
+    if len(rows) > 1:
+        return [((left, rows, cols, right), 0, 1)]
+    middle = (letter(rows[0], cols[0]),) if rows else ()
+    if not middle and not right:
+        return [((left, (), (), ()), 0, 1)]
+    return [((w, (), (), ()), e, c) for w, e, c in product(left, middle + right)]
+
+
+def combination(entries) -> Combination:
+    """The sum of c q^e L [rows|cols] W over entries (L, rows, cols, W, e, c),
+    each state made by ``made``."""
+    out: Combination = {}
+    for left, rows, cols, right, e, c in entries:
+        for state, e2, c2 in made(left, rows, cols, right):
+            key = (state, e + e2)
+            out[key] = out.get(key, 0) + c * c2
+    return out
 
 
 def top(state: State, r: int) -> list[Piece] | None:
     """The state as pieces (u, e, c, rest) with u in row r and rest in rows
     below it, by its first-row regrouping; None when it cannot split there."""
     left, rows, cols, right = state
-    if right and right >> COL_BITS == r:
-        if rows != (r,):
-            return None
-        return [(w, e, c, ONE) for w, e, c in _pair(gen_id(r, cols[0]), right)]
+    if right and right[0] >> ROW_SHIFT == r:
+        return None  # W would have to move up past the minor's lower rows
+    below = (r + 1) << ROW_SHIFT  # the codes below row r start here
     if not rows or rows[0] != r:
-        if left and left >> COL_BITS == r:
-            return [((left << EXP_BITS | 1,), 0, 1, (0, rows, cols, 0))]
-        return [((), 0, 1, state)]
-    below = rows[1:]
+        k = bisect_left(left, below)
+        return [(left[:k], 0, 1, (left[k:], rows, cols, right))]
+    sub, fold = rows[1:], len(rows) < 3
+    row_r = r << ROW_SHIFT | 1  # X[r,col] is row_r | col << EXP_BITS
     pieces = []
     for b, col in enumerate(cols):
         rest = cols[:b] + cols[b + 1:]
         sign = -1 if b & 1 else 1
+        head = (row_r | col << EXP_BITS,)
         if not left:
-            pieces.append(((letter(r, col),), b, sign, _state(0, below, rest, right)))
+            if fold:
+                pieces += [(head, b + e, sign * c, s) for s, e, c in made((), sub, rest, right)]
+            else:
+                pieces.append((head, b, sign, ((), sub, rest, right)))
             continue
-        for w, e, c in _pair(left, gen_id(r, col)):
-            if w[-1] >> ROW_SHIFT <= r:  # w lies in row r
-                pieces.append((w, b + e, sign * c, (0, below, rest, 0)))
-            else:  # w = u v with v in the generator's row
-                pieces.append((w[:1], b + e, sign * c, (w[1] >> EXP_BITS, below, rest, 0)))
+        for (w, e), c in _times(left, head).items():
+            if not c:
+                continue
+            k = bisect_left(w, below)  # w = u v, u in row r
+            if fold:
+                pieces += [(w[:k], b + e + e2, sign * c * c2, s)
+                           for s, e2, c2 in made(w[k:], sub, rest, right)]
+            else:
+                pieces.append((w[:k], b + e, sign * c, (w[k:], sub, rest, right)))
     return pieces
 
 
@@ -215,43 +258,54 @@ def bottom(state: State, r: int) -> list[Piece] | None:
     """The state as pieces (v, e, c, rest) with v in row r and rest in rows
     above it, by its last-row regrouping; None when it cannot split there."""
     left, rows, cols, right = state
-    if left and left >> COL_BITS == r:
-        if not rows:
-            return [((left << EXP_BITS | 1,), 0, 1, ONE)]
-        if rows != (r,):
-            return None
-        return [(w, e, c, ONE) for w, e, c in _pair(left, gen_id(r, cols[0]))]
-    if not rows or rows[-1] != r:
-        if right and right >> COL_BITS == r:
-            return [((right << EXP_BITS | 1,), 0, 1, (0, rows, cols, 0))]
-        return [((), 0, 1, state)]
-    above, last = rows[:-1], len(rows) - 1
+    start = r << ROW_SHIFT  # the codes of row r start here
+    if not rows:  # a pure word
+        k = bisect_left(left, start)
+        return [(left[k:], 0, 1, (left[:k], (), (), ()))]
+    if left and left[-1] >= start:
+        return None  # L would have to move down past the minor's upper rows
+    if rows[-1] != r:
+        k = bisect_left(right, start)
+        return [(right[k:], 0, 1, (left, rows, cols, right[:k]))]
+    sub, last = rows[:-1], len(rows) - 1
+    fold = last < 2
+    row_r = start | 1  # X[r,col] is row_r | col << EXP_BITS
     pieces = []
     for b, col in enumerate(cols):
         rest = cols[:b] + cols[b + 1:]
         sign = -1 if (last - b) & 1 else 1
+        tail = (row_r | col << EXP_BITS,)
         if not right:
-            pieces.append(((letter(r, col),), last - b, sign, (left, above, rest, 0)))
+            if fold:
+                pieces += [(tail, last - b + e, sign * c, s) for s, e, c in made(left, sub, rest, ())]
+            else:
+                pieces.append((tail, last - b, sign, (left, sub, rest, ())))
             continue
-        for w, e, c in _pair(gen_id(r, col), right):
-            if w[0] >> ROW_SHIFT >= r:  # w lies in row r
-                pieces.append((w, last - b + e, sign * c, (0, above, rest, 0)))
-            else:  # w = u v with u in the generator's row
-                pieces.append((w[1:], last - b + e, sign * c,
-                               _state(0, above, rest, w[0] >> EXP_BITS)))
+        for (w, e), c in _times(tail, right).items():
+            if not c:
+                continue
+            k = bisect_left(w, start)  # w = u v, v in row r
+            if fold:
+                pieces += [(w[k:], last - b + e + e2, sign * c * c2, s)
+                           for s, e2, c2 in made(left, sub, rest, w[:k])]
+            else:
+                pieces.append((w[k:], last - b + e, sign * c, (left, sub, rest, w[:k])))
     return pieces
 
 
-def state_rows(state: State) -> list[int]:
-    """The rows the state's letters lie in."""
+def span(state: State) -> tuple[int, int]:
+    """The lowest and the highest row the letters of a state other than ONE lie in."""
     left, rows, _, right = state
-    g = left or right
-    return [*rows, g >> COL_BITS] if g else list(rows)
+    ends = [w[i] >> ROW_SHIFT for w in (left, right) if w for i in (0, -1)]
+    if rows:
+        ends += (rows[0], rows[-1])
+    return min(ends), max(ends)
 
 
 def commutator(g: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> Combination:
     """[rows|cols] X_g - X_g [rows|cols]."""
-    return _sum([(_state(0, rows, cols, g), 0, 1), ((g, rows, cols, 0), 0, -1)])
+    x = (g << EXP_BITS | 1,)
+    return combination([((), rows, cols, x, 0, 1), (x, rows, cols, (), 0, -1)])
 
 
 def table_combination(shape: Shape, terms: list[laws.Term], left: bool,
@@ -259,20 +313,12 @@ def table_combination(shape: Shape, terms: list[laws.Term], left: bool,
     """The sum of a term table's products (-q)^e X[gen] [minor], generators on
     the left, or (-q)^e [minor] X[gen], generators on the right; minus the
     minor ``minus`` when one is given."""
-    entries = [((0, *minus, 0), 0, -1)] if minus else []
+    entries = [((), *minus, (), 0, -1)] if minus else []
     for t in terms:
-        (codes, coeff), = _factor(shape, t)._terms.items()
-        g = codes[0] >> EXP_BITS
-        state = (g, *t.minor, 0) if left else _state(0, *t.minor, g)
-        entries.extend((state, e, c) for e, c in coeff._terms.items())
-    return _sum(entries)
-
-
-def _sum(entries) -> Combination:
-    out: Combination = {}
-    for state, e, c in entries:
-        out[(state, e)] = out.get((state, e), 0) + c
-    return out
+        (x, coeff), = _factor(shape, t)._terms.items()
+        entries.extend((x, *t.minor, (), e, c) if left else ((), *t.minor, x, e, c)
+                       for e, c in coeff._terms.items())
+    return combination(entries)
 
 
 def flat(shape: Shape, combination: Combination) -> AlgebraElement:
@@ -293,16 +339,23 @@ def _flat(shape: Shape, combination: Combination, memo: Memo) -> AlgebraElement:
 
 
 def _expand(state: State, e0: int, c0: int, memo: Memo, acc: Flat) -> Flat:
-    """Add c0 q^e0 state into acc and return acc: a right product split at its
-    bottom row, any other state at its top row, each rest from the memo."""
-    if state == ONE:
-        acc[((), e0)] = acc.get(((), e0), 0) + c0
-    elif state[3]:
-        for v, e, c, rest in bottom(state, max(state_rows(state))):
+    """Add c0 q^e0 state into acc and return acc: a state with a right word
+    split at its bottom row, any other at its top row, each rest from the
+    memo; one that splits at neither is L [rows|cols] built, times W."""
+    left, rows, cols, right = state
+    if not rows:  # a pure word
+        acc[(left, e0)] = acc.get((left, e0), 0) + c0
+    elif right and (pieces := bottom(state, span(state)[1])) is not None:
+        for v, e, c, rest in pieces:
             _add(acc, _terms(rest, memo), (), v, e0 + e, c0 * c)
-    else:
-        for u, e, c, rest in top(state, min(state_rows(state))):
+    elif (pieces := top(state, span(state)[0])) is not None:
+        for u, e, c, rest in pieces:
             _add(acc, _terms(rest, memo), u, (), e0 + e, c0 * c)
+    else:
+        for codes, e, c in _terms((left, rows, cols, ()), memo):
+            for w, e2, c2 in product(codes, right):
+                key = (w, e0 + e + e2)
+                acc[key] = acc.get(key, 0) + c0 * c * c2
     return acc
 
 

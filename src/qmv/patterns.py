@@ -1,4 +1,4 @@
-"""The cor22, lemma23 and thm25 suites, run one check per order-pattern class.
+"""The lemma23 and thm25 suites, run one check per order-pattern class.
 
 Each identity these suites check depends only on the relative order of its
 row and column indices.  For increasing maps rho on rows and gamma on columns
@@ -27,13 +27,11 @@ from .localize import (
     _commutation,
     _rewriting,
     check_minor_commutation,
-    check_minor_reduction,
     commutation_name,
     derived_name,
     expand_minor_without_corner,
     expansion_names,
     minor_over_derived_generators,
-    reduction_names,
 )
 from . import laws
 
@@ -56,11 +54,6 @@ def _x_prime_reads(rows: tuple[int, ...], cols: tuple[int, ...], read, seen: set
         seen.add((rows, cols))
         for t in read(laws.row_terms, rows, cols, 1, rows[0]):
             _x_prime_reads(*t.minor, read, seen)
-
-
-def reduction_reads(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], read) -> None:
-    """The tables ``check_minor_reduction`` reads."""
-    _x_prime_reads(rows[1:], cols[:-1], read, set())
 
 
 def expansion_reads(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], read) -> None:
@@ -116,7 +109,6 @@ class CheckKind(NamedTuple):
     reads: Callable[..., None]
 
 
-REDUCTION = CheckKind(check_minor_reduction, reduction_names, reduction_reads)
 EXPANSION = CheckKind(expand_minor_without_corner, expansion_names, expansion_reads)
 DERIVED = CheckKind(lambda shape, *args: [minor_over_derived_generators(shape, *args)[1]],
                     lambda shape, *args: [derived_name(shape, *args)], derived_reads)
@@ -221,14 +213,6 @@ def check_by_class(shape: Shape, calls: Iterable[Call]) -> tuple[list[IdentityCh
     return checks, {"classes_evaluated": len(classes), "direct_checks": direct}
 
 
-def _cor22_calls(shape: Shape, t=None) -> Iterable[Call]:
-    sizes = [t] if t else list(range(2, min(shape.m, shape.n) + 1))
-    for p in sizes:
-        for rows in itertools.combinations(range(2, shape.m + 1), p - 1):
-            for cols in itertools.combinations(range(1, shape.n), p - 1):
-                yield REDUCTION, ((1,) + rows, cols + (shape.n,))
-
-
 def _lemma23_calls(shape: Shape, t=None) -> Iterable[Call]:
     sizes = [t] if t else list(range(2, min(shape.m, shape.n) + 1))
     for p in sizes:
@@ -255,7 +239,6 @@ def _thm25_calls(shape: Shape, t=None) -> Iterable[Call]:
 
 # The calls of each suite here, by suite name.
 CALLS = {
-    "cor22": _cor22_calls,
     "lemma23": _lemma23_calls,
     "thm25": _thm25_calls,
 }

@@ -3,9 +3,9 @@
 Three jobs live here:
 
 * run_suite: execute a named catalog of identity checks over a chosen shape and
-  report pass/fail with failure witnesses.  The cor22, lemma23 and thm25
-  suites live in the patterns module, which runs one check per order-pattern
-  class, and the centrality, semicentrality and laplace suites in the
+  report pass/fail with failure witnesses.  The lemma23 and thm25 suites
+  live in the patterns module, which runs one check per order-pattern class,
+  and the centrality, semicentrality, laplace, cor22 and thm21 suites in the
   zerotest module, which decides each check by a row-by-row zero test;
 * fit_exponents: solve for the q-power coefficients the identity families leave
   unspecified, by exact linear algebra in the relevant graded component, and
@@ -51,7 +51,6 @@ from .localize import (
     _commutation,
     _corner_power,
     _times_corner,
-    check_det_reduction,
     corner_inverse,
     correction_products,
     loc,
@@ -80,6 +79,11 @@ class FitError(RuntimeError):
     """Exponent fitting failed: no solution (convention mismatch), an ambiguous
     solution (family underdetermined at this size), or divergence from the
     frozen table."""
+
+
+class EmptyFitError(FitError, ValueError):
+    """A fit asked at a size where the family enters no identity, so there is
+    nothing to fit: a usage error."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +225,34 @@ def _unknown(terms: list[laws.Term]) -> list[laws.Term]:
     return [term._replace(exponent=0) for term in terms]
 
 
+def _fit_shape(family: str, m: int | None, n: int | None, t: int | None) -> Shape:
+    """The shape a family is fitted on, by default its smallest nontrivial
+    one; refuses a t the family does not read, or one out of its range."""
+    if family in ("row-laplace", "col-laplace"):
+        if t is not None:
+            raise ValueError(f"family {family} takes no t; only the lemma23-* and thm25-* "
+                             "families do")
+        return Shape(n or 2, n or 2)
+    if family.startswith("lemma23"):
+        shape = Shape(m or 3, n or 3)
+        low, high = 1, min(shape.m, shape.n) - 1  # the rewritten minor's size
+    else:
+        shape = Shape(m or 3, n or 4) if family == "thm25-2prime" else Shape(m or 4, n or 3)
+        low, high = 2, min(shape.m, shape.n)  # one more than the derived minor's size
+    if t is not None and not low <= t <= high:
+        raise ValueError(f"t={t} out of range for {family} on {shape}: {low}..{high}")
+    return shape
+
+
 def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
     """The identities the family enters at one size, as (target, terms,
     columns): target = sum over the terms of (-q)^e * column, with every
     exponent e unknown.  The terms come from the family's table in the laws
     module and the columns are the suites' own products of those terms, built
     with every exponent set to zero."""
+    shape = _fit_shape(family, m, n, t)
     if family in ("row-laplace", "col-laplace"):
-        side = n or 2
-        shape = Shape(side, side)
-        full = tuple(range(1, side + 1))
+        full = tuple(range(1, shape.n + 1))
         det = qdet(shape)
         for a in full:
             if family == "row-laplace":
@@ -241,8 +263,7 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
                 yield det, terms, expansion_products(shape, _unknown(terms))
 
     elif family in ("lemma23-eq1", "lemma23-eq2"):
-        shape = Shape(m or 3, n or 3)
-        for p in ((t + 1,) if t else (2, 3)):
+        for p in ((t + 1,) if t is not None else (2, 3)):
             for rows in itertools.combinations(range(1, shape.m + 1), p):
                 for cols in itertools.combinations(range(1, shape.n + 1), p):
                     if family == "lemma23-eq2":
@@ -254,11 +275,9 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
                     yield minor(shape, rows, cols), terms, expansion_products(shape, _unknown(terms))
 
     else:
-        col_family = family == "thm25-2prime"
-        shape = Shape(m or 3, n or 4) if col_family else Shape(m or 4, n or 3)
-        edges = ([(1, l) for l in range(1, shape.n)] if col_family
+        edges = ([(1, l) for l in range(1, shape.n)] if family == "thm25-2prime"
                  else [(k, shape.n) for k in range(2, shape.m + 1)])
-        for size in ((t - 1,) if t else (1, 2)):
+        for size in ((t - 1,) if t is not None else (1, 2)):
             for rows in itertools.combinations(range(2, shape.m + 1), size):
                 for cols in itertools.combinations(range(1, shape.n), size):
                     for g in edges:
@@ -279,7 +298,9 @@ def fit_exponents(family: str, m: int | None = None, n: int | None = None,
 
     For the minor-expansion families, t is the size of the minor being
     rewritten (the expanded minor has size t + 1); for the commutation
-    families it bounds the derived-minor size at t - 1.  The exponents are
+    families it bounds the derived-minor size at t - 1.  The Laplace families
+    take no t; a t out of range is refused with a ValueError, and a size where
+    the family enters no identity with an EmptyFitError.  The exponents are
     solved for, never read from the term tables, and only then compared with
     the frozen law through ``laws.exponent``.
     """
@@ -289,6 +310,8 @@ def fit_exponents(family: str, m: int | None = None, n: int | None = None,
     for target, terms, columns in _fit_systems(family, m, n, t):
         exponents = _solved_exponents(columns, target, family)
         instances.extend({"indices": term.indices, "exponent": e} for term, e in zip(terms, exponents))
+    if not instances:
+        raise EmptyFitError(f"{family}: no identity to fit at this size")
     if any(laws.exponent(family, inst["indices"]) != inst["exponent"] for inst in instances):
         raise FitError(f"{family}: recomputed exponents diverge from the frozen table")
     return ExponentFit(family, instances, laws.law_coefficients(family),
@@ -636,12 +659,6 @@ def _suite_appendix(shape: Shape) -> list[IdentityCheck]:
     raise ValueError("the golden identity suite is defined on the 2x2 and 3x3 shapes")
 
 
-def _suite_thm21(shape: Shape) -> list[IdentityCheck]:
-    if shape.m != shape.n:
-        raise ValueError("determinant reduction needs a square shape")
-    return check_det_reduction(shape.n)
-
-
 def _suite_pbw_count(shape: Shape) -> list[IdentityCheck]:
     checks = []
     for d in range(5):
@@ -744,17 +761,19 @@ SUITES = {
     "appendix": _suite_appendix,
     "prop112": _suite_prop112,
     "lemma111": _suite_lemma111,
-    "thm21": _suite_thm21,
     "pbw-count": _suite_pbw_count,
     "grading": _suite_grading,
     "jordan-obstruction": _suite_jordan,
 }
 
 # The suites of the patterns module, which run one check per order-pattern class.
-PATTERN_SUITES = ("cor22", "lemma23", "thm25")
+PATTERN_SUITES = ("lemma23", "thm25")
 
 # The suites of the zerotest module, which decide each check by a row-by-row zero test.
-SPLIT_SUITES = ("centrality", "semicentrality", "laplace")
+SPLIT_SUITES = ("centrality", "semicentrality", "laplace", "cor22", "thm21")
+
+# The suites that take a minor size t.
+SIZED_SUITES = ("cor22", "lemma23", "thm25")
 
 
 def run_suite(name: str, m: int | None = None, n: int | None = None,
@@ -770,8 +789,8 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
     if m is None:
         m = n
     shape = Shape(m, n)
-    if t is not None and name not in PATTERN_SUITES:
-        raise ValueError(f"suite {name} takes no t; only {', '.join(PATTERN_SUITES)} do")
+    if t is not None and name not in SIZED_SUITES:
+        raise ValueError(f"suite {name} takes no t; only {', '.join(SIZED_SUITES)} do")
     if t is not None and not (1 <= t <= min(m, n)):
         raise ValueError(f"t={t} out of range for shape {shape}")
     if t == 1:
@@ -785,7 +804,7 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
         checks, counts = check_by_class(shape, CALLS[name](shape, t))
     elif name in SPLIT_SUITES:
         from .zerotest import check_by_rows
-        checks, counts = check_by_rows(name, shape)
+        checks, counts = check_by_rows(name, shape, t)
     else:
         checks, counts = SUITES[name](shape), {}
     elapsed = time.monotonic() - start

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -246,7 +247,8 @@ class TestCommands:
 
     def test_minor_size_flag_only_where_it_is_read(self, capsys):
         assert main(["suite", "lemma23", "--m", "3", "--n", "3", "--t", "2"]) == 0
-        assert main(["fit-exponents", "row-laplace", "--n", "2", "--t", "2"]) == 0
+        assert main(["fit-exponents", "lemma23-eq1", "--t", "2"]) == 0
+        assert main(["fit-exponents", "row-laplace", "--n", "2", "--t", "2"]) == 2
         assert main(["normalize", "--m", "3", "--n", "3", "--t", "2", "X[1,1]"]) == 2
         assert main(["jordan", "--n", "3", "--t", "2"]) == 2
         capsys.readouterr()
@@ -262,6 +264,48 @@ class TestCommands:
         assert main(["suite", *argv, "--t", "1"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and f"suite {argv[0]} takes t >= 2, got t=1" in out.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["thm25-2prime", "--t", "9"], "t=9 out of range for thm25-2prime on 3x4: 2..3"),
+        (["lemma23-eq1", "--t", "-1"], "t=-1 out of range for lemma23-eq1 on 3x3: 1..2"),
+        (["lemma23-eq1", "--t", "0"], "t=0 out of range for lemma23-eq1 on 3x3: 1..2"),
+        (["row-laplace", "--n", "2", "--t", "5"], "family row-laplace takes no t"),
+        (["col-laplace", "--n", "2", "--t", "2"], "family col-laplace takes no t"),
+        (["thm25-2prime", "--m", "3", "--n", "3", "--t", "3"], "no identity to fit at this size"),
+        (["thm25-2prime", "--m", "2", "--n", "2"], "no identity to fit at this size"),
+    ])
+    def test_fit_exponents_refuses_a_size_with_nothing_to_fit(self, capsys, argv, message):
+        # each used to fit over no instances and report a match, or to die
+        # with a traceback, or to ignore its t
+        assert main(["fit-exponents", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
+
+    def test_fit_exponents_reads_t_where_the_family_does(self, capsys):
+        # the 2-minors of 3x3 only (21 instances over sizes 2 and 3), and the
+        # derived 1-minors of 4x3 only (9 instances over sizes 1 and 2)
+        assert main(["fit-exponents", "lemma23-eq2", "--t", "1"]) == 0
+        assert "lemma23-eq2: law 1*p + -1*b over 18 instances, matches" in capsys.readouterr().out
+        assert main(["fit-exponents", "thm25-4prime", "--t", "2"]) == 0
+        assert "thm25-4prime: law 1*rj + -1*rk over 6 instances, matches" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["suite", "thm21", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
+        (["suite", "cor22", "--n", "11"], "a 10-minor has 10! = 3,628,800 terms"),
+        (["det", "--n", "12"], "a 12-minor has 12! = 479,001,600 terms"),
+    ])
+    def test_oversized_reductions_fail_fast(self, capsys, argv, message):
+        start = time.monotonic()
+        assert main(argv) == 2
+        assert time.monotonic() - start < 1
+        out = capsys.readouterr()
+        assert out.out == "" and f"{message}, more than the limit of 362,880" in out.err
+
+    def test_cor22_at_one_small_size_runs_on_a_large_grid(self, capsys):
+        assert main(["suite", "cor22", "--n", "10", "--t", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "pass" and len(payload["checks"]) == 2 * 9 * 9
+        assert payload["timings"]["flat_checks"] == 0
 
     def test_cor22_checks_the_given_minor_size_only(self, capsys):
         assert main(["suite", "cor22", "--n", "4", "--t", "3", "--format", "json"]) == 0

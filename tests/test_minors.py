@@ -265,10 +265,11 @@ def test_generator_minor_products_match_the_kernel(m, n):
     for rows, cols in _all_minors(s):
         mn = minor(s, rows, cols)
         for i, j in s.generators():
-            g, x = gen_id(i, j), gen(s, i, j)
-            for left, right in (((g, rows, cols, 0), x * mn), ((0, rows, cols, g), mn * x)):
-                assert flat(s, {(left, 0): 1}) == right, (left, i, j)
-                assert flat(s, {(left, 2): 1, (left, 0): -1}) == right.scale(scale), (left, i, j)
+            g, x = (letter(i, j),), gen(s, i, j)
+            for state, want in (((g, rows, cols, ()), x * mn), (((), rows, cols, g), mn * x)):
+                assert flat(s, minors.combination([(*state, 0, 1)])) == want, (state, i, j)
+                assert flat(s, minors.combination([(*state, 2, 1), (*state, 0, -1)])) == (
+                    want.scale(scale)), (state, i, j)
 
 
 def test_minor_commutator_is_the_kernel_commutator():
@@ -286,7 +287,7 @@ def test_minor_commutator_is_the_kernel_commutator():
 def test_generator_minor_products_refuse_other_factors():
     s = Shape(3, 3)
     with pytest.raises(ValueError, match="does not fit"):
-        flat(s, {((0, (1, 4), (1, 2), gen_id(1, 1)), 0): 1})
+        flat(s, minors.combination([((), (1, 4), (1, 2), (letter(1, 1),), 0, 1)]))
     assert flat(s, {}).is_zero()
 
 

@@ -2,14 +2,19 @@
 rules, and the suites that take their verdicts from it."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmv import laws, verify, zerotest
-from qmv.algebra import COL_BITS, COL_MASK, AlgebraElement, Shape, gen, gen_id
+from qmv import laws, localize, minors, verify, zerotest
+from qmv.algebra import AlgebraElement, Shape, decode, gen, gen_id, letter, monomial
 from qmv.checks import check_zero
-from qmv.minors import commutator, laplace_expand_col, laplace_expand_row, minor, qdet, table_combination
+from qmv.localize import check_det_reduction, check_minor_reduction
+from qmv.minors import (
+    commutator, flat, laplace_expand_col, laplace_expand_row, minor, qdet, table_combination,
+)
 from qmv.scalar import LaurentScalar
 from qmv.verify import run_suite
 from qmv.zerotest import ZeroTest
@@ -22,16 +27,21 @@ def _minors(s: Shape):
                 yield rows, cols
 
 
+def _word(s: Shape, codes) -> AlgebraElement:
+    """A word's letters multiplied in the kernel."""
+    product = AlgebraElement.one(s)
+    for (i, j), e in map(decode, codes):
+        product = product * gen(s, i, j) ** e
+    return product
+
+
 def _flat(s: Shape, combination) -> AlgebraElement:
     """The combination summed through the kernel's products, as a reference."""
     terms = []
     for (state, e), c in combination.items():
         left, rows, cols, right = state
         product = minor(s, rows, cols) if rows else AlgebraElement.one(s)
-        if left:
-            product = gen(s, left >> COL_BITS, left & COL_MASK) * product
-        if right:
-            product = product * gen(s, right >> COL_BITS, right & COL_MASK)
+        product = _word(s, left) * product * _word(s, right)
         terms.append(product.scale(LaurentScalar({e: c})))
     return AlgebraElement.sum(s, terms)
 
@@ -46,8 +56,9 @@ def test_generator_minor_differences_agree_with_the_flat_products():
         for i, j in s.generators():
             g = gen(s, i, j)
             right, left = mn * g, g * mn
+            x = (letter(i, j),)
             for e in (0, 1, -1):
-                combination = {((0, rows, cols, gen_id(i, j)), 0): 1, ((gen_id(i, j), rows, cols, 0), e): -1}
+                combination = minors.combination([((), rows, cols, x, 0, 1), (x, rows, cols, (), e, -1)])
                 want = (right - left.scale(LaurentScalar({e: 1}))).is_zero()
                 assert test.is_zero(combination) is want, (rows, cols, i, j, e)
                 cases += 1
@@ -83,11 +94,12 @@ def _combinations(draw):
         t = draw(st.integers(0, min(s.m, s.n)))
         rows = tuple(sorted(draw(st.sets(st.integers(1, s.m), min_size=t, max_size=t))))
         cols = tuple(sorted(draw(st.sets(st.integers(1, s.n), min_size=t, max_size=t))))
-        g = gen_id(draw(st.integers(1, s.m)), draw(st.integers(1, s.n)))
+        g = (letter(draw(st.integers(1, s.m)), draw(st.integers(1, s.n))),)
         side = draw(st.sampled_from(["minor", "left", "right"] if t else ["left"]))
-        state = (g if side == "left" else 0, rows, cols, g if side == "right" else 0)
-        key = (state, draw(st.integers(-2, 2)))
-        combination[key] = combination.get(key, 0) + draw(st.sampled_from([1, -1, 2]))
+        state = (g if side == "left" else (), rows, cols, g if side == "right" else ())
+        for key, c in minors.combination(
+                [(*state, draw(st.integers(-2, 2)), draw(st.sampled_from([1, -1, 2])))]).items():
+            combination[key] = combination.get(key, 0) + c
     return s, combination
 
 
@@ -104,7 +116,8 @@ def test_a_combination_split_at_neither_end_goes_to_the_flat_path():
     # row left of one: neither end can split both
     s = Shape(2, 2)
     full = (1, 2)
-    combination = {((0, full, full, gen_id(1, 1)), 0): 1, ((gen_id(2, 1), full, full, 0), 0): -1}
+    combination = minors.combination([((), full, full, (letter(1, 1),), 0, 1),
+                                      ((letter(2, 1),), full, full, (), 0, -1)])
     test = ZeroTest(s)
     assert test.is_zero(combination) is None
     assert test.check("mixed", combination) == check_zero("mixed", _flat(s, combination))
@@ -160,3 +173,192 @@ def test_semicentrality_reports_its_zero_test_counts():
                             "flat_checks", "straighten_cache_added"}
     assert timings["flat_checks"] == 0
 
+
+
+# ---------------------------------------------------------------------------
+# word states L [R|C] W
+# ---------------------------------------------------------------------------
+
+def _random_word(rng, s: Shape, letters: int):
+    """A PBW monomial of up to ``letters`` letters."""
+    picked = Counter(rng.choice(s.generators()) for _ in range(rng.randint(0, letters)))
+    return monomial(picked.items())
+
+
+def _times_words(combination, left, right):
+    """left * combination * right, as a combination."""
+    entries = []
+    for (state, e), c in combination.items():
+        words, rows, cols, tail = state
+        for w, e2, c2 in minors.product(left, words):
+            for t, e3, c3 in minors.product(tail, right):
+                entries.append((w, rows, cols, t, e + e2 + e3, c * c2 * c3))
+    return minors.combination(entries)
+
+
+def _word_combination(rng, s: Shape, zero: bool):
+    """1-4 word states with words of up to two letters on either side, pure
+    words included; with ``zero``, known zero blocks times random words."""
+    out = {}
+    for _ in range(rng.randint(1, 4) if not zero else rng.randint(1, 2)):
+        rows, cols = rng.choice(list(_minors(s)) + [((), ())])
+        if zero:
+            block = (commutator(gen_id(rng.choice(rows), rng.choice(cols)), rows, cols) if rows
+                     else minors.combination([]))
+            if rows and rng.random() < 0.5:
+                p = rng.randint(1, len(rows))
+                table, left = (laws.row_terms, True) if rng.random() < 0.5 else (laws.col_terms, False)
+                terms = table(rows, cols, p, (rows if left else cols)[p - 1])
+                block = table_combination(s, terms, left, (rows, cols))
+            block = _times_words(block, _random_word(rng, s, 2), _random_word(rng, s, 2))
+        else:
+            left, right = _random_word(rng, s, 2), _random_word(rng, s, 2) if rows else ()
+            block = minors.combination([(left, rows, cols, right, 0, 1)])
+        e, c = rng.randint(-2, 2), rng.choice([1, -1, 2])
+        for (state, e0), c0 in block.items():
+            out[(state, e0 + e)] = out.get((state, e0 + e), 0) + c * c0
+    return out
+
+
+def _blocked(key) -> bool:
+    """Whether a memo key has a state that cannot split at its top row and one
+    that cannot split at its bottom row."""
+    states = [state for (state, _), _ in key if state != minors.ONE]
+    lo = min(minors.span(state)[0] for state in states)
+    hi = max(minors.span(state)[1] for state in states)
+    return (any(minors.top(state, lo) is None for state in states)
+            and any(minors.bottom(state, hi) is None for state in states))
+
+
+def test_word_states_agree_with_the_kernel_products():
+    rng = random.Random(18)
+    verdicts = Counter()
+    for k in range(640):
+        s = Shape(*[(3, 3), (3, 4), (4, 3), (4, 4)][k % 4])
+        combination = _word_combination(rng, s, zero=k % 8 < 4)
+        want = _flat(s, combination)
+        assert flat(s, combination) == want, (k, combination)
+        test = ZeroTest(s)
+        verdict = test.is_zero(combination)
+        if verdict is None:
+            assert any(v is None and _blocked(key) for key, v in test.memo.items()), k
+        else:
+            assert verdict is want.is_zero(), (k, combination)
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 200 and verdicts[False] >= 200, verdicts
+
+
+def test_a_pure_word_splits_its_bottom_row_out_of_its_letters():
+    # a pure word is stored as L alone; its bottom row is the suffix of L
+    word = (letter(1, 1), letter(2, 2), letter(3, 1))
+    assert minors.bottom((word, (), (), ()), 3) == [(word[2:], 0, 1, (word[:2], (), (), ()))]
+    assert minors.top((word, (), (), ()), 1) == [(word[:1], 0, 1, (word[1:], (), (), ()))]
+    # the top row is blocked by X[1,1] right of a minor, so the zero test
+    # splits the pure words at the bottom row
+    s, pair = Shape(3, 3), (1, 2)
+    cross = (letter(1, 2), letter(2, 1))
+    swap = minors.combination([((letter(2, 2),), (), (), (letter(1, 1),), 0, 1),
+                               ((letter(1, 1), letter(2, 2)), (), (), (), 0, -1),
+                               (cross, (), (), (), 1, 1), (cross, (), (), (), -1, -1)])
+    for extra in ({}, {(((letter(1, 3), letter(3, 2)), (), (), ()), 0): 1}):
+        combination = {**commutator(gen_id(1, 1), pair, pair), **swap, **extra}
+        want = _flat(s, combination).is_zero()
+        assert want is not bool(extra)
+        assert ZeroTest(s).is_zero(combination) is want
+
+
+# ---------------------------------------------------------------------------
+# Cor 2.2 by induction: cor22 and thm21
+# ---------------------------------------------------------------------------
+
+def _built_cor22(s: Shape, t=None):
+    """The cor22 checks as the per-check loop builds them."""
+    checks = []
+    for p in [t] if t else range(2, min(s.m, s.n) + 1):
+        for rows in itertools.combinations(range(2, s.m + 1), p - 1):
+            for cols in itertools.combinations(range(1, s.n), p - 1):
+                checks += check_minor_reduction(s, (1,) + rows, cols + (s.n,))
+    return checks
+
+
+def _outcomes(checks):
+    return [(c.name, c.ok, c.witness) for c in checks]
+
+
+@pytest.fixture
+def fresh_derived_minors():
+    # derived minors memoize row-laplace results, so no patched law may outlive a case
+    for cached in (localize.x_prime, localize._x_prime_minor):
+        cached.cache_clear()
+    yield
+    for cached in (localize.x_prime, localize._x_prime_minor):
+        cached.cache_clear()
+
+
+COR22_SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 6)] + [(6, 6)]
+
+
+def test_cor22_matches_the_built_loops():
+    for m, n in COR22_SHAPES:
+        s = Shape(m, n)
+        report = run_suite("cor22", m=m, n=n)
+        assert _outcomes(report.checks) == _outcomes(_built_cor22(s)), (m, n)
+        assert report.passed and report.counts["flat_checks"] == 0, (m, n)
+        for t in range(2, min(m, n) + 1) if max(m, n) < 6 else ():
+            sized = run_suite("cor22", m=m, n=n, t=t)
+            assert sized.checks and _outcomes(sized.checks) == _outcomes(_built_cor22(s, t)), (m, n, t)
+
+
+def test_thm21_matches_the_built_reduction():
+    for n in range(2, 7):
+        report = run_suite("thm21", n=n)
+        assert _outcomes(report.checks) == _outcomes(check_det_reduction(n)), n
+        assert report.passed and report.counts["flat_checks"] == 0, n
+
+
+def test_passing_reductions_build_no_derived_minor(monkeypatch):
+    def refuse(*args):
+        pytest.fail("built a derived minor or a product")
+
+    for module, name in ((localize, "x_prime"), (localize, "_x_prime_minor"),
+                         (zerotest, "check_minor_reduction"), (zerotest, "check_det_reduction")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    for name, n in (("thm21", 7), ("cor22", 6)):
+        report = run_suite(name, n=n)
+        assert report.passed and report.counts["flat_checks"] == 0, name
+
+
+def test_a_wrong_row_law_fails_thm21_with_the_built_witnesses(monkeypatch, fresh_derived_minors):
+    frozen = laws.row_terms
+
+    def bumped(rows, cols, i, k):
+        terms = frozen(rows, cols, i, k)
+        return [terms[0]._replace(exponent=terms[0].exponent + 1), *terms[1:]]
+
+    monkeypatch.setattr(laws, "row_terms", bumped)
+    for n in (3, 4):
+        report = run_suite("thm21", n=n)
+        want = check_det_reduction(n)
+        assert not any(c.ok for c in want)
+        assert _outcomes(report.checks) == _outcomes(want)
+        assert report.counts["flat_checks"] == 2
+
+
+def test_a_nonzero_step_whose_built_reduction_holds_raises(monkeypatch):
+    # every combination found nonzero: the size-1 step rests on nothing, so
+    # its built reduction passing means the paths disagree
+    monkeypatch.setattr(ZeroTest, "is_zero", lambda self, combination: False)
+    with pytest.raises(AssertionError, match="nonzero step whose built reduction holds"):
+        run_suite("thm21", n=2)
+    with pytest.raises(AssertionError, match="nonzero step whose built reduction holds"):
+        run_suite("cor22", n=3)
+
+
+def test_undecided_steps_take_the_built_path(monkeypatch):
+    # a zero test that decides nothing proves nothing: every check is built,
+    # and nothing disagrees
+    monkeypatch.setattr(ZeroTest, "is_zero", lambda self, combination: None)
+    report = run_suite("cor22", m=3, n=4)
+    assert _outcomes(report.checks) == _outcomes(_built_cor22(Shape(3, 4)))
+    assert report.counts["flat_checks"] == len(report.checks)
