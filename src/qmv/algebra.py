@@ -461,33 +461,6 @@ def gen(shape: Shape, i: int, j: int) -> AlgebraElement:
     return AlgebraElement(shape, {(letter(i, j),): ONE})
 
 
-def relabel(x, shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]):
-    """The image of x under the algebra map X[i,j] -> X[rows[i-1], cols[j-1]]
-    into ``shape``, for strictly increasing rows and cols, one entry per row and
-    column of x's shape.  The map keeps the row-major order of the generators,
-    so each PBW monomial goes to the PBW monomial with its codes relabeled in
-    place, and the printing order is kept.  A localized element (numerator
-    times X[1,n]^-k) keeps its k; that needs rows[0] = 1 and cols[-1] =
-    shape.n, so that the corner goes to the corner."""
-    rows, cols = tuple(rows), tuple(cols)
-    if not isinstance(x, AlgebraElement):
-        if rows[:1] != (1,) or cols[-1:] != (shape.n,):
-            raise ValueError("a localized element relabels only with the corner fixed")
-        return type(x)(relabel(x.numerator, shape, rows, cols), x.k)
-    source = x.shape
-    if (len(rows), len(cols)) != (source.m, source.n):
-        raise ValueError(f"relabeling of {source} needs {source.m} rows and {source.n} columns")
-    for idx, bound in ((rows, shape.m), (cols, shape.n)):
-        if idx[0] < 1 or idx[-1] > bound or any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"relabeling into {shape} needs increasing indices in range: {idx}")
-    ids = {gen_id(i, j): gen_id(r, c) << EXP_BITS
-           for i, r in enumerate(rows, 1) for j, c in enumerate(cols, 1)}
-    return AlgebraElement(shape, {
-        tuple(ids[code >> EXP_BITS] | code & EXP_MASK for code in codes): coeff
-        for codes, coeff in x._terms.items()
-    })
-
-
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a*b - b*a in PBW normal form."""
     return a * b - b * a

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class IdentityCheck:
-    """One verified identity: passes exactly when the canonical difference is zero.
-    A failing check keeps that difference, so that a check of the same order
-    pattern can relabel it."""
+    """One verified identity: passes exactly when the canonical difference is zero."""
 
     name: str
     ok: bool
     witness: str | None = None
     seconds: float = 0.0
-    difference: object = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "status": "pass" if self.ok else "fail"}
@@ -33,4 +30,4 @@ def check_zero(name: str, difference) -> IdentityCheck:
     WITNESS_TERMS terms in canonical order and its term count."""
     if difference.is_zero():
         return IdentityCheck(name, True)
-    return IdentityCheck(name, False, difference.render(WITNESS_TERMS), difference=difference)
+    return IdentityCheck(name, False, difference.render(WITNESS_TERMS))

@@ -25,13 +25,13 @@ minus the minor, so a wrong law shows up as a failing check.  The expansions
 themselves are checked and reported once per minor by the lemma23 suite.
 
 Each check builder the suites use has a companion that names its checks, so
-that the patterns module, which runs one check per order-pattern class, and
-the zerotest module, which certifies the reductions without building them,
-name every check as the builder would.  The form of a derived check is
-decided once: ``_rewriting`` says which expansion a Lemma 2.3 rewriting
-solves, and ``_commutation`` whether a Theorem 2.5 commutation is a q-twist
-or a correction sum.  The builders, their names and the law-table walkers of
-the patterns module all ask them.
+that the derived module, which decides the cor22, thm21, lemma23 and thm25
+checks with a zero test in corner form, names every check as the builder
+would and builds only the checks it cannot decide.  The form of a derived
+check is decided once: ``_rewriting`` says which expansion a Lemma 2.3
+rewriting solves, and ``_commutation`` whether a Theorem 2.5 commutation is a
+q-twist or a correction sum.  The builders and the derived module both ask
+them.
 """
 
 from __future__ import annotations
@@ -388,18 +388,14 @@ def reduction_names(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) 
     return [f"{label}, right denominator", f"{label}, left denominator"]
 
 
-def _call(table, *args):
-    return table(*args)
-
-
-def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], read=_call
+def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]
                ) -> tuple[list[laws.Term], int, laws.MinorKey | None]:
     """How Lemma 2.3 rewrites [rows|cols], a minor missing row 1, column n or
     both, over minors closer to the corner.  Returns the expansion it solves,
-    as a term table (generators right) read through ``read(table, *args)``; the
-    position of the table's corner term (-q)^e* [rows|cols] X[1,n], which holds
-    the target; and the enlarged minor [1 u rows | cols u n] the expansion
-    equals, or None when the expansion vanishes.
+    as a term table (generators right); the position of the table's corner
+    term (-q)^e* [rows|cols] X[1,n], which holds the target; and the enlarged
+    minor [1 u rows | cols u n] the expansion equals, or None when the
+    expansion vanishes.
 
     With row 1 present the expansion runs along row 1 with column n adjoined,
     and with column n present along column n with row 1 adjoined; either
@@ -414,9 +410,9 @@ def _rewriting(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], read=
                          "use the minor reduction")
     big = ((1,) + rows, cols + (n,))
     if cols[-1] == n:
-        terms = read(laws.col_terms, *big, len(rows) + 1, n)
+        terms = laws.col_terms(*big, len(rows) + 1, n)
     else:
-        terms = read(laws.first_row_terms, *big)
+        terms = laws.first_row_terms(*big)
     corner = next(k for k, t in enumerate(terms) if t.gen == (1, n))
     return terms, corner, big if rows[0] != 1 and cols[-1] != n else None
 
@@ -488,16 +484,22 @@ def derived_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> 
     return f"[{list(rows)}|{list(cols)}] over derived minors in {shape}"
 
 
-def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]
-                       ) -> dict[laws.MinorKey, LocalizedElement]:
+def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...],
+                       memo: dict | None = None) -> dict[laws.MinorKey, LocalizedElement]:
     """The cofactor map of [rows|cols]: a minor through the corner is
     (-q)^(p-1) [R-1|C-n]' X[1,n]; any other is rewritten by ``_rewriting`` as a
     sum of [r|c] times a scaled generator (or scalar) times X[1,n]^-1, and the
-    maps of those minors are taken times these right cofactors.  Builds no
-    check."""
+    maps of those minors are taken times these right cofactors.  Each map is
+    made once per ``memo``, a dict the caller keeps for as long as it likes.
+    Builds no check."""
+    if memo is None:
+        memo = {}
+    if (rows, cols) in memo:
+        return memo[rows, cols]
     if rows[0] == 1 and cols[-1] == shape.n:
         corner = gen(shape, 1, shape.n).scale(LaurentScalar.minus_q_power(len(rows) - 1))
-        return {(rows[1:], cols[:-1]): loc(corner)}
+        memo[rows, cols] = {(rows[1:], cols[:-1]): loc(corner)}
+        return memo[rows, cols]
     mq = LaurentScalar.minus_q_power
     terms, corner, enlarged = _rewriting(shape, rows, cols)
     e = terms[corner].exponent
@@ -507,28 +509,29 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
         rights.insert(0, (enlarged, LocalizedElement(AlgebraElement.from_scalar(shape, mq(-e)), 1)))
     pieces: dict[laws.MinorKey, list[LocalizedElement]] = {}
     for (r, c), right in rights:
-        for key, piece in _derived_cofactors(shape, r, c).items():
+        for key, piece in _derived_cofactors(shape, r, c, memo).items():
             pieces.setdefault(key, []).append(piece * right)
-    return {key: LocalizedElement.sum(shape, ps) for key, ps in pieces.items()}
+    memo[rows, cols] = {key: LocalizedElement.sum(shape, ps) for key, ps in pieces.items()}
+    return memo[rows, cols]
 
 
-def _commutation(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen, read=_call
+def _commutation(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen
                  ) -> tuple[str, LaurentScalar, list[laws.Term]]:
     """How Theorem 2.5 commutes the edge generator x = X[1,l] or X[k,n] with
     [rows|cols]': the claim that names the check, the twist c, and the
-    correction term table, read through ``read(table, *args)``, whose products
-    complete x [R|C]' - c [R|C]' x to zero.  When the generator's index lies
-    inside the minor it is a clean q-twist (c = q^-1 for X[1,l], q for X[k,n])
-    with no corrections; otherwise c = 1 and the fitted correction sum."""
+    correction term table whose products complete x [R|C]' - c [R|C]' x to
+    zero.  When the generator's index lies inside the minor it is a clean
+    q-twist (c = q^-1 for X[1,l], q for X[k,n]) with no corrections; otherwise
+    c = 1 and the fitted correction sum."""
     (gi, gj), n = g, shape.n
     if gi == 1 and gj < n:
         if gj in cols:
             return "q^-1 twist", QINV, []
-        return "correction sum", ONE, read(laws.col_commutation_terms, rows, cols, gj)
+        return "correction sum", ONE, laws.col_commutation_terms(rows, cols, gj)
     if gj == n and gi >= 2:
         if gi in rows:
             return "q twist", Q, []
-        return "correction sum", ONE, read(laws.row_commutation_terms, rows, cols, gi, n)
+        return "correction sum", ONE, laws.row_commutation_terms(rows, cols, gi, n)
     raise ValueError(f"generator X[{gi},{gj}] is not an edge generator for {shape}")
 
 
@@ -538,18 +541,19 @@ def check_minor_commutation(
     """Commutation of a derived minor with an edge generator X[1,l] or X[k,n],
     in the form ``_commutation`` decides."""
     rows, cols = tuple(rows), tuple(cols)
-    _, twist, terms = _commutation(shape, rows, cols, g)
+    claim, twist, terms = _commutation(shape, rows, cols, g)
     mp = x_prime_minor(shape, rows, cols)
     x = gen(shape, *g)
     # x mp - twist * mp x plus the correction sum, accumulated once
     difference = LocalizedElement.sum(
         shape, [loc(x) * mp, mp * x.scale(-twist), *correction_products(shape, terms, g)])
-    return check_zero(commutation_name(shape, rows, cols, g), difference)
+    return check_zero(commutation_name(shape, rows, cols, g, claim), difference)
 
 
-def commutation_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen) -> str:
-    """The name of the check ``check_minor_commutation`` builds; it reads no law table."""
-    claim, _, _ = _commutation(shape, rows, cols, g, read=lambda table, *args: [])
+def commutation_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen,
+                     claim: str) -> str:
+    """The name of the check ``check_minor_commutation`` builds, given the claim
+    ``_commutation`` makes."""
     return f"X[{g[0]},{g[1]}] vs [{list(rows)}|{list(cols)}]' in {shape}: {claim}"
 
 
@@ -559,10 +563,15 @@ def correction_products(shape: Shape, terms: list[laws.Term], g: Gen) -> list[Lo
     term table, in table order, that complete x [R|C]' - [R|C]' x to zero.  By
     Theorem 2.5, c = q(q - q^-1) for X[1,l] and q^-1(q^-1 - q) for X[k,n].  The
     scalar goes on the one-letter generator, never on the product."""
-    c = -Q * Q_MINUS_QINV if g[0] == 1 else -QINV * (QINV - Q)
+    c = correction_scalar(g)
     return [
         loc(gen(shape, *t.gen).scale(c * LaurentScalar.minus_q_power(t.exponent)))
         * x_prime_minor(shape, *t.minor)
         for t in terms
     ]
 
+
+def correction_scalar(g: Gen) -> LaurentScalar:
+    """-c, the scalar each correction product of the edge generator g carries:
+    -q(q - q^-1) for X[1,l] and -q^-1(q^-1 - q) for X[k,n]."""
+    return -Q * Q_MINUS_QINV if g[0] == 1 else -QINV * (QINV - Q)

@@ -3,10 +3,10 @@
 Three jobs live here:
 
 * run_suite: execute a named catalog of identity checks over a chosen shape and
-  report pass/fail with failure witnesses.  The lemma23 and thm25 suites
-  live in the patterns module, which runs one check per order-pattern class,
-  and the centrality, semicentrality, laplace, cor22 and thm21 suites in the
-  zerotest module, which decides each check by a row-by-row zero test;
+  report pass/fail with failure witnesses.  The centrality, semicentrality
+  and laplace suites live in the zerotest module, which decides each check by
+  a row-by-row zero test, and the cor22, thm21, lemma23 and thm25 suites in
+  the derived module, which decides each with the same test in corner form;
 * fit_exponents: solve for the q-power coefficients the identity families leave
   unspecified, by exact linear algebra in the relevant graded component, and
   compare the result against the frozen table shipped with the package.  Each
@@ -232,7 +232,11 @@ def _fit_shape(family: str, m: int | None, n: int | None, t: int | None) -> Shap
         if t is not None:
             raise ValueError(f"family {family} takes no t; only the lemma23-* and thm25-* "
                              "families do")
-        return Shape(n or 2, n or 2)
+        side = n or 2
+        if m is not None and m != side:
+            raise ValueError(f"family {family} is fitted on a square {side}x{side} grid; "
+                             f"got m={m}")
+        return Shape(side, side)
     if family.startswith("lemma23"):
         shape = Shape(m or 3, n or 3)
         low, high = 1, min(shape.m, shape.n) - 1  # the rewritten minor's size
@@ -766,11 +770,11 @@ SUITES = {
     "jordan-obstruction": _suite_jordan,
 }
 
-# The suites of the patterns module, which run one check per order-pattern class.
-PATTERN_SUITES = ("lemma23", "thm25")
-
 # The suites of the zerotest module, which decide each check by a row-by-row zero test.
-SPLIT_SUITES = ("centrality", "semicentrality", "laplace", "cor22", "thm21")
+SPLIT_SUITES = ("centrality", "semicentrality", "laplace")
+
+# The suites of the derived module, which decide each check by the zero test in corner form.
+DERIVED_SUITES = ("cor22", "thm21", "lemma23", "thm25")
 
 # The suites that take a minor size t.
 SIZED_SUITES = ("cor22", "lemma23", "thm25")
@@ -779,8 +783,8 @@ SIZED_SUITES = ("cor22", "lemma23", "thm25")
 def run_suite(name: str, m: int | None = None, n: int | None = None,
               t: int | None = None) -> SuiteReport:
     """Run one named identity suite over the given shape parameters."""
-    if name not in SUITES and name not in SPLIT_SUITES and name not in PATTERN_SUITES:
-        available = ", ".join(sorted([*SUITES, *SPLIT_SUITES, *PATTERN_SUITES]))
+    if name not in SUITES and name not in SPLIT_SUITES and name not in DERIVED_SUITES:
+        available = ", ".join(sorted([*SUITES, *SPLIT_SUITES, *DERIVED_SUITES]))
         raise ValueError(f"unknown suite {name!r}; available: {available}")
     if n is None and m is None:
         raise ValueError(f"suite {name} needs shape parameters (--m/--n)")
@@ -798,13 +802,15 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
         raise ValueError(f"suite {name} takes t >= 2, got t=1")
     cached = _mono_times_gen.cache_info().currsize
     start = time.monotonic()
-    if name in PATTERN_SUITES:
-        # loaded on first use: a process that runs no such suite never compiles it
-        from .patterns import CALLS, check_by_class
-        checks, counts = check_by_class(shape, CALLS[name](shape, t))
-    elif name in SPLIT_SUITES:
+    if name in SPLIT_SUITES or name in DERIVED_SUITES:
+        # each module loads on first use: a process that runs none of its
+        # suites never compiles it
         from .zerotest import check_by_rows
-        checks, counts = check_by_rows(name, shape, t)
+        if name in SPLIT_SUITES:
+            from .zerotest import SUITES as module_suites
+        else:
+            from .derived import SUITES as module_suites
+        checks, counts = check_by_rows(module_suites[name], shape, t)
     else:
         checks, counts = SUITES[name](shape), {}
     elapsed = time.monotonic() - start

@@ -281,6 +281,29 @@ class TestCommands:
         out = capsys.readouterr()
         assert out.out == "" and message in out.err
 
+    @pytest.mark.parametrize("family", ["row-laplace", "col-laplace"])
+    def test_fit_exponents_refuses_an_m_off_the_laplace_grid(self, capsys, family):
+        # the Laplace families are fitted on the n x n grid; an --m that
+        # disagrees used to be ignored, and the fit reported a match
+        for argv, grid in ((["--m", "5"], "2x2"), (["--m", "5", "--n", "3"], "3x3"),
+                           (["--m", "2", "--n", "3"], "3x3")):
+            assert main(["fit-exponents", family, *argv]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and f"fitted on a square {grid} grid; got m={argv[1]}" in out.err
+        assert main(["fit-exponents", family, "--m", "3", "--n", "3"]) == 0
+        assert main(["fit-exponents", family, "--m", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{family}: law -1*i + 1*j over {count} instances, matches frozen table"
+            for count in (9, 4)]
+
+    def test_derived_suites_report_their_zero_test_counts(self, capsys):
+        for name in ("thm25", "lemma23"):
+            assert main(["suite", name, "--n", "4", "--format", "json"]) == 0
+            timings = json.loads(capsys.readouterr().out)["timings"]
+            assert set(timings) == {"total_seconds", "zero_test_splits", "zero_test_memo_hits",
+                                    "zero_test_transposed", "flat_checks", "straighten_cache_added"}
+            assert timings["flat_checks"] == 0 and timings["zero_test_splits"] > 0, name
+
     def test_fit_exponents_reads_t_where_the_family_does(self, capsys):
         # the 2-minors of 3x3 only (21 instances over sizes 2 and 3), and the
         # derived 1-minors of 4x3 only (9 instances over sizes 1 and 2)
@@ -293,6 +316,8 @@ class TestCommands:
         (["suite", "thm21", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
         (["suite", "cor22", "--n", "11"], "a 10-minor has 10! = 3,628,800 terms"),
         (["det", "--n", "12"], "a 12-minor has 12! = 479,001,600 terms"),
+        (["suite", "thm25", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
+        (["suite", "lemma23", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
     ])
     def test_oversized_reductions_fail_fast(self, capsys, argv, message):
         start = time.monotonic()
@@ -327,14 +352,17 @@ def run_module(*args):
 
 
 def test_the_cli_compiles_neither_the_split_nor_the_pattern_suites():
-    # both modules load on first use, so a process that runs none of their
-    # suites never compiles them
-    probe = ("import sys, qmv.cli; "
-             "print(sorted(m for m in ('qmv.zerotest', 'qmv.patterns') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    # both suite modules load on first use, so a process that runs none of
+    # their suites never compiles them, and one that runs the split suites
+    # never compiles the derived ones
+    loaded = "print(sorted(m for m in ('qmv.zerotest', 'qmv.derived') if m in sys.modules))"
+    for run, want in (("", "[]"), ("qmv.cli.main(['suite', 'centrality', '--n', '3']); ",
+                                   "['qmv.zerotest']")):
+        probe = f"import sys, qmv.cli; {run}{loaded}"
+        done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == want
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,12 +1,13 @@
-"""Checks grouped by order pattern: the relabeling map, the law tables under
-it, and the suites run once per class against their per-check loops.
+"""Order patterns and the derived suites: the relabeling map behind the zero
+test's rank compression, the law tables under it, and the cor22, lemma23 and
+thm25 suites against their per-check builders.
 
 X[i,j] -> X[rho(i), gamma(j)] for increasing rho and gamma is an injective
 algebra map; with rho(1) = 1 and gamma(last) = n it extends to the
-localization at the corner.  The lemma23 and thm25 suites rely on it to run
-one check per class, so the reference below is the per-check loops those
-suites ran before, kept here as they were.  cor22 now runs on the zero test,
-and its loop stays as the reference for that path.
+localization at the corner.  The zero test compresses every combination to
+its ranks by this map before it looks it up, so the map is kept here as the
+reference.  The derived module decides the suites' checks in corner form; the
+reference for it is the per-check loops of the localize module's builders.
 """
 
 import itertools
@@ -16,8 +17,8 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qmv import laws, localize, patterns, verify
-from qmv.algebra import AlgebraElement, Shape, gen, relabel
+from qmv import derived, laws, localize, minors, verify
+from qmv.algebra import COL_MASK, EXP_BITS, EXP_MASK, AlgebraElement, Shape, gen, gen_id, letter
 from qmv.localize import (
     LocalizedElement,
     check_minor_commutation,
@@ -27,8 +28,10 @@ from qmv.localize import (
     x_prime,
     x_prime_minor,
 )
+from qmv.minors import flat
 from qmv.scalar import LaurentScalar
 from qmv.verify import run_suite
+from qmv.zerotest import ZeroTest, _normal_form
 
 BIG = Shape(5, 5)
 
@@ -36,6 +39,21 @@ BIG = Shape(5, 5)
 # ---------------------------------------------------------------------------
 # the relabeling map
 # ---------------------------------------------------------------------------
+
+def relabel(x, shape: Shape, rows, cols):
+    """The image of x under X[i,j] -> X[rows[i-1], cols[j-1]] into ``shape``,
+    for strictly increasing rows and cols: each PBW monomial goes to the PBW
+    monomial with its codes relabeled in place.  A localized element keeps its
+    corner exponent; that needs rows[0] = 1 and cols[-1] = shape.n."""
+    if not isinstance(x, AlgebraElement):
+        assert rows[0] == 1 and cols[-1] == shape.n
+        return type(x)(relabel(x.numerator, shape, rows, cols), x.k)
+    ids = {gen_id(i, j): gen_id(r, c) << EXP_BITS
+           for i, r in enumerate(rows, 1) for j, c in enumerate(cols, 1)}
+    return AlgebraElement(shape, {
+        tuple(ids[code >> EXP_BITS] | code & EXP_MASK for code in codes): coeff
+        for codes, coeff in x._terms.items()})
+
 
 @st.composite
 def small_elements(draw, shape):
@@ -105,19 +123,6 @@ def test_relabeling_keeps_the_printed_order():
     assert relabel(x, BIG, rows, cols).render() == _renamed(x.render(), rows, cols)
 
 
-def test_relabeling_validates_its_map():
-    s = Shape(2, 2)
-    x = gen(s, 1, 2)
-    with pytest.raises(ValueError):
-        relabel(x, BIG, (2, 1), (1, 2))
-    with pytest.raises(ValueError):
-        relabel(x, BIG, (1, 6), (1, 2))
-    with pytest.raises(ValueError):
-        relabel(x, BIG, (1, 2, 3), (1, 2))
-    with pytest.raises(ValueError):  # the corner must stay the corner
-        relabel(LocalizedElement(x, 1), BIG, (1, 3), (1, 4))
-
-
 def test_relabeling_sends_derived_generators_to_derived_generators():
     small = Shape(3, 3)
     rows, cols = (1, 3, 5), (2, 4, 5)
@@ -125,6 +130,27 @@ def test_relabeling_sends_derived_generators_to_derived_generators():
         assert relabel(x_prime(small, i, j), BIG, rows, cols) == x_prime(BIG, rows[i - 1], cols[j - 1])
     assert (relabel(x_prime_minor(small, (2, 3), (1, 2)), BIG, rows, cols)
             == x_prime_minor(BIG, (3, 5), (2, 4)))
+
+
+def test_rank_compression_is_the_relabeling_map():
+    # a zero-test key is its combination compressed to ranks and divided by a
+    # unit +-q^e: relabeled back, it is the combination up to that unit
+    rng = random.Random(7)
+    for _ in range(30):
+        rows = tuple(sorted(rng.sample(range(1, 6), 2)))
+        cols = tuple(sorted(rng.sample(range(1, 6), 2)))
+        i, j = rng.choice(rows), rng.choice(range(1, 6))
+        word = (letter(rng.choice(range(1, 6)), rng.choice(range(1, 6))),)
+        x = (letter(i, j),)
+        combination = minors.combination([((), rows, cols, x, 0, 1), (x, rows, cols, (), 0, -1),
+                                          (word, rows, cols, (), 1, 2)])
+        row_set = sorted({*rows, i, word[0] >> minors.ROW_SHIFT})
+        col_set = sorted({*cols, j, word[0] >> EXP_BITS & COL_MASK})
+        small = Shape(len(row_set), len(col_set))
+        image = relabel(flat(small, dict(_normal_form(combination))), BIG, row_set, col_set)
+        want = flat(BIG, combination)
+        units = [LaurentScalar({e: c}) for e in range(-4, 5) for c in (1, -1)]
+        assert any(image.scale(u) == want for u in units), combination
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +208,6 @@ def test_every_law_table_is_equivariant(call):
     assert table(*build(lambda x: x, lambda x: x)) == _relabel_table(small, rho, gamma)
 
 
-# ---------------------------------------------------------------------------
-# the walkers read exactly the tables the checks read
-# ---------------------------------------------------------------------------
-
-TABLES = ("row_terms", "col_terms", "first_row_terms", "last_row_terms",
-          "col_commutation_terms", "row_commutation_terms")
-
-
 @pytest.fixture
 def fresh_derived_minors():
     # derived minors memoize row-laplace results, so no patched law may outlive a case
@@ -200,31 +218,8 @@ def fresh_derived_minors():
         cached.cache_clear()
 
 
-@pytest.mark.parametrize("name", sorted(patterns.CALLS))
-@pytest.mark.parametrize("m,n", [(4, 4), (3, 4), (4, 3)])
-def test_walkers_read_what_the_checks_read(monkeypatch, fresh_derived_minors, name, m, n):
-    seen: set = set()
-    for table in TABLES:
-        frozen = getattr(laws, table)
-
-        def recorded(*args, table=table, frozen=frozen):
-            seen.add((table, args))
-            return frozen(*args)
-
-        monkeypatch.setattr(laws, table, recorded)
-    shape = Shape(m, n)
-    for kind, args in patterns.CALLS[name](shape, None):
-        localize._x_prime_minor.cache_clear()
-        seen.clear()
-        kind.run(shape, *args)
-        read_by_check = set(seen)
-        seen.clear()
-        kind.reads(shape, *args, lambda table, *table_args: table(*table_args))
-        assert seen == read_by_check, (name, args)
-
-
 # ---------------------------------------------------------------------------
-# one check per class against the per-check loops
+# the derived suites against the per-check builders
 # ---------------------------------------------------------------------------
 
 def direct_suite(name, shape, t=None):
@@ -247,16 +242,19 @@ def direct_suite(name, shape, t=None):
                     _, check = minor_over_derived_generators(shape, rows, cols)
                     checks.append(check)
     else:
-        for size in ([t - 1] if t else list(range(1, min(shape.m, shape.n)))):
-            if size < 1 or size > min(shape.m - 1, shape.n - 1):
-                continue
-            for rows in itertools.combinations(range(2, shape.m + 1), size):
-                for cols in itertools.combinations(range(1, shape.n), size):
-                    for l in range(1, shape.n):
-                        checks.append(check_minor_commutation(shape, rows, cols, (1, l)))
-                    for k in range(2, shape.m + 1):
-                        checks.append(check_minor_commutation(shape, rows, cols, (k, shape.n)))
+        checks = [check_minor_commutation(shape, *call) for call in _thm25_calls(shape, t)]
     return checks
+
+
+def _thm25_calls(shape, t=None):
+    """(rows, cols, generator) for each thm25 check, in the suite's order."""
+    for size in ([t - 1] if t else list(range(1, min(shape.m, shape.n)))):
+        for rows in itertools.combinations(range(2, shape.m + 1), size):
+            for cols in itertools.combinations(range(1, shape.n), size):
+                for l in range(1, shape.n):
+                    yield rows, cols, (1, l)
+                for k in range(2, shape.m + 1):
+                    yield rows, cols, (k, shape.n)
 
 
 def _outcomes(checks):
@@ -266,26 +264,59 @@ def _outcomes(checks):
 SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 6)]
 
 
-def _unbuilt(name):
-    # cor22 runs on the zero test, whose builds are counted as flat checks
-    return "flat_checks" if name == "cor22" else "direct_checks"
-
-
-@pytest.mark.parametrize("name", ["cor22", *sorted(patterns.CALLS)])
-def test_class_path_matches_the_per_check_loops(name):
+@pytest.mark.parametrize("name", ["cor22", "lemma23", "thm25"])
+def test_suites_match_the_per_check_builders(name):
     for m, n in SHAPES:
         report = run_suite(name, m=m, n=n)
         assert _outcomes(report.checks) == _outcomes(direct_suite(name, Shape(m, n))), (m, n)
-        assert report.passed and report.counts[_unbuilt(name)] == 0
+        assert report.passed and report.counts["flat_checks"] == 0, (m, n)
 
 
 @pytest.mark.parametrize("name", ["cor22", "lemma23", "thm25"])
-def test_class_path_matches_the_per_check_loops_at_one_size(name):
+def test_suites_match_the_per_check_builders_at_one_size(name):
     for m, n in SHAPES:
         for t in range(2, min(m, n) + 1):
             report = run_suite(name, m=m, n=n, t=t)
             assert report.checks, (m, n, t)
             assert _outcomes(report.checks) == _outcomes(direct_suite(name, Shape(m, n), t)), (m, n, t)
+            assert report.counts["flat_checks"] == 0, (m, n, t)
+
+
+def test_passing_derived_checks_build_no_derived_minor(monkeypatch):
+    def refuse(*args):
+        pytest.fail("built a derived minor or a check")
+
+    for name in ("x_prime", "_x_prime_minor"):
+        monkeypatch.setattr(localize, name, refuse)
+    for name in ("check_minor_commutation", "expand_minor_without_corner",
+                 "minor_over_derived_generators"):
+        monkeypatch.setattr(derived, name, refuse)
+    report = run_suite("lemma23", n=5)
+    assert report.passed and report.counts["flat_checks"] == 0
+    # thm25 multiplies no element at all; lemma23 multiplies its cofactor maps
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    report = run_suite("thm25", n=6)
+    assert report.passed and report.counts["flat_checks"] == 0
+
+
+@pytest.mark.parametrize("name", ["lemma23", "thm25"])
+def test_undecided_checks_take_the_built_path(monkeypatch, name):
+    # a zero test that decides nothing proves no derived minor: every check is
+    # built, and nothing disagrees
+    monkeypatch.setattr(ZeroTest, "is_zero", lambda self, combination: None)
+    report = run_suite(name, m=3, n=4)
+    assert _outcomes(report.checks) == _outcomes(direct_suite(name, Shape(3, 4)))
+    assert report.counts["flat_checks"] == len(report.checks)
+
+
+@pytest.mark.parametrize("name", ["lemma23", "thm25"])
+def test_a_nonzero_check_whose_built_check_holds_raises(monkeypatch, name):
+    # every derived minor taken as proved and every combination found nonzero:
+    # a built check that passes means the two paths disagree
+    monkeypatch.setattr(derived.DerivedMinors, "holds", lambda self, rows, cols: True)
+    monkeypatch.setattr(ZeroTest, "is_zero", lambda self, combination: False)
+    with pytest.raises(AssertionError, match="nonzero combination whose built difference vanishes"):
+        run_suite(name, n=3)
 
 
 def _bumped(table, when):
@@ -323,40 +354,47 @@ def test_a_law_on_absolute_indices_fails_where_the_loops_fail(monkeypatch, fresh
         report = run_suite(name, m=m, n=n)
         direct = direct_suite(name, Shape(m, n))
         assert _outcomes(report.checks) == _outcomes(direct), (m, n)
-    assert not report.passed and report.counts[_unbuilt(name)] > 0
+    assert not report.passed and report.counts["flat_checks"] > 0
 
 
 def test_a_wrong_law_fails_every_member_with_its_own_witness(monkeypatch, fresh_derived_minors):
-    # a wrong law that is still equivariant fails on the representatives, and
-    # each member's witness is the relabeled difference, as the loops print it
+    # +1 on every thm25 correction exponent fails exactly the correction-sum
+    # checks, each built with its own witness as the per-check loop prints it
     frozen = laws.law_coefficients
 
     def perturbed(family):
         law = frozen(family)
-        if family == "thm25-2prime":
-            law["rl"] = law.get("rl", 0) + 1
+        if family.startswith("thm25"):
+            law["1"] = law.get("1", 0) + 1
         return law
 
     monkeypatch.setattr(laws, "law_coefficients", perturbed)
-    report = run_suite("thm25", n=5)
-    assert not report.passed and report.counts["direct_checks"] == 0
-    assert _outcomes(report.checks) == _outcomes(direct_suite("thm25", Shape(5, 5)))
+    for m, n in [(4, 4), (3, 5), (5, 4)]:
+        s = Shape(m, n)
+        report = run_suite("thm25", m=m, n=n)
+        assert _outcomes(report.checks) == _outcomes(direct_suite("thm25", s)), (m, n)
+        # a correction sum with an empty table has nothing to shift
+        corrected = [bool(localize._commutation(s, *call)[2]) for call in _thm25_calls(s)]
+        assert [not c.ok for c in report.checks] == corrected, (m, n)
+        assert report.counts["flat_checks"] == sum(corrected) > 0, (m, n)
 
 
-def test_the_pattern_suites_are_the_ones_run_by_class():
-    assert set(verify.PATTERN_SUITES) == set(patterns.CALLS)
+def test_the_derived_suites_are_the_ones_the_derived_module_runs():
+    assert set(verify.DERIVED_SUITES) == set(derived.SUITES)
+    assert not set(verify.DERIVED_SUITES) & set(verify.SPLIT_SUITES)
 
 
 def test_counts_are_reported_under_timings_only():
+    counts = {"total_seconds", "zero_test_splits", "zero_test_memo_hits", "zero_test_transposed",
+              "flat_checks", "straighten_cache_added"}
     report = run_suite("thm25", n=5)
     timings = report.as_dict()["timings"]
-    assert set(timings) == {"total_seconds", "classes_evaluated", "direct_checks",
-                            "straighten_cache_added"}
-    assert (timings["classes_evaluated"], timings["direct_checks"]) == (38, 0)
+    assert set(timings) == counts
+    assert (timings["flat_checks"], timings["zero_test_transposed"]) == (0, 4)
     assert report.summary().startswith("suite thm25 {'m': 5, 'n': 5}: 552 checks, pass, ")
-    assert set(run_suite("thm21", n=3).as_dict()["timings"]) == {
-        "total_seconds", "zero_test_splits", "zero_test_memo_hits", "flat_checks",
-        "straighten_cache_added"}
+    timings = run_suite("lemma23", n=5).as_dict()["timings"]
+    assert set(timings) == counts and timings["flat_checks"] == 0
+    assert set(run_suite("thm21", n=3).as_dict()["timings"]) == counts
 
 
 def test_a_randomly_embedded_check_is_its_representative_relabeled():

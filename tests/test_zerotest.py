@@ -1,5 +1,5 @@
 """The row-by-row zero test: agreement with the flat products, its window
-rules, and the suites that take their verdicts from it."""
+rules, its transposed retry, and the suites that take their verdicts from it."""
 
 import itertools
 import random
@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmv import laws, localize, minors, verify, zerotest
+from qmv import derived, laws, localize, minors, verify, zerotest
 from qmv.algebra import AlgebraElement, Shape, decode, gen, gen_id, letter, monomial
 from qmv.checks import check_zero
 from qmv.localize import check_det_reduction, check_minor_reduction
@@ -17,7 +17,7 @@ from qmv.minors import (
 )
 from qmv.scalar import LaurentScalar
 from qmv.verify import run_suite
-from qmv.zerotest import ZeroTest
+from qmv.zerotest import ZeroTest, _normal_form, transposed
 
 
 def _minors(s: Shape):
@@ -112,16 +112,58 @@ def test_random_combinations_agree_with_the_flat_sum(case):
 
 
 def test_a_combination_split_at_neither_end_goes_to_the_flat_path():
-    # X[1,1] sits in the top row right of a 2-minor, and X[2,1] in the bottom
-    # row left of one: neither end can split both
+    # X[1,1] sits in the top row right of a 2-minor, and X[2,2] in the bottom
+    # row left of one: neither end can split both, and transposed X[1,1] and
+    # X[2,2] stay where they are
     s = Shape(2, 2)
     full = (1, 2)
     combination = minors.combination([((), full, full, (letter(1, 1),), 0, 1),
-                                      ((letter(2, 1),), full, full, (), 0, -1)])
+                                      ((letter(2, 2),), full, full, (), 0, -1)])
+    assert _normal_form(transposed(combination.items())) == _normal_form(combination)
     test = ZeroTest(s)
     assert test.is_zero(combination) is None
     assert test.check("mixed", combination) == check_zero("mixed", _flat(s, combination))
-    assert test.counts()["flat_checks"] == 1
+    assert test.counts()["flat_checks"] == 1 and test.counts()["zero_test_transposed"] == 0
+
+
+def test_a_combination_blocked_at_both_ends_is_decided_transposed():
+    # X[2,1] in the bottom row left of the minor blocks the bottom split and
+    # X[1,1] in the top row right of it the top split; transposed, X[2,1] is
+    # X[1,2], in the top row, and the bottom split goes through
+    s = Shape(2, 2)
+    full, x21, x11 = (1, 2), (letter(2, 1),), (letter(1, 1),)
+    nonzero = minors.combination([((), full, full, x11, 0, 1), (x21, full, full, (), 0, -1)])
+    # the determinant is central: X[2,1] D X[1,1] = X[2,1] X[1,1] D
+    zero = minors.combination([(x21, full, full, x11, 0, 1)]
+                              + [(w, full, full, (), e, -c) for w, e, c in minors.product(x21, x11)])
+    for combination, want in ((nonzero, False), (zero, True)):
+        test = ZeroTest(s)
+        assert test.is_zero(combination) is want is _flat(s, combination).is_zero()
+        assert test.counts()["zero_test_transposed"] == 1
+
+
+def _theta(element: AlgebraElement, image: Shape) -> AlgebraElement:
+    """theta(element) in the transposed shape, word by word through the zero
+    test's transposition."""
+    words = {((codes, (), (), ()), e): c
+             for codes, coeff in element._terms.items() for e, c in coeff._terms.items()}
+    return flat(image, transposed(words.items()))
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (4, 3)])
+def test_transposition_maps_the_defining_relations_to_relations(m, n):
+    # theta(g) theta(h) = theta(g h) for every ordered pair of generators: the
+    # straightened g h is the relation that rewrites it
+    s, image = Shape(m, n), Shape(n, m)
+    for (i, j), (k, l) in itertools.product(s.generators(), repeat=2):
+        assert _theta(gen(s, i, j) * gen(s, k, l), image) == gen(image, j, i) * gen(image, l, k)
+
+
+def test_transposition_sends_each_minor_to_its_transpose():
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        s, image = Shape(m, n), Shape(n, m)
+        for rows, cols in _minors(s):
+            assert _theta(minor(s, rows, cols), image) == minor(image, cols, rows), (m, n, rows, cols)
 
 
 def test_a_flat_zero_after_a_nonzero_verdict_raises():
@@ -170,7 +212,7 @@ def test_semicentrality_reports_its_zero_test_counts():
     assert set(verify.SPLIT_SUITES) == set(zerotest.SUITES)
     timings = run_suite("semicentrality", m=3, n=4).as_dict()["timings"]
     assert set(timings) == {"total_seconds", "zero_test_splits", "zero_test_memo_hits",
-                            "flat_checks", "straighten_cache_added"}
+                            "zero_test_transposed", "flat_checks", "straighten_cache_added"}
     assert timings["flat_checks"] == 0
 
 
@@ -222,12 +264,18 @@ def _word_combination(rng, s: Shape, zero: bool):
 
 def _blocked(key) -> bool:
     """Whether a memo key has a state that cannot split at its top row and one
-    that cannot split at its bottom row."""
-    states = [state for (state, _), _ in key if state != minors.ONE]
-    lo = min(minors.span(state)[0] for state in states)
-    hi = max(minors.span(state)[1] for state in states)
-    return (any(minors.top(state, lo) is None for state in states)
-            and any(minors.bottom(state, hi) is None for state in states))
+    that cannot split at its bottom row, and so does its transpose."""
+    def one_way(key):
+        states = [state for (state, _), _ in key if state != minors.ONE]
+        lo = min(minors.span(state)[0] for state in states)
+        hi = max(minors.span(state)[1] for state in states)
+        return (any(minors.top(state, lo) is None for state in states)
+                and any(minors.bottom(state, hi) is None for state in states))
+
+    return one_way(key) and one_way(_normal_form(transposed(key)))
+
+
+UNDECIDED_WORD_STATES = 52
 
 
 def test_word_states_agree_with_the_kernel_products():
@@ -246,6 +294,8 @@ def test_word_states_agree_with_the_kernel_products():
             assert verdict is want.is_zero(), (k, combination)
         verdicts[verdict] += 1
     assert verdicts[True] >= 200 and verdicts[False] >= 200, verdicts
+    # without the transposed retry, 120 stayed undecided
+    assert verdicts[None] == UNDECIDED_WORD_STATES, verdicts
 
 
 def test_a_pure_word_splits_its_bottom_row_out_of_its_letters():
@@ -321,7 +371,7 @@ def test_passing_reductions_build_no_derived_minor(monkeypatch):
         pytest.fail("built a derived minor or a product")
 
     for module, name in ((localize, "x_prime"), (localize, "_x_prime_minor"),
-                         (zerotest, "check_minor_reduction"), (zerotest, "check_det_reduction")):
+                         (derived, "check_minor_reduction"), (derived, "check_det_reduction")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
     for name, n in (("thm21", 7), ("cor22", 6)):
