@@ -36,10 +36,10 @@ from functools import cache
 from .algebra import Shape, gen_id, letter
 from .checks import IdentityCheck
 from .localize import (
-    _commutation, _derived_cofactors, _rewriting, _times_corner, check_det_reduction,
+    _commutation, _corner_moved, _derived_cofactors, _rewriting, check_det_reduction,
     check_minor_commutation, check_minor_reduction, commutation_name, correction_scalar,
     derived_name, det_reduction_names, expand_minor_without_corner, expansion_names,
-    minor_over_derived_generators, reduction_names, tau,
+    minor_over_derived_generators, reduction_names, tau_weight,
 )
 from .minors import check_term_count, combination, commutator, product, table_combination
 from .zerotest import ZeroTest
@@ -243,12 +243,14 @@ def _derived_check(shape: Shape, derived: DerivedMinors, cofactors: dict, rows: 
     pieces = _derived_cofactors(shape, rows, cols, cofactors)
     verdict = None
     if all(derived.holds(*key) for key in pieces):
-        top = max(piece.k for piece in pieces.values())
+        top = max(k for k, _ in pieces.values())
         entries = [((), rows, cols, (letter(1, n, top + 1),), 0, -1)]
-        for (r, c), piece in pieces.items():
-            s, body = len(r), _times_corner(tau(piece.numerator), top - piece.k)
-            entries += [((), (1,) + r, c + (n,), codes, e - s, _sign(s) * c2)
-                        for codes, coeff in body._terms.items() for e, c2 in coeff._terms.items()]
+        for (r, c), (k, body) in pieces.items():
+            s = len(r)
+            for (codes, e), c2 in body.items():
+                moved, shift = _corner_moved(codes, top - k, n)
+                entries.append(((), (1,) + r, c + (n,), moved, e + tau_weight(codes, shape) + shift - s,
+                                _sign(s) * c2))
         verdict = derived.test.is_zero(combination(entries))
     return derived.test.decide(derived_name(shape, rows, cols), verdict,
                                lambda: minor_over_derived_generators(shape, rows, cols)[1])

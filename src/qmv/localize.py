@@ -42,7 +42,8 @@ from functools import lru_cache
 
 from .algebra import (
     COL_BITS, COL_MASK, EXP_BITS, EXP_LIMIT, EXP_MASK,
-    AlgebraElement, Codes, Shape, check_degree, exponent, gen, letter, word,
+    AlgebraElement, Codes, Flat, Shape, _fold_gen, _regroup, check_degree, exponent, gen, gen_id,
+    letter, word,
 )
 from .checks import IdentityCheck, check_zero
 from .minors import MinorSpec, check_term_count, expansion, expansion_products, minor
@@ -78,27 +79,32 @@ def tau(a: AlgebraElement, power: int = 1) -> AlgebraElement:
     })
 
 
+def _corner_moved(codes: Codes, d: int, n: int) -> tuple[Codes, int]:
+    """The monomial times X[1,n]^d in closed form, as (monomial, q exponent),
+    for any d leaving its corner exponent nonnegative.  X[1,n] commutes with
+    X[i,j] (i > 1, j < n), and X[i,n] X[1,n] = q^-1 X[1,n] X[i,n], so the
+    monomial gains d in its corner exponent and q^(-d c), c its column-n
+    degree below row 1."""
+    corner = letter(1, n, 0)
+    # row-major order puts X[1,n] after the other row-1 letters, before the rest
+    pos = bisect_left(codes, corner)
+    e = codes[pos] - corner if pos < len(codes) and codes[pos] < corner + EXP_LIMIT else 0
+    if e + d >= EXP_LIMIT:
+        raise ValueError(f"corner exponent {e + d} exceeds the letter exponent limit {EXP_MASK}")
+    rest = codes[pos + 1 if e else pos:]
+    c = sum(x & EXP_MASK for x in rest if (x >> EXP_BITS) & COL_MASK == n)
+    return codes[:pos] + ((corner | (e + d),) if e + d else ()) + rest, -d * c
+
+
 def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
-    """f * X[1,n]^d in closed form, for any d leaving every corner exponent
-    nonnegative.  X[1,n] commutes with X[i,j] (i > 1, j < n), and
-    X[i,n] X[1,n] = q^-1 X[1,n] X[i,n], so each term gains d in its corner
-    exponent and a factor q^(-d c), c its column-n degree below row 1."""
+    """f * X[1,n]^d in closed form (``_corner_moved``), for any d leaving every
+    corner exponent nonnegative."""
     if d == 0:
         return f
-    n = f.shape.n
-    corner = letter(1, n, 0)
     terms: dict[Codes, LaurentScalar] = {}
     for codes, coeff in f._terms.items():
-        # row-major order puts X[1,n] after the other row-1 letters, before the rest
-        pos = bisect_left(codes, corner)
-        e = codes[pos] - corner if pos < len(codes) and codes[pos] < corner + EXP_LIMIT else 0
-        if e + d >= EXP_LIMIT:
-            raise ValueError(f"corner exponent {e + d} exceeds the letter exponent limit {EXP_MASK}")
-        rest = codes[pos + 1 if e else pos:]
-        c = sum(x & EXP_MASK for x in rest if (x >> EXP_BITS) & COL_MASK == n)
-        moved = (corner | (e + d),) if e + d else ()
-        terms[codes[:pos] + moved + rest] = (
-            coeff * LaurentScalar.q_power(-d * c) if c else coeff)
+        moved, e = _corner_moved(codes, d, f.shape.n)
+        terms[moved] = coeff * LaurentScalar.q_power(e) if e else coeff
     return AlgebraElement(f.shape, terms)
 
 
@@ -472,7 +478,8 @@ def minor_over_derived_generators(
     """
     rows, cols = tuple(rows), tuple(cols)
     target = minor(shape, rows, cols)  # validates the index sets
-    cofactors = _derived_cofactors(shape, rows, cols)
+    cofactors = {key: LocalizedElement(_regroup(shape, body), k)
+                 for key, (k, body) in _derived_cofactors(shape, rows, cols).items()}
     total = LocalizedElement.sum(
         shape, (x_prime_minor(shape, r, c) * piece for (r, c), piece in cofactors.items())
     )
@@ -485,33 +492,47 @@ def derived_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> 
 
 
 def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...],
-                       memo: dict | None = None) -> dict[laws.MinorKey, LocalizedElement]:
-    """The cofactor map of [rows|cols]: a minor through the corner is
-    (-q)^(p-1) [R-1|C-n]' X[1,n]; any other is rewritten by ``_rewriting`` as a
-    sum of [r|c] times a scaled generator (or scalar) times X[1,n]^-1, and the
-    maps of those minors are taken times these right cofactors.  Each map is
-    made once per ``memo``, a dict the caller keeps for as long as it likes.
-    Builds no check."""
+                       memo: dict | None = None) -> dict[laws.MinorKey, tuple[int, Flat]]:
+    """The cofactor map of [rows|cols], each piece N X[1,n]^-k as (k, N), N in
+    the kernel's flat {(codes, q exponent): int} form.  A minor through the
+    corner is (-q)^(p-1) [R-1|C-n]' X[1,n]; any other is rewritten by
+    ``_rewriting`` as a sum of [r|c] times a right cofactor c X[gen] X[1,n]^-1
+    (or c X[1,n]^-1), and the maps of those minors are taken times these.  A
+    piece times one is N tau^k(c X[gen]) X[1,n]^-(k+1), and tau^k scales
+    X[gen] by q^(k w), w its ``tau_weight``.  Every path from [rows|cols] to
+    one key takes the same number of rewritings (one through the enlarged
+    minor, whose key has the minor's size, two through a minor that misses
+    row 1 only), so the pieces of a key share their k and add as they are.
+    Each map is made once per ``memo``, a dict the caller keeps for as long
+    as it likes.  Builds no check."""
     if memo is None:
         memo = {}
     if (rows, cols) in memo:
         return memo[rows, cols]
-    if rows[0] == 1 and cols[-1] == shape.n:
-        corner = gen(shape, 1, shape.n).scale(LaurentScalar.minus_q_power(len(rows) - 1))
-        memo[rows, cols] = {(rows[1:], cols[:-1]): loc(corner)}
+    n = shape.n
+    if rows[0] == 1 and cols[-1] == n:
+        s = len(rows) - 1
+        memo[rows, cols] = {(rows[1:], cols[:-1]): (0, {((letter(1, n),), s): -1 if s & 1 else 1})}
         return memo[rows, cols]
-    mq = LaurentScalar.minus_q_power
     terms, corner, enlarged = _rewriting(shape, rows, cols)
     e = terms[corner].exponent
-    rights = [(t.minor, LocalizedElement(gen(shape, *t.gen).scale(-mq(t.exponent - e)), 1))
-              for k, t in enumerate(terms) if k != corner]
+    # (minor, generator or None, x, sign): the right cofactor sign (-q)^x X[gen] X[1,n]^-1
+    rights = [(t.minor, t.gen, t.exponent - e, -1) for k, t in enumerate(terms) if k != corner]
     if enlarged:
-        rights.insert(0, (enlarged, LocalizedElement(AlgebraElement.from_scalar(shape, mq(-e)), 1)))
-    pieces: dict[laws.MinorKey, list[LocalizedElement]] = {}
-    for (r, c), right in rights:
-        for key, piece in _derived_cofactors(shape, r, c, memo).items():
-            pieces.setdefault(key, []).append(piece * right)
-    memo[rows, cols] = {key: LocalizedElement.sum(shape, ps) for key, ps in pieces.items()}
+        rights.insert(0, (enlarged, None, -e, 1))
+    sums: dict[laws.MinorKey, tuple[int, Flat]] = {}
+    for (r, c), g, x, sign in rights:
+        w = (g[0] == 1) - (g[1] == n) if g else 0
+        sign *= -1 if x & 1 else 1
+        for key, (k, body) in _derived_cofactors(shape, r, c, memo).items():
+            if g:
+                body = _fold_gen(body, gen_id(*g))
+            acc = sums.setdefault(key, (k + 1, {}))[1]
+            for (codes, e2), c2 in body.items():
+                term = (codes, e2 + k * w + x)
+                acc[term] = acc.get(term, 0) + c2 * sign
+    memo[rows, cols] = {key: (k, {term: c2 for term, c2 in acc.items() if c2})
+                        for key, (k, acc) in sums.items()}
     return memo[rows, cols]
 
 

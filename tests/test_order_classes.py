@@ -291,12 +291,11 @@ def test_passing_derived_checks_build_no_derived_minor(monkeypatch):
     for name in ("check_minor_commutation", "expand_minor_without_corner",
                  "minor_over_derived_generators"):
         monkeypatch.setattr(derived, name, refuse)
-    report = run_suite("lemma23", n=5)
-    assert report.passed and report.counts["flat_checks"] == 0
-    # thm25 multiplies no element at all; lemma23 multiplies its cofactor maps
     monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
-    report = run_suite("thm25", n=6)
-    assert report.passed and report.counts["flat_checks"] == 0
+    monkeypatch.setattr(LocalizedElement, "__mul__", refuse)
+    for name, n in (("lemma23", 5), ("thm25", 6)):
+        report = run_suite(name, n=n)
+        assert report.passed and report.counts["flat_checks"] == 0, name
 
 
 @pytest.mark.parametrize("name", ["lemma23", "thm25"])
