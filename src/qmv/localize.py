@@ -503,8 +503,9 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
     one key takes the same number of rewritings (one through the enlarged
     minor, whose key has the minor's size, two through a minor that misses
     row 1 only), so the pieces of a key share their k and add as they are.
-    Each map is made once per ``memo``, a dict the caller keeps for as long
-    as it likes.  Builds no check."""
+    Each map a rewriting reaches is made once per ``memo``, a dict the caller
+    keeps for as long as it likes; rewritings reach only minors through
+    column n, so the memo keeps only theirs.  Builds no check."""
     if memo is None:
         memo = {}
     if (rows, cols) in memo:
@@ -531,9 +532,10 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
             for (codes, e2), c2 in body.items():
                 term = (codes, e2 + k * w + x)
                 acc[term] = acc.get(term, 0) + c2 * sign
-    memo[rows, cols] = {key: (k, {term: c2 for term, c2 in acc.items() if c2})
-                        for key, (k, acc) in sums.items()}
-    return memo[rows, cols]
+    out = {key: (k, {term: c2 for term, c2 in acc.items() if c2}) for key, (k, acc) in sums.items()}
+    if cols[-1] == n:
+        memo[rows, cols] = out
+    return out
 
 
 def _commutation(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen
