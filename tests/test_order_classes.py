@@ -264,8 +264,11 @@ def _outcomes(checks):
 SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 6)]
 
 
+# The suites were once decided one check per order-pattern class; these two
+# comparisons keep the names they had then, and now hold the corner-form path
+# to the per-check builders.
 @pytest.mark.parametrize("name", ["cor22", "lemma23", "thm25"])
-def test_suites_match_the_per_check_builders(name):
+def test_class_path_matches_the_per_check_loops(name):
     for m, n in SHAPES:
         report = run_suite(name, m=m, n=n)
         assert _outcomes(report.checks) == _outcomes(direct_suite(name, Shape(m, n))), (m, n)
@@ -273,7 +276,7 @@ def test_suites_match_the_per_check_builders(name):
 
 
 @pytest.mark.parametrize("name", ["cor22", "lemma23", "thm25"])
-def test_suites_match_the_per_check_builders_at_one_size(name):
+def test_class_path_matches_the_per_check_loops_at_one_size(name):
     for m, n in SHAPES:
         for t in range(2, min(m, n) + 1):
             report = run_suite(name, m=m, n=n, t=t)
