@@ -23,15 +23,15 @@ building a product:
   X^(-1-k), and times X^(K+1), K the largest k, every power is cleared.
 
 A check whose Cor 2.2 prerequisites were not all proved, or that the test
-does not find zero, is built by the localize module's builder, which gives
-its witness byte for byte as before; a built pass after a nonzero verdict on
-proved prerequisites means the two paths disagree, and raises.
+does not find zero, falls back in one place, ``ZeroTest.decide``: the
+localize module's builder builds it, once per group of checks it builds
+together, and gives its witness byte for byte as before; a built pass after
+a nonzero verdict means the two paths disagree, and raises.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
 
 from .algebra import Shape, gen_id, letter
 from .checks import IdentityCheck
@@ -41,14 +41,9 @@ from .localize import (
     derived_name, det_reduction_names, expand_minor_without_corner, expansion_names,
     minor_over_derived_generators, reduction_names, tau_weight,
 )
-from .minors import check_term_count, combination, commutator, product, table_combination
+from .minors import _sign, check_term_count, combination, commutator, product, table_combination
 from .zerotest import ZeroTest
 from . import laws
-
-
-def _sign(k: int) -> int:
-    """(-1)^k, so that (-q)^k is the term sign(k) q^k."""
-    return -1 if k & 1 else 1
 
 
 class DerivedMinors:
@@ -75,7 +70,7 @@ class DerivedMinors:
         self.test = test
         self.n = test.shape.n
         self.corner = (letter(1, self.n),)
-        self.steps: dict[laws.MinorKey, tuple[bool | None, bool]] = {}
+        self.verdicts: dict[laws.MinorKey, bool | None] = {}
         self.commuting: dict[laws.MinorKey, bool | None] = {}
 
     def _numerator(self, r: int, c: int, k: int, big: laws.MinorKey) -> list:
@@ -85,17 +80,18 @@ class DerivedMinors:
         sign = _sign(k)
         return [(w, *big, (), k + e, sign * c2) for w, e, c2 in words]
 
-    def step(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[bool | None, bool]:
-        """The zero test's verdict on the step of [rows|cols]', and whether
-        every prerequisite was found zero: Cor 2.2 for each [R_t|C_t]' and X[1,n]
-        commuting with each M_t.  The step is decided only when they were."""
+    def holds(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> bool | None:
+        """Cor 2.2 for [rows|cols]': True when it was proved, False when its
+        step was found nonzero although every prerequisite was found zero
+        (Cor 2.2 for each [R_t|C_t]' and X[1,n] commuting with each M_t), and
+        None otherwise.  The step is decided only when the prerequisites were."""
         key = (rows, cols)
-        if key not in self.steps:
-            n = self.n
+        if key not in self.verdicts:
+            n, verdict = self.n, None
             if len(rows) == 1:
                 entries = self._numerator(rows[0], cols[0], 0, ((), ()))
                 entries.append(((), (1, rows[0]), (cols[0], n), (), -1, 1))
-                self.steps[key] = self.test.is_zero(combination(entries)), True
+                verdict = self.test.is_zero(combination(entries))
             else:
                 s, terms = len(rows), laws.row_terms(rows, cols, 1, rows[0])
                 if all(self.holds(*t.minor) and self.commutes(*t.minor) for t in terms):
@@ -103,15 +99,9 @@ class DerivedMinors:
                     for t in terms:
                         entries += self._numerator(rows[0], t.gen[1], t.exponent - s + 1,
                                                    ((1,) + t.minor[0], t.minor[1] + (n,)))
-                    self.steps[key] = self.test.is_zero(combination(entries)), True
-                else:
-                    self.steps[key] = None, False
-        return self.steps[key]
-
-    def holds(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
-        """Whether Cor 2.2 was shown for [rows|cols]'."""
-        step, prerequisites = self.step(rows, cols)
-        return bool(step and prerequisites)
+                    verdict = self.test.is_zero(combination(entries))
+            self.verdicts[key] = verdict
+        return self.verdicts[key]
 
     def commutes(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> bool | None:
         """The zero test's verdict on X[1,n] commuting with [1 u rows | cols u n]."""
@@ -123,22 +113,22 @@ class DerivedMinors:
 
     def checks(self, rows: tuple[int, ...], cols: tuple[int, ...], names: list[str],
                build) -> list[IdentityCheck]:
-        """Cor 2.2 at [rows|cols]' times X[1,n] on the right, then on the left.
-        Both pass when it holds and X[1,n] commutes with its enlarged minor;
-        otherwise ``build()`` builds both and gives the witnesses.  A built
-        right check that passes although its step was found nonzero on zero
-        prerequisites, or a left one when the commutation was found zero too,
-        means the two paths disagree."""
-        if self.holds(rows, cols) and self.commutes(rows, cols):
-            return [IdentityCheck(name, True) for name in names]
-        checks = build()
-        self.test.flat_checks += len(checks)
-        step, prerequisites = self.step(rows, cols)
-        if step is False and prerequisites and (
-                checks[0].ok or self.commutes(rows, cols) and checks[1].ok):
-            raise AssertionError(f"{checks[0].name}: the zero test found a nonzero step "
-                                 "whose built reduction holds")
-        return checks
+        """Cor 2.2 at [rows|cols]' times X[1,n] on the right, then on the left,
+        decided by ``ZeroTest.decide`` with ``build()`` building both.  Both
+        pass when it holds and X[1,n] commutes with its enlarged minor.  When
+        its step was found nonzero, the right check is nonzero, and so is the
+        left one when the commutation was found zero; any other verdict is
+        undecided."""
+        holds = self.holds(rows, cols)
+        # the commutation is put to the test only where a verdict reads it
+        commutes = None if holds is None else self.commutes(rows, cols)
+        if holds and commutes:
+            verdicts = [True, True]
+        elif holds is False:
+            verdicts = [False, False if commutes else None]
+        else:
+            verdicts = [None, None]
+        return self.test.decide(names, verdicts, build)
 
 
 def _suite_cor22(shape: Shape, test: ZeroTest, t: int | None = None) -> list[IdentityCheck]:
@@ -197,8 +187,8 @@ def _commutation_check(shape: Shape, derived: DerivedMinors, rows: tuple[int, ..
             entries += [((letter(*t.gen),), (1,) + t.minor[0], t.minor[1] + (n,), (),
                          e + t.exponent, sign * c) for e, c in scalar]
         verdict = derived.test.is_zero(combination(entries))
-    return derived.test.decide(commutation_name(shape, rows, cols, g, claim), verdict,
-                               lambda: check_minor_commutation(shape, rows, cols, g))
+    return derived.test.decide([commutation_name(shape, rows, cols, g, claim)], [verdict],
+                               lambda: [check_minor_commutation(shape, rows, cols, g)])[0]
 
 
 def _suite_lemma23(shape: Shape, test: ZeroTest, t: int | None = None) -> list[IdentityCheck]:
@@ -229,9 +219,8 @@ def _expansion_checks(shape: Shape, test: ZeroTest, rows: tuple[int, ...],
             table_combination(shape, laws.last_row_terms(*enlarged), False, enlarged)))
     # the rewriting is the first expansion solved for its corner term
     verdicts.append(verdicts[0])
-    built = cache(lambda: expand_minor_without_corner(shape, rows, cols))
-    return [test.decide(name, verdict, lambda k=k: built()[k])
-            for k, (name, verdict) in enumerate(zip(expansion_names(shape, rows, cols), verdicts))]
+    return test.decide(expansion_names(shape, rows, cols), verdicts,
+                       lambda: expand_minor_without_corner(shape, rows, cols))
 
 
 def _derived_check(shape: Shape, derived: DerivedMinors, cofactors: dict, rows: tuple[int, ...],
@@ -252,8 +241,8 @@ def _derived_check(shape: Shape, derived: DerivedMinors, cofactors: dict, rows: 
                 entries.append(((), (1,) + r, c + (n,), moved, e + tau_weight(codes, shape) + shift - s,
                                 _sign(s) * c2))
         verdict = derived.test.is_zero(combination(entries))
-    return derived.test.decide(derived_name(shape, rows, cols), verdict,
-                               lambda: minor_over_derived_generators(shape, rows, cols)[1])
+    return derived.test.decide([derived_name(shape, rows, cols)], [verdict],
+                               lambda: [minor_over_derived_generators(shape, rows, cols)[1]])[0]
 
 
 SUITES = {

@@ -46,7 +46,7 @@ from .algebra import (
     letter, word,
 )
 from .checks import IdentityCheck, check_zero
-from .minors import MinorSpec, check_term_count, expansion, expansion_products, minor
+from .minors import MinorSpec, _sign, check_term_count, expansion, expansion_products, minor
 from .scalar import LaurentScalar, ONE, Q, QINV, Q_MINUS_QINV
 from . import laws
 
@@ -513,7 +513,7 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
     n = shape.n
     if rows[0] == 1 and cols[-1] == n:
         s = len(rows) - 1
-        memo[rows, cols] = {(rows[1:], cols[:-1]): (0, {((letter(1, n),), s): -1 if s & 1 else 1})}
+        memo[rows, cols] = {(rows[1:], cols[:-1]): (0, {((letter(1, n),), s): _sign(s)})}
         return memo[rows, cols]
     terms, corner, enlarged = _rewriting(shape, rows, cols)
     e = terms[corner].exponent
@@ -524,7 +524,7 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
     sums: dict[laws.MinorKey, tuple[int, Flat]] = {}
     for (r, c), g, x, sign in rights:
         w = (g[0] == 1) - (g[1] == n) if g else 0
-        sign *= -1 if x & 1 else 1
+        sign *= _sign(x)
         for key, (k, body) in _derived_cofactors(shape, r, c, memo).items():
             if g:
                 body = _fold_gen(body, gen_id(*g))

@@ -10,28 +10,30 @@ product is already in PBW order, so minors are assembled without rewriting.
 Generators times minors, and PBW words beside minors in general, are written
 as combinations: sums, with coefficients in Z[q, q^-1], of states L [R|C] W
 with PBW words L and W, so a minor, a left or a right product, or a pure word
-L over the empty minor.  ``made`` makes every state: a minor of at most one
-row is a word, so it folds into L [R|C] W straightened, and a state has a
-minor of two or more rows or is a pure word.  A state is reduced to smaller
-states the way the source paper reduces minors.  Grouping the permutation sum
-by the column c_b (b 0-based) that sigma gives the top row r regroups the
-definition, since inv(sigma) = b + inv(rest):
+L over the empty minor.  ``product`` alone straightens two PBW words, and
+``made`` alone folds a minor of at most one row, a word, into L [R|C] W
+straightened, so a state has a minor of two or more rows or is a pure word.
+A state is reduced to smaller states the way the source paper reduces
+minors.  Grouping the permutation sum by the column c_b (b 0-based) that
+sigma gives the top row r regroups the definition, since
+inv(sigma) = b + inv(rest):
 
     [R|C] = sum_b (-q)^b X[r,c_b] [R - r | C - c_b].
 
-Let r be the state's top row.  L X[r,c_b] straightens through the kernel into
+Let r be the state's top row.  L X[r,c_b] straightens through ``product`` into
 words w, each the product u v of its row-r prefix u and a word v below row r
 (a rewrite only uses the rows of the pair it swaps), and v stays in front of
 the sub-minor; W, all below row r, stays behind it.  So ``top`` writes a state
-as pieces u rest, u a monomial in row r and rest a state in the rows below; a
-state whose minor misses row r gives the row-r prefix of L.  ``bottom``
-mirrors it along the bottom row, with (-q)^(t-1-b), straightening X[r,c_b] W
-and keeping its row-r suffix; a pure word gives the row-r suffix of L.  A
-state splits at its top row unless W has a row-r letter over a minor (the
-letter would have to move up past the minor's lower rows), and at its bottom
-row unless L has a row-r letter over a minor.  This is a rewrite of the
-permutation sum, not a fitted law, and with one-letter words the kernel cache
-meets only two-letter products, one entry per pair of generators.
+as pieces u rest, u a monomial in row r and rest, v [R - r | C - c_b] W made
+by ``made``, in the rows below; a state whose minor misses row r gives the
+row-r prefix of L.  ``bottom`` mirrors it along the bottom row, with
+(-q)^(t-1-b), straightening X[r,c_b] W and keeping its row-r suffix; a pure
+word gives the row-r suffix of L.  A state splits at its top row unless W has
+a row-r letter over a minor (the letter would have to move up past the minor's
+lower rows), and at its bottom row unless L has a row-r letter over a minor.
+This is a rewrite of the permutation sum, not a fitted law, and with
+one-letter words the kernel cache meets only two-letter products, one entry
+per pair of generators.
 
 ``flat`` builds a combination in the kernel's flat {(codes, q exponent): int}
 form.  A state with a right word splits at its bottom row and any other state
@@ -179,32 +181,31 @@ def _factor(shape: Shape, t: laws.Term) -> AlgebraElement:
     return gen(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
 
 
-def _times(left: Codes, right: Codes) -> Flat:
-    """The PBW words left * right straightened, in flat form, where cancelled
-    keys may stay with coefficient 0."""
+def _sign(k: int) -> int:
+    """(-1)^k, so that (-q)^k is the term _sign(k) q^k."""
+    return -1 if k & 1 else 1
+
+
+@lru_cache(maxsize=1 << 12)
+def product(left: Codes, right: Codes) -> Terms:
+    """The PBW words left * right straightened, as (codes, e, c) triples: the
+    one place words are multiplied, cached, because the splits and ``made``
+    meet the same short words for many states."""
     acc: Flat = {(left, 0): 1}
     for code in right:
         for _ in range(code & EXP_MASK):
             acc = _fold_gen(acc, code >> EXP_BITS)
-    return acc
-
-
-@lru_cache(maxsize=1 << 12)
-def product(left: Codes, right: Codes) -> tuple[tuple[Codes, int, int], ...]:
-    """The PBW words left * right straightened, as (codes, e, c) triples;
-    cached, because ``made`` folds the same short words for many states."""
-    return tuple((w, e, c) for (w, e), c in _times(left, right).items() if c)
+    return tuple((w, e, c) for (w, e), c in acc.items() if c)
 
 
 def made(left: Codes, rows: tuple[int, ...], cols: tuple[int, ...],
          right: Codes) -> list[tuple[State, int, int]]:
     """L [rows|cols] W as (state, e, c) triples: the state itself, or, when the
-    minor has at most one row, the words of L [rows|cols] W straightened."""
+    minor has at most one row, the words of L [rows|cols] W straightened.  The
+    one place a minor folds into its words."""
     if len(rows) > 1:
         return [((left, rows, cols, right), 0, 1)]
     middle = (letter(rows[0], cols[0]),) if rows else ()
-    if not middle and not right:
-        return [((left, (), (), ()), 0, 1)]
     return [((w, (), (), ()), e, c) for w, e, c in product(left, middle + right)]
 
 
@@ -229,28 +230,14 @@ def top(state: State, r: int) -> list[Piece] | None:
     if not rows or rows[0] != r:
         k = bisect_left(left, below)
         return [(left[:k], 0, 1, (left[k:], rows, cols, right))]
-    sub, fold = rows[1:], len(rows) < 3
-    row_r = r << ROW_SHIFT | 1  # X[r,col] is row_r | col << EXP_BITS
+    sub, row_r = rows[1:], r << ROW_SHIFT | 1  # X[r,col] is row_r | col << EXP_BITS
     pieces = []
     for b, col in enumerate(cols):
         rest = cols[:b] + cols[b + 1:]
-        sign = -1 if b & 1 else 1
-        head = (row_r | col << EXP_BITS,)
-        if not left:
-            if fold:
-                pieces += [(head, b + e, sign * c, s) for s, e, c in made((), sub, rest, right)]
-            else:
-                pieces.append((head, b, sign, ((), sub, rest, right)))
-            continue
-        for (w, e), c in _times(left, head).items():
-            if not c:
-                continue
+        for w, e, c in product(left, (row_r | col << EXP_BITS,)):
             k = bisect_left(w, below)  # w = u v, u in row r
-            if fold:
-                pieces += [(w[:k], b + e + e2, sign * c * c2, s)
-                           for s, e2, c2 in made(w[k:], sub, rest, right)]
-            else:
-                pieces.append((w[:k], b + e, sign * c, (w[k:], sub, rest, right)))
+            pieces += [(w[:k], b + e + e2, _sign(b) * c * c2, s)
+                       for s, e2, c2 in made(w[k:], sub, rest, right)]
     return pieces
 
 
@@ -267,29 +254,14 @@ def bottom(state: State, r: int) -> list[Piece] | None:
     if rows[-1] != r:
         k = bisect_left(right, start)
         return [(right[k:], 0, 1, (left, rows, cols, right[:k]))]
-    sub, last = rows[:-1], len(rows) - 1
-    fold = last < 2
-    row_r = start | 1  # X[r,col] is row_r | col << EXP_BITS
+    sub, last, row_r = rows[:-1], len(rows) - 1, start | 1  # X[r,col] is row_r | col << EXP_BITS
     pieces = []
     for b, col in enumerate(cols):
         rest = cols[:b] + cols[b + 1:]
-        sign = -1 if (last - b) & 1 else 1
-        tail = (row_r | col << EXP_BITS,)
-        if not right:
-            if fold:
-                pieces += [(tail, last - b + e, sign * c, s) for s, e, c in made(left, sub, rest, ())]
-            else:
-                pieces.append((tail, last - b, sign, (left, sub, rest, ())))
-            continue
-        for (w, e), c in _times(tail, right).items():
-            if not c:
-                continue
+        for w, e, c in product((row_r | col << EXP_BITS,), right):
             k = bisect_left(w, start)  # w = u v, v in row r
-            if fold:
-                pieces += [(w[k:], last - b + e + e2, sign * c * c2, s)
-                           for s, e2, c2 in made(left, sub, rest, w[:k])]
-            else:
-                pieces.append((w[k:], last - b + e, sign * c, (left, sub, rest, w[:k])))
+            pieces += [(w[k:], last - b + e + e2, _sign(last - b) * c * c2, s)
+                       for s, e2, c2 in made(left, sub, rest, w[:k])]
     return pieces
 
 

@@ -58,6 +58,7 @@ from .localize import (
     x_prime_minor,
 )
 from .minors import (
+    check_term_count,
     complement_minor,
     expansion_products,
     laplace_expand_row,
@@ -694,6 +695,7 @@ def _classical_det(n: int) -> dict[Codes, Fraction]:
 
 
 def _suite_grading(shape: Shape) -> list[IdentityCheck]:
+    check_term_count(min(shape.m, shape.n))  # the largest minor, before any is built
     checks = []
     for p in range(1, min(shape.m, shape.n) + 1):
         for rows in itertools.combinations(range(1, shape.m + 1), p):

@@ -5,6 +5,7 @@ Each check of these suites asks whether a combination of states L [R|C] W,
 PBW words beside a minor (the minors module's states), is zero.  The test
 answers without building any product of up to t! terms; a check it does not
 find zero is built, and the built difference decides it and gives its witness.
+``ZeroTest.decide`` is the one place that fallback is made, for every suite.
 The derived module decides the cor22, thm21, lemma23 and thm25 checks with
 the same test, in corner form.
 
@@ -27,7 +28,7 @@ A combination that splits at neither end is retried transposed.
 theta(X[i,j]) = X[j,i] is an algebra isomorphism O_q(M_{m,n}) -> O_q(M_{n,m})
 (the defining relations go to defining relations; Parshall-Wang, Mem. AMS 439,
 1991) that sends [R|C] to [C|R], so L [R|C] W is zero together with
-theta(L) [C|R] theta(W), whose words are straightened letter by letter.  Rows
+theta(L) [C|R] theta(W), whose words ``minors.product`` straightens.  Rows
 become columns, so the ends that block may no longer block.  The test gives up
 (answers None) only when the transposed combination is blocked too, or when
 it is the combination being retried.
@@ -96,15 +97,8 @@ def _normal_form(combination: Combination) -> Key:
 def _transposed_word(codes: Codes) -> Terms:
     """theta(w) for a PBW word w, its letters X[i,j] turned into X[j,i] and
     multiplied in their order, as straightened (codes, e, c) triples."""
-    terms: Terms = (((), 0, 1),)
-    for x in codes:
-        turned = letter(x >> EXP_BITS & COL_MASK, x >> ROW_SHIFT, x & EXP_MASK)
-        acc: dict[tuple[Codes, int], int] = {}
-        for w, e, c in terms:
-            for w2, e2, c2 in product(w, (turned,)):
-                acc[w2, e + e2] = acc.get((w2, e + e2), 0) + c * c2
-        terms = tuple((w, e, c) for (w, e), c in acc.items() if c)
-    return terms
+    return product((), tuple(letter(x >> EXP_BITS & COL_MASK, x >> ROW_SHIFT, x & EXP_MASK)
+                             for x in codes))
 
 
 def transposed(terms: Iterable[tuple[tuple[State, int], int]]) -> Combination:
@@ -203,23 +197,31 @@ class ZeroTest:
     def check(self, name: str, combination: Combination) -> IdentityCheck:
         """The check that the combination vanishes.  Unless the test finds it
         zero, the combination built flat decides and gives the witness."""
-        build = lambda: check_zero(name, flat(self.shape, combination))
-        return self.decide(name, self.is_zero(combination), build, "flat difference")
+        return self.decide([name], [self.is_zero(combination)],
+                           lambda: [check_zero(name, flat(self.shape, combination))])[0]
 
-    def decide(self, name: str, verdict: bool | None, build: Callable[[], IdentityCheck],
-               built: str = "built difference") -> IdentityCheck:
-        """The check named ``name``: it passes when the verdict is True, and
-        otherwise ``build()`` builds it, which decides it and gives its
-        witness.  A built pass after a False verdict means the two paths
-        disagree."""
-        if verdict:
-            return IdentityCheck(name, True)
-        self.flat_checks += 1
-        check = build()
-        if check.ok and verdict is False:
-            raise AssertionError(f"{name}: the zero test found a nonzero combination "
-                                 f"whose {built} vanishes")
-        return check
+    def decide(self, names: list[str], verdicts: list[bool | None],
+               build: Callable[[], list[IdentityCheck]]) -> list[IdentityCheck]:
+        """The checks named ``names``, which share the builder ``build``: the
+        one place a check the test does not find zero falls back.  A check
+        whose verdict is True passes; unless every one does, ``build()``
+        builds the group once, and each other check takes its built result,
+        which decides it and gives its witness, and counts once in
+        ``flat_checks``.  A built pass after a False verdict means the two
+        paths disagree, and raises."""
+        if all(verdict is True for verdict in verdicts):
+            return [IdentityCheck(name, True) for name in names]
+        checks = []
+        for name, verdict, built in zip(names, verdicts, build(), strict=True):
+            if verdict is True:
+                checks.append(IdentityCheck(name, True))
+                continue
+            self.flat_checks += 1
+            if built.ok and verdict is False:
+                raise AssertionError(f"{name}: the zero test found a nonzero combination "
+                                     "whose built difference vanishes")
+            checks.append(built)
+        return checks
 
     def counts(self) -> dict[str, int]:
         return {"zero_test_splits": self.splits, "zero_test_memo_hits": self.memo_hits,

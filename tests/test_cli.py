@@ -318,6 +318,7 @@ class TestCommands:
         (["det", "--n", "12"], "a 12-minor has 12! = 479,001,600 terms"),
         (["suite", "thm25", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
         (["suite", "lemma23", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
+        (["suite", "grading", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
     ])
     def test_oversized_reductions_fail_fast(self, capsys, argv, message):
         start = time.monotonic()

@@ -3,12 +3,17 @@
 import re
 from pathlib import Path
 
+from qmv import verify
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _readme() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def _layout_block() -> str:
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    match = re.search(r"## Layout\s+```\n(.*?)```", readme, re.DOTALL)
+    match = re.search(r"## Layout\s+```\n(.*?)```", _readme(), re.DOTALL)
     assert match, "README.md has no fenced Layout block"
     return match.group(1)
 
@@ -19,3 +24,13 @@ def test_readme_layout_names_every_module():
     modules = {p.name for p in (ROOT / "src" / "qmv").glob("*.py") if not p.name.startswith("__")}
     assert modules <= listed, f"missing from the README Layout block: {sorted(modules - listed)}"
     assert listed <= modules, f"named in the README Layout block but absent: {sorted(listed - modules)}"
+
+
+def test_readme_suite_catalog_names_every_suite():
+    # the first column of each table row under "Suite catalog" names a suite
+    match = re.search(r"## Suite catalog\s+((?:\|.*\n)+)", _readme())
+    assert match, "README.md has no Suite catalog table"
+    listed = set(re.findall(r"^\| `([\w-]+)`", match.group(1), re.MULTILINE))
+    suites = {*verify.SUITES, *verify.SPLIT_SUITES, *verify.DERIVED_SUITES}
+    assert suites <= listed, f"missing from the README Suite catalog: {sorted(suites - listed)}"
+    assert listed <= suites, f"named in the README Suite catalog but not run: {sorted(listed - suites)}"

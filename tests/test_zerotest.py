@@ -172,7 +172,7 @@ def test_a_flat_zero_after_a_nonzero_verdict_raises():
     full = (1, 2)
     test = ZeroTest(Shape(2, 2))
     test.is_zero = lambda combination: False
-    with pytest.raises(AssertionError, match="flat difference vanishes"):
+    with pytest.raises(AssertionError, match="built difference vanishes"):
         test.check("wrong", commutator(gen_id(1, 1), full, full))
 
 
@@ -399,9 +399,9 @@ def test_a_nonzero_step_whose_built_reduction_holds_raises(monkeypatch):
     # every combination found nonzero: the size-1 step rests on nothing, so
     # its built reduction passing means the paths disagree
     monkeypatch.setattr(ZeroTest, "is_zero", lambda self, combination: False)
-    with pytest.raises(AssertionError, match="nonzero step whose built reduction holds"):
+    with pytest.raises(AssertionError, match="nonzero combination whose built difference vanishes"):
         run_suite("thm21", n=2)
-    with pytest.raises(AssertionError, match="nonzero step whose built reduction holds"):
+    with pytest.raises(AssertionError, match="nonzero combination whose built difference vanishes"):
         run_suite("cor22", n=3)
 
 
@@ -411,4 +411,15 @@ def test_undecided_steps_take_the_built_path(monkeypatch):
     monkeypatch.setattr(ZeroTest, "is_zero", lambda self, combination: None)
     report = run_suite("cor22", m=3, n=4)
     assert _outcomes(report.checks) == _outcomes(_built_cor22(Shape(3, 4)))
+    assert report.counts["flat_checks"] == len(report.checks)
+
+
+@pytest.mark.parametrize("commutes", [False, None])
+def test_cor22_without_the_commutation_builds_every_check(monkeypatch, commutes):
+    # Cor 2.2 alone proves neither check: without X[1,n] commuting with the
+    # enlarged minor both are built, and a passing build after no nonzero
+    # verdict disagrees with nothing
+    monkeypatch.setattr(derived.DerivedMinors, "commutes", lambda self, rows, cols: commutes)
+    report = run_suite("cor22", n=4)
+    assert _outcomes(report.checks) == _outcomes(_built_cor22(Shape(4, 4)))
     assert report.counts["flat_checks"] == len(report.checks)
