@@ -12,7 +12,6 @@ class IdentityCheck:
     name: str
     ok: bool
     witness: str | None = None
-    seconds: float = 0.0
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "status": "pass" if self.ok else "fail"}

@@ -104,8 +104,6 @@ def _cmd_fit(args) -> int:
             fits = [fit_exponents(args.family, **kwargs)]
         else:
             fits = verify_frozen_table()
-    except ValueError:
-        raise  # a usage error, nothing to fit at this size included
     except FitError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return CHECK_FAILURE

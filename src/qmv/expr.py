@@ -1,22 +1,27 @@
-"""Expression DSL: parser, evaluator, and canonical pretty-printing.
+"""Expression DSL: tokenizer, parser and evaluator.
 
-Grammar (whitespace insignificant):
+Grammar:
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := atom ('^' int)?
+    factor := atom ('^' ['+'|'-'] int)?
     atom   := 'q' | int | 'X[' i ',' j ']' | 'Xp[' i ',' j ']'
             | 'M[' set '|' set ']' | 'Mp[' set '|' set ']'
             | 'A(' i ',' j ')@' n | 'Dq@' n | 'inv1n' | '(' expr ')'
     set    := '{' i (',' i)* '}'
+    i, j, n and int are integers: one or more ASCII digits 0-9
 
-Products preserve order (the algebra is noncommutative); negative powers are
-allowed only on q and through inv1n.  Evaluation yields a LocalizedElement
-whose denominator exponent is 0 whenever no localized atom occurs.
+The tokens are the names Xp, Mp, Dq and inv1n, integers, and any other single
+character.  Whitespace may separate any two tokens; a sign after '^' must
+touch its digits.  Products preserve order (the algebra is noncommutative);
+negative powers are allowed only on q and through inv1n.  Evaluation yields a
+LocalizedElement whose denominator exponent is 0 whenever no localized atom
+occurs.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, Shape, gen
@@ -55,44 +60,45 @@ class SessionConfig:
 # ("sub", a, b), ("mul", a, b), ("pow", node, e)
 
 
+# The lexical grammar: a name, an integer of ASCII digits (str.isdigit also
+# holds for '²' and '١'), any other non-space character, or the end.
+_TOKEN = re.compile(r"Xp|Mp|Dq|inv1n|[0-9]+|\S|\Z")
+
+# The AST tag of each atom that starts with a name.
+_NAMED = {"q": "q", "inv1n": "inv1n", "X": "gen", "Xp": "xp", "M": "minor", "Mp": "pminor",
+          "A": "comp", "Dq": "det"}
+
+
 class _Parser:
+    """Recursive descent over the source's tokens: ``token`` is the next ('' at
+    the end), ``pos`` where it starts, and ``end`` where the last one read ends."""
+
     def __init__(self, source: str):
         self.src = source
-        self.pos = 0
+        self.tokens = _TOKEN.finditer(source)
+        self.token, self.pos = "", 0
+        self.advance()
 
-    def error(self, message: str) -> ExprError:
-        return ExprError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
+    def advance(self) -> str:
+        token, self.end = self.token, self.pos + len(self.token)
+        match = next(self.tokens)
+        self.token, self.pos = match.group(), match.start()
+        return token
 
     def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.src.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
+        if self.token != literal:
+            return False
+        self.advance()
+        return True
 
     def expect(self, literal: str):
         if not self.take(literal):
-            raise self.error(f"expected {literal!r}")
+            raise ExprError(f"expected {literal!r}", self.pos)
 
-    def integer(self, signed: bool = False) -> int:
-        self.skip_ws()
-        start = self.pos
-        if signed and self.pos < len(self.src) and self.src[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or not self.src[start:self.pos].lstrip("+-"):
-            self.pos = start
-            raise self.error("expected an integer")
-        return int(self.src[start:self.pos])
+    def integer(self) -> int:
+        if not (self.token.isdigit() and self.token.isascii()):
+            raise ExprError("expected an integer", self.pos)
+        return int(self.advance())
 
     def index_set(self) -> tuple[int, ...]:
         self.expect("{")
@@ -100,31 +106,23 @@ class _Parser:
         while self.take(","):
             items.append(self.integer())
         if not self.take("}"):
-            raise self.error("malformed set literal: expected ',' or '}'")
+            raise ExprError("malformed set literal: expected ',' or '}'", self.pos)
         if any(a >= b for a, b in zip(items, items[1:])):
-            raise self.error(f"set elements must be strictly increasing: {items}")
+            raise ExprError(f"set elements must be strictly increasing: {items}", self.end)
         return tuple(items)
 
     def parse(self, rule):
         node = rule(self)
-        self.skip_ws()
-        if self.pos != len(self.src):
-            raise self.error(f"unexpected trailing input {self.src[self.pos:]!r}")
+        if self.token:
+            raise ExprError(f"unexpected trailing input {self.src[self.pos:]!r}", self.pos)
         return node
 
     def expr(self):
-        if self.take("-"):
-            node = ("neg", self.term())
-        else:
-            self.take("+")
-            node = self.term()
-        while True:
-            if self.take("+"):
-                node = ("add", node, self.term())
-            elif self.take("-"):
-                node = ("sub", node, self.term())
-            else:
-                return node
+        sign = self.advance() if self.token in ("+", "-") else ""
+        node = ("neg", self.term()) if sign == "-" else self.term()
+        while self.token in ("+", "-"):
+            node = ("add" if self.advance() == "+" else "sub", node, self.term())
+        return node
 
     def term(self):
         node = self.factor()
@@ -135,63 +133,56 @@ class _Parser:
     def factor(self):
         node = self.atom()
         if self.take("^"):
-            e = self.integer(signed=True)
+            # a sign binds only to the digits that touch it
+            signed = self.token in ("+", "-") and "0" <= self.src[self.pos + 1:self.pos + 2] <= "9"
+            e = int(self.advance() + self.advance()) if signed else self.integer()
             if e < 0 and node != ("q",):
                 hint = "; the inverse of inv1n is X[1,n]" if node == ("inv1n",) else " (or via inv1n)"
-                raise self.error(f"negative powers are allowed only on q{hint}")
+                raise ExprError(f"negative powers are allowed only on q{hint}", self.end)
             node = ("pow", node, e)
         return node
 
-    def indexed(self, tag: str):
-        self.expect("[")
+    def pair(self, opening: str, closing: str) -> tuple[int, int]:
+        """The index pair of X[i,j], Xp[i,j] and A(i,j)."""
+        self.expect(opening)
         i = self.integer()
         self.expect(",")
         j = self.integer()
+        self.expect(closing)
+        return i, j
+
+    def minor(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The rows and columns of M[rows|cols] and Mp[rows|cols]."""
+        self.expect("[")
+        rows = self.index_set()
+        self.expect("|")
+        cols = self.index_set()
         self.expect("]")
-        return (tag, i, j)
+        return rows, cols
+
+    def size(self) -> int:
+        self.expect("@")
+        return self.integer()
 
     def atom(self):
-        self.skip_ws()
-        if self.take("("):
+        token = self.token
+        if token.isdigit() and token.isascii():
+            return ("num", self.integer())
+        if token != "(" and token not in _NAMED:
+            raise ExprError(f"unexpected input {self.src[self.pos:self.pos + 10]!r}", self.pos)
+        self.advance()
+        if token == "(":
             node = self.expr()
             self.expect(")")
             return node
-        if self.take("Xp"):
-            return self.indexed("xp")
-        if self.take("X"):
-            return self.indexed("gen")
-        if self.take("Mp"):
-            self.expect("[")
-            rows = self.index_set()
-            self.expect("|")
-            cols = self.index_set()
-            self.expect("]")
-            return ("pminor", rows, cols)
-        if self.take("M"):
-            self.expect("[")
-            rows = self.index_set()
-            self.expect("|")
-            cols = self.index_set()
-            self.expect("]")
-            return ("minor", rows, cols)
-        if self.take("A"):
-            self.expect("(")
-            i = self.integer()
-            self.expect(",")
-            j = self.integer()
-            self.expect(")")
-            self.expect("@")
-            return ("comp", i, j, self.integer())
-        if self.take("Dq"):
-            self.expect("@")
-            return ("det", self.integer())
-        if self.take("inv1n"):
-            return ("inv1n",)
-        if self.take("q"):
-            return ("q",)
-        if self.peek().isdigit():
-            return ("num", self.integer())
-        raise self.error(f"unexpected input {self.src[self.pos:self.pos + 10]!r}")
+        tag = _NAMED[token]
+        if token in ("X", "Xp"):
+            return (tag, *self.pair("[", "]"))
+        if token in ("M", "Mp"):
+            return (tag, *self.minor())
+        if token == "A":
+            return (tag, *self.pair("(", ")"), self.size())
+        return (tag, self.size()) if token == "Dq" else (tag,)
 
 
 def parse(source: str):
@@ -242,8 +233,6 @@ def evaluate(node, config: SessionConfig) -> LocalizedElement:
             leading_square(k, "Dq")
             return loc(minor(shape, range(1, k + 1), range(1, k + 1)))
         if tag == "inv1n":
-            if shape.n < 1:
-                raise ValueError("inv1n needs a valid shape")
             return corner_inverse(shape)
         if tag == "neg":
             return -ev(node[1])

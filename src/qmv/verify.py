@@ -82,11 +82,6 @@ class FitError(RuntimeError):
     frozen table."""
 
 
-class EmptyFitError(FitError, ValueError):
-    """A fit asked at a size where the family enters no identity, so there is
-    nothing to fit: a usage error."""
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------
@@ -227,22 +222,23 @@ def _unknown(terms: list[laws.Term]) -> list[laws.Term]:
 
 
 def _fit_shape(family: str, m: int | None, n: int | None, t: int | None) -> Shape:
-    """The shape a family is fitted on, by default its smallest nontrivial
-    one; refuses a t the family does not read, or one out of its range."""
+    """The shape a family is fitted on, by default the one the frozen table
+    records as ``fitted_at``; refuses a t the family does not read, or one
+    out of its range."""
+    default = laws.table()["families"][family]["fitted_at"]
     if family in ("row-laplace", "col-laplace"):
         if t is not None:
             raise ValueError(f"family {family} takes no t; only the lemma23-* and thm25-* "
                              "families do")
-        side = n or 2
+        side = n or default["n"]
         if m is not None and m != side:
             raise ValueError(f"family {family} is fitted on a square {side}x{side} grid; "
                              f"got m={m}")
         return Shape(side, side)
+    shape = Shape(m or default["m"], n or default["n"])
     if family.startswith("lemma23"):
-        shape = Shape(m or 3, n or 3)
         low, high = 1, min(shape.m, shape.n) - 1  # the rewritten minor's size
     else:
-        shape = Shape(m or 3, n or 4) if family == "thm25-2prime" else Shape(m or 4, n or 3)
         low, high = 2, min(shape.m, shape.n)  # one more than the derived minor's size
     if t is not None and not low <= t <= high:
         raise ValueError(f"t={t} out of range for {family} on {shape}: {low}..{high}")
@@ -304,8 +300,8 @@ def fit_exponents(family: str, m: int | None = None, n: int | None = None,
     For the minor-expansion families, t is the size of the minor being
     rewritten (the expanded minor has size t + 1); for the commutation
     families it bounds the derived-minor size at t - 1.  The Laplace families
-    take no t; a t out of range is refused with a ValueError, and a size where
-    the family enters no identity with an EmptyFitError.  The exponents are
+    take no t; a t out of range, or a size where the family enters no
+    identity, is refused with a ValueError.  The exponents are
     solved for, never read from the term tables, and only then compared with
     the frozen law through ``laws.exponent``.
     """
@@ -316,7 +312,7 @@ def fit_exponents(family: str, m: int | None = None, n: int | None = None,
         exponents = _solved_exponents(columns, target, family)
         instances.extend({"indices": term.indices, "exponent": e} for term, e in zip(terms, exponents))
     if not instances:
-        raise EmptyFitError(f"{family}: no identity to fit at this size")
+        raise ValueError(f"{family}: no identity to fit at this size")
     if any(laws.exponent(family, inst["indices"]) != inst["exponent"] for inst in instances):
         raise FitError(f"{family}: recomputed exponents diverge from the frozen table")
     return ExponentFit(family, instances, laws.law_coefficients(family),
@@ -328,7 +324,7 @@ def verify_frozen_table() -> list[ExponentFit]:
     table, instance by instance; raises FitError on any divergence."""
     fits = []
     for family, entry in laws.table()["families"].items():
-        fit = fit_exponents(family, **entry.get("fitted_at", {}))
+        fit = fit_exponents(family)
         recomputed = {
             tuple(sorted(inst["indices"].items())): inst["exponent"]
             for inst in fit.instances

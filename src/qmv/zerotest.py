@@ -52,8 +52,8 @@ from collections.abc import Callable, Iterable
 from .algebra import COL_BITS, COL_MASK, EXP_BITS, EXP_MASK, Codes, Shape, gen_id, letter
 from .checks import IdentityCheck, check_zero
 from .minors import (
-    ONE, ROW_SHIFT, Combination, Piece, State, Terms, bottom, combination, commutator, flat,
-    product, span, table_combination, top,
+    ONE, ROW_SHIFT, Combination, Piece, State, Terms, bottom, check_term_count, combination,
+    commutator, flat, product, span, table_combination, top,
 )
 from . import laws
 
@@ -241,6 +241,9 @@ def _suite_centrality(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
 
 
 def _suite_semicentrality(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
+    # the largest minor, refused before the first of the sum over p of
+    # C(m,p) C(n,p) p^2 checks, as the fallback builder would refuse it
+    check_term_count(min(shape.m, shape.n))
     checks = []
     for p in range(1, min(shape.m, shape.n) + 1):
         for rows in itertools.combinations(range(1, shape.m + 1), p):

@@ -230,7 +230,16 @@ def test_associativity_fuzz():
 def test_generator_triples_associate():
     """(a b) c = a (b c) for every ordered triple of generators of 3x3.  The
     triples with a > b > c are the overlap ambiguities of the rewriting
-    system, so by Bergman's diamond lemma this is its confluence."""
+    system, so by Bergman's diamond lemma (Adv. Math. 29, 1978) this is its
+    confluence on 3x3.
+
+    It is the confluence on every m x n grid too.  Any three generators span
+    at most three rows and three columns.  Rank compression, which renumbers
+    those rows and those columns 1, 2, 3 in their order, is injective on the
+    words over them.  It sends rules to rules: a rule depends only on how its
+    indices compare, and its right side uses only the rows and columns of
+    its left side.  So every overlap ambiguity of any grid, with each
+    rewriting of it, is the image of one on 3x3, which resolves here."""
     s = Shape(3, 3)
     gens = [X(s, *g) for g in s.generators()]
     triples = list(itertools.product(gens, repeat=3))

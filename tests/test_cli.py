@@ -64,6 +64,26 @@ class TestParse:
         with pytest.raises(ExprError, match="trailing"):
             parse("X[1,1] X[2,2]")
 
+    @pytest.mark.parametrize("source,message,pos", [
+        ("X[1,]", "expected an integer", 4),
+        ("X[1,1", "expected ']'", 5),
+        ("X[1,1]^", "expected an integer", 7),
+        ("X[1,1]^- 1", "expected an integer", 7),  # a sign must touch its digits
+        ("A(1,2)3", "expected '@'", 6),
+        ("Dq3", "expected '@'", 2),
+        # an integer is ASCII digits; str.isdigit holds for these too
+        ("X[1,\u0661]", "expected an integer", 4),
+        ("X[1,\u00b2]", "expected an integer", 4),
+        ("q^\u0663", "expected an integer", 2),
+    ])
+    def test_parse_errors_name_their_position(self, source, message, pos):
+        with pytest.raises(ExprError) as err:
+            parse(source)
+        assert str(err.value) == f"{message} (at position {pos})" and err.value.pos == pos
+
+    def test_whitespace_may_separate_the_caret_from_a_signed_exponent(self):
+        assert parse("q^ -1") == ("pow", ("q",), -1)
+
 
 class TestEvaluate:
     def test_det_atom(self):
@@ -137,6 +157,12 @@ class TestCommands:
     def test_parse_error_exit_code(self, capsys):
         assert main(["normalize", "--m", "2", "--n", "2", "X[1,1] +"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_ascii_digits_exit_2_with_a_position(self, capsys):
+        for source, pos in (("X[1,\u0661]", 4), ("X[1,\u00b2]", 4), ("q^\u0663", 2)):
+            assert main(["normalize", "--n", "2", source]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == f"error: expected an integer (at position {pos})\n"
 
     def test_out_of_shape_exit_code(self, capsys):
         assert main(["normalize", "--m", "3", "--n", "3", "X[5,1]"]) == 2
@@ -219,6 +245,24 @@ class TestCommands:
 
     def test_square_only_suite_on_rectangle_is_usage_error(self, capsys):
         assert main(["suite", "laplace", "--m", "3", "--n", "4"]) == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (["centrality", "--m", "3", "--n", "4"], "centrality of the determinant needs a square shape"),
+        (["thm21", "--m", "3", "--n", "4"], "determinant reduction needs a square shape"),
+        (["jordan-obstruction", "--m", "3", "--n", "4"],
+         "the obstruction computation needs a square shape"),
+        (["cor22", "--m", "3", "--n", "3", "--t", "4"], "t=4 out of range for shape 3x3"),
+    ])
+    def test_suite_refuses_a_shape_it_does_not_take(self, capsys, argv, message):
+        assert main(["suite", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+
+    def test_square_only_suite_given_only_m_runs_square(self, capsys):
+        assert main(["suite", "laplace", "--m", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["shape"] == {"m": 3, "n": 3} and payload["status"] == "pass"
+        assert len(payload["checks"]) == 18
 
     def test_minor_malformed_set(self, capsys):
         assert main(["minor", "--m", "3", "--n", "3", "{1;2}", "{1,2}"]) == 2
@@ -319,6 +363,7 @@ class TestCommands:
         (["suite", "thm25", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
         (["suite", "lemma23", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
         (["suite", "grading", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
+        (["suite", "semicentrality", "--n", "10"], "a 10-minor has 10! = 3,628,800 terms"),
     ])
     def test_oversized_reductions_fail_fast(self, capsys, argv, message):
         start = time.monotonic()

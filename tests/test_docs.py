@@ -1,9 +1,10 @@
 """The README stays in step with the source tree."""
 
 import re
+import textwrap
 from pathlib import Path
 
-from qmv import verify
+from qmv import expr, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -12,15 +13,15 @@ def _readme() -> str:
     return (ROOT / "README.md").read_text(encoding="utf-8")
 
 
-def _layout_block() -> str:
-    match = re.search(r"## Layout\s+```\n(.*?)```", _readme(), re.DOTALL)
-    assert match, "README.md has no fenced Layout block"
+def _fenced_block(heading: str) -> str:
+    match = re.search(rf"## {heading}\s+```\n(.*?)```", _readme(), re.DOTALL)
+    assert match, f"README.md has no fenced {heading} block"
     return match.group(1)
 
 
 def test_readme_layout_names_every_module():
     # package plumbing (__init__, __main__) aside, each module gets a line
-    listed = set(re.findall(r"^\s+(\w+\.py)\s", _layout_block(), re.MULTILINE))
+    listed = set(re.findall(r"^\s+(\w+\.py)\s", _fenced_block("Layout"), re.MULTILINE))
     modules = {p.name for p in (ROOT / "src" / "qmv").glob("*.py") if not p.name.startswith("__")}
     assert modules <= listed, f"missing from the README Layout block: {sorted(modules - listed)}"
     assert listed <= modules, f"named in the README Layout block but absent: {sorted(listed - modules)}"
@@ -34,3 +35,11 @@ def test_readme_suite_catalog_names_every_suite():
     suites = {*verify.SUITES, *verify.SPLIT_SUITES, *verify.DERIVED_SUITES}
     assert suites <= listed, f"missing from the README Suite catalog: {sorted(suites - listed)}"
     assert listed <= suites, f"named in the README Suite catalog but not run: {sorted(listed - suites)}"
+
+
+def test_readme_grammar_is_the_parser_docstring_grammar():
+    # the indented block after "Grammar:" in the expr module's docstring
+    match = re.search(r"Grammar:\n\n(.*?)\n\n", expr.__doc__, re.DOTALL)
+    assert match, "the expr module docstring has no Grammar block"
+    documented = _fenced_block("Expression language").splitlines()
+    assert textwrap.dedent(match.group(1)).splitlines() == documented
