@@ -42,8 +42,19 @@ from .localize import (
     minor_over_derived_generators, reduction_names, tau_weight,
 )
 from .minors import _sign, check_term_count, combination, commutator, product, table_combination
-from .zerotest import ZeroTest
+from .zerotest import ZeroTest, ranked
 from . import laws
+
+
+def pattern(tag: str, minors: list[laws.MinorKey], terms: list[laws.Term] = (), words=()) -> tuple:
+    """The key ``ZeroTest.verdict`` reads for the builder ``tag`` over these minors
+    (a generator is 1-by-1), terms and (PBW word, *data) tuples: the exponents and
+    data, and every index ``ranked`` by one map (the words' letters read no other)."""
+    pairs = [*minors, *(((t.gen[0], *t.minor[0]), (t.gen[1], *t.minor[1])) for t in terms)]
+    rho, gamma, moved = ranked({r for rs, _ in pairs for r in rs}, {c for _, cs in pairs for c in cs})
+    return (tag, *[t.exponent for t in terms],
+            *[(tuple(map(rho, rs)), tuple(map(gamma, cs))) for rs, cs in pairs],
+            *[(tuple(map(moved, w)), *data) for w, *data in words])
 
 
 class DerivedMinors:
@@ -71,14 +82,6 @@ class DerivedMinors:
         self.n = test.shape.n
         self.corner = (letter(1, self.n),)
         self.verdicts: dict[laws.MinorKey, bool | None] = {}
-        self.commuting: dict[laws.MinorKey, bool | None] = {}
-
-    def _numerator(self, r: int, c: int, k: int, big: laws.MinorKey) -> list:
-        """The entries of (-q)^k (X[r,c] X[1,n] - q^-1 X[1,c] X[r,n]) [big]."""
-        words = [*product((letter(r, c),), self.corner),
-                 *((w, e - 1, -c2) for w, e, c2 in product((letter(1, c),), (letter(r, self.n),)))]
-        sign = _sign(k)
-        return [(w, *big, (), k + e, sign * c2) for w, e, c2 in words]
 
     def holds(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> bool | None:
         """Cor 2.2 for [rows|cols]': True when it was proved, False when its
@@ -87,29 +90,34 @@ class DerivedMinors:
         None otherwise.  The step is decided only when the prerequisites were."""
         key = (rows, cols)
         if key not in self.verdicts:
-            n, verdict = self.n, None
-            if len(rows) == 1:
-                entries = self._numerator(rows[0], cols[0], 0, ((), ()))
-                entries.append(((), (1, rows[0]), (cols[0], n), (), -1, 1))
-                verdict = self.test.is_zero(combination(entries))
-            else:
-                s, terms = len(rows), laws.row_terms(rows, cols, 1, rows[0])
-                if all(self.holds(*t.minor) and self.commutes(*t.minor) for t in terms):
-                    entries = [((), (1,) + rows, cols + (n,), self.corner, -s, -_sign(s))]
-                    for t in terms:
-                        entries += self._numerator(rows[0], t.gen[1], t.exponent - s + 1,
-                                                   ((1,) + t.minor[0], t.minor[1] + (n,)))
-                    verdict = self.test.is_zero(combination(entries))
+            s, big, verdict = len(rows), ((1,) + rows, cols + (self.n,)), None
+            terms = laws.row_terms(rows, cols, 1, rows[0]) if s > 1 else []
+            if all(self.holds(*t.minor) and self.commutes(*t.minor) for t in terms):
+                # a derived minor avoids row 1 and column n, so its step and its
+                # commutation rank alike for every [rows|cols] of size s
+                verdict = self.test.verdict(("step", s, *[t.exponent for t in terms]),
+                                            lambda: self._step(rows, cols, big, terms))
             self.verdicts[key] = verdict
         return self.verdicts[key]
 
+    def _step(self, rows, cols, big: laws.MinorKey, terms: list[laws.Term]):
+        r, n, s = rows[0], self.n, len(rows)
+        if s == 1:
+            entries, parts = [((), *big, (), -1, 1)], [(0, cols[0], ((), ()))]
+        else:
+            entries = [((), *big, self.corner, -s, -_sign(s))]
+            parts = [(t.exponent - s + 1, t.gen[1], ((1,) + t.minor[0], t.minor[1] + (n,))) for t in terms]
+        for k, c, minor in parts:  # (-q)^k (X[r,c] X[1,n] - q^-1 X[1,c] X[r,n]) [minor]
+            entries += [(w, *minor, (), k + e, _sign(k) * c2)
+                        for w, e, c2 in product((letter(r, c),), self.corner)]
+            entries += [(w, *minor, (), k + e - 1, -_sign(k) * c2)
+                        for w, e, c2 in product((letter(1, c),), (letter(r, n),))]
+        return combination(entries)
+
     def commutes(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> bool | None:
         """The zero test's verdict on X[1,n] commuting with [1 u rows | cols u n]."""
-        key = (rows, cols)
-        if key not in self.commuting:
-            self.commuting[key] = self.test.is_zero(
-                commutator(gen_id(1, self.n), (1,) + rows, cols + (self.n,)))
-        return self.commuting[key]
+        return self.test.verdict(("commutes", len(rows)), lambda: commutator(
+            gen_id(1, self.n), (1,) + rows, cols + (self.n,)))
 
     def checks(self, rows: tuple[int, ...], cols: tuple[int, ...], names: list[str],
                build) -> list[IdentityCheck]:
@@ -172,21 +180,24 @@ def _commutation_check(shape: Shape, derived: DerivedMinors, rows: tuple[int, ..
                        cols: tuple[int, ...], g: tuple[int, int]) -> IdentityCheck:
     """The check ``check_minor_commutation`` builds, decided as
     x M - c q^(+-1) M x + sum_t corr_t X_t M_t when Cor 2.2 was proved for
-    [rows|cols]' and every correction minor."""
+    [rows|cols]' and every correction minor (corr_t / (-q)^e_t is fixed by g's row rank)."""
     claim, twist, terms = _commutation(shape, rows, cols, g)
     verdict = None
     if derived.holds(rows, cols) and all(derived.holds(*t.minor) for t in terms):
-        n, x = shape.n, (letter(*g),)
-        big = ((1,) + rows, cols + (n,))
-        shift = 1 if g[0] == 1 else -1  # X^-1 x X = q^shift x
-        entries = [(x, *big, (), 0, 1)]
-        entries += [((), *big, x, e + shift, -c) for e, c in twist._terms.items()]
-        scalar = correction_scalar(g)._terms.items()
-        for t in terms:
-            sign = _sign(t.exponent)
-            entries += [((letter(*t.gen),), (1,) + t.minor[0], t.minor[1] + (n,), (),
-                         e + t.exponent, sign * c) for e, c in scalar]
-        verdict = derived.test.is_zero(combination(entries))
+        big = ((1,) + rows, cols + (shape.n,))
+        key = pattern("thm25", [big, ((g[0],), (g[1],))], terms) + tuple(twist._terms.items())
+
+        def build():
+            x, shift = (letter(*g),), 1 if g[0] == 1 else -1  # X^-1 x X = q^shift x
+            entries = [(x, *big, (), 0, 1)]
+            entries += [((), *big, x, e + shift, -c) for e, c in twist._terms.items()]
+            scalar = correction_scalar(g)._terms.items()
+            for t in terms:
+                sign = _sign(t.exponent)
+                entries += [((letter(*t.gen),), (1,) + t.minor[0], t.minor[1] + (shape.n,), (),
+                             e + t.exponent, sign * c) for e, c in scalar]
+            return combination(entries)
+        verdict = derived.test.verdict(key, build)
     return derived.test.decide([commutation_name(shape, rows, cols, g, claim)], [verdict],
                                lambda: [check_minor_commutation(shape, rows, cols, g)])[0]
 
@@ -213,10 +224,12 @@ def _expansion_checks(shape: Shape, test: ZeroTest, rows: tuple[int, ...],
     """The checks ``expand_minor_without_corner`` builds, each decided as the
     combination of its expansion's right products."""
     terms, _, enlarged = _rewriting(shape, rows, cols)
-    verdicts = [test.is_zero(table_combination(shape, terms, False, enlarged))]
+    verdicts = [test.verdict(pattern("expansion", [enlarged or ((), ())], terms),
+                             lambda: table_combination(shape, terms, False, enlarged))]
     if enlarged:
-        verdicts.append(test.is_zero(
-            table_combination(shape, laws.last_row_terms(*enlarged), False, enlarged)))
+        last = laws.last_row_terms(*enlarged)
+        verdicts.append(test.verdict(pattern("last row", [enlarged], last),
+                                     lambda: table_combination(shape, last, False, enlarged)))
     # the rewriting is the first expansion solved for its corner term
     verdicts.append(verdicts[0])
     return test.decide(expansion_names(shape, rows, cols), verdicts,
@@ -232,15 +245,20 @@ def _derived_check(shape: Shape, derived: DerivedMinors, cofactors: dict, rows: 
     pieces = _derived_cofactors(shape, rows, cols, cofactors)
     verdict = None
     if all(derived.holds(*key) for key in pieces):
-        top = max(k for k, _ in pieces.values())
-        entries = [((), rows, cols, (letter(1, n, top + 1),), 0, -1)]
-        for (r, c), (k, body) in pieces.items():
-            s = len(r)
-            for (codes, e), c2 in body.items():
-                moved, shift = _corner_moved(codes, top - k, n)
-                entries.append(((), (1,) + r, c + (n,), moved, e + tau_weight(codes, shape) + shift - s,
-                                _sign(s) * c2))
-        verdict = derived.test.is_zero(combination(entries))
+        def build():
+            top = max(k for k, _ in pieces.values())
+            entries = [((), rows, cols, (letter(1, n, top + 1),), 0, -1)]
+            for (r, c), (k, body) in pieces.items():
+                s = len(r)
+                for (codes, e), c2 in body.items():
+                    moved, shift = _corner_moved(codes, top - k, n)
+                    entries.append(((), (1,) + r, c + (n,), moved,
+                                    e + tau_weight(codes, shape) + shift - s, _sign(s) * c2))
+            return combination(entries)
+        words = [(codes, i, k, e, c2) for i, (k, body) in enumerate(pieces.values())
+                 for (codes, e), c2 in body.items()]  # c2 q^e codes in the i-th piece's N
+        verdict = derived.test.verdict(pattern(
+            "derived", [((1,) + rows, cols + (n,)), (rows, cols), *pieces], words=words), build)
     return derived.test.decide([derived_name(shape, rows, cols)], [verdict],
                                lambda: [minor_over_derived_generators(shape, rows, cols)[1]])[0]
 

@@ -13,7 +13,9 @@ Grammar:
 
 The tokens are the names Xp, Mp, Dq and inv1n, integers, and any other single
 character.  Whitespace may separate any two tokens; a sign after '^' must
-touch its digits.  Products preserve order (the algebra is noncommutative);
+touch its digits, and an integer of more digits than Python converts
+(``sys.get_int_max_str_digits()``, 4,300 by default) is refused at its
+position.  Products preserve order (the algebra is noncommutative);
 negative powers are allowed only on q and through inv1n.  Evaluation yields a
 LocalizedElement whose denominator exponent is 0 whenever no localized atom
 occurs.
@@ -22,6 +24,7 @@ occurs.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, Shape, gen
@@ -95,10 +98,14 @@ class _Parser:
         if not self.take(literal):
             raise ExprError(f"expected {literal!r}", self.pos)
 
-    def integer(self) -> int:
+    def integer(self, sign: str = "") -> int:
+        """The integer token, after ``sign`` when one was read."""
         if not (self.token.isdigit() and self.token.isascii()):
             raise ExprError("expected an integer", self.pos)
-        return int(self.advance())
+        if 0 < sys.get_int_max_str_digits() < len(self.token):
+            raise ExprError(f"integer of {len(self.token):,} digits, more than the limit of "
+                            f"{sys.get_int_max_str_digits():,}", self.pos)
+        return int(sign + self.advance())
 
     def index_set(self) -> tuple[int, ...]:
         self.expect("{")
@@ -135,7 +142,7 @@ class _Parser:
         if self.take("^"):
             # a sign binds only to the digits that touch it
             signed = self.token in ("+", "-") and "0" <= self.src[self.pos + 1:self.pos + 2] <= "9"
-            e = int(self.advance() + self.advance()) if signed else self.integer()
+            e = self.integer(self.advance()) if signed else self.integer()
             if e < 0 and node != ("q",):
                 hint = "; the inverse of inv1n is X[1,n]" if node == ("inv1n",) else " (or via inv1n)"
                 raise ExprError(f"negative powers are allowed only on q{hint}", self.end)

@@ -42,6 +42,8 @@ algebra map that sends PBW monomials to PBW monomials, minors to minors and
 the rewriting rules to themselves; a unit changes no zero.  So equal normal
 forms are zero together.  A normal form's rows are 1, 2, ..., so its states
 recur from check to check, and each state is split at a row once per run.
+So ``ZeroTest.verdict`` decides once per pattern key: a builder, its indices
+rank-compressed, and the exponents and coefficients read at its own indices.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ from . import laws
 
 Key = frozenset[tuple[tuple[State, int], int]]
 _UNSEEN = object()  # a key the memo does not hold yet
+
+
+def ranked(rows: set[int], cols: set[int]) -> tuple[Callable, Callable, Callable]:
+    """The order-pattern map to the ranks of ``rows`` and ``cols``: on rows, columns, letters."""
+    rho = {r: a for a, r in enumerate(sorted(rows), 1)}.__getitem__
+    gamma = {c: b for b, c in enumerate(sorted(cols), 1)}.__getitem__
+    return rho, gamma, lambda x: ((rho(x >> ROW_SHIFT) << COL_BITS | gamma(x >> EXP_BITS & COL_MASK))
+                                  << EXP_BITS | x & EXP_MASK)
 
 
 def _normal_form(combination: Combination) -> Key:
@@ -79,11 +89,8 @@ def _normal_form(combination: Combination) -> Key:
         row_set.add(x >> ROW_SHIFT)
         col_set.add(x >> EXP_BITS & COL_MASK)
     if max(row_set, default=0) != len(row_set) or max(col_set, default=0) != len(col_set):
-        rho = {r: a for a, r in enumerate(sorted(row_set), 1)}
-        gamma = {c: b for b, c in enumerate(sorted(col_set), 1)}
-        row, col = rho.__getitem__, gamma.__getitem__
-        moved = {x: (rho[x >> ROW_SHIFT] << COL_BITS | gamma[x >> EXP_BITS & COL_MASK]) << EXP_BITS
-                 | x & EXP_MASK for x in codes}.__getitem__
+        row, col, letter_map = ranked(row_set, col_set)
+        moved = dict(zip(codes, map(letter_map, codes))).__getitem__
         renamed = {s: (s[0] and tuple(map(moved, s[0])), tuple(map(row, s[1])),
                        tuple(map(col, s[2])), s[3] and tuple(map(moved, s[3]))) for s in states}
         items = [((renamed[s], e), c) for (s, e), c in combination.items()]
@@ -118,10 +125,12 @@ class ZeroTest:
     def __init__(self, shape: Shape):
         self.shape = shape
         self.memo: dict[Key, bool | None] = {}
+        self.patterns: dict[tuple, bool | None] = {}  # pattern key -> verdict
         self.cuts: dict[tuple, list[Piece] | None] = {}
         self.turning: set[Key] = set()  # the keys being retried transposed
         self.splits = 0
         self.memo_hits = 0
+        self.pattern_hits = 0
         self.turns = 0
         self.flat_checks = 0
 
@@ -131,6 +140,15 @@ class ZeroTest:
         either orientation."""
         combination = {k: c for k, c in combination.items() if c}
         return self._decide(_normal_form(combination)) if combination else True
+
+    def verdict(self, key: tuple, build: Callable[[], Combination]) -> bool | None:
+        """``is_zero(build())``, with ``build`` run once per pattern key."""
+        verdict = self.patterns.get(key, _UNSEEN)
+        if verdict is _UNSEEN:
+            verdict = self.patterns[key] = self.is_zero(build())
+        else:
+            self.pattern_hits += 1
+        return verdict
 
     def _decide(self, key: Key) -> bool | None:
         verdict = self.memo.get(key, _UNSEEN)
@@ -194,11 +212,12 @@ class ZeroTest:
         finally:
             self.turning.discard(key)
 
-    def check(self, name: str, combination: Combination) -> IdentityCheck:
-        """The check that the combination vanishes.  Unless the test finds it
-        zero, the combination built flat decides and gives the witness."""
-        return self.decide([name], [self.is_zero(combination)],
-                           lambda: [check_zero(name, flat(self.shape, combination))])[0]
+    def check(self, name: str, combination, key: tuple | None = None) -> IdentityCheck:
+        """The check that the combination (with a pattern key, its builder's)
+        vanishes; unless found zero, it is built flat to decide and give the witness."""
+        build = combination if key else lambda: combination
+        return self.decide([name], [self.verdict(key, build) if key else self.is_zero(combination)],
+                           lambda: [check_zero(name, flat(self.shape, build()))])[0]
 
     def decide(self, names: list[str], verdicts: list[bool | None],
                build: Callable[[], list[IdentityCheck]]) -> list[IdentityCheck]:
@@ -209,7 +228,7 @@ class ZeroTest:
         which decides it and gives its witness, and counts once in
         ``flat_checks``.  A built pass after a False verdict means the two
         paths disagree, and raises."""
-        if all(verdict is True for verdict in verdicts):
+        if verdicts.count(True) == len(verdicts):  # every one is True
             return [IdentityCheck(name, True) for name in names]
         checks = []
         for name, verdict, built in zip(names, verdicts, build(), strict=True):
@@ -225,7 +244,8 @@ class ZeroTest:
 
     def counts(self) -> dict[str, int]:
         return {"zero_test_splits": self.splits, "zero_test_memo_hits": self.memo_hits,
-                "zero_test_transposed": self.turns, "flat_checks": self.flat_checks}
+                "zero_test_pattern_hits": self.pattern_hits, "zero_test_transposed": self.turns,
+                "flat_checks": self.flat_checks}
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +264,16 @@ def _suite_semicentrality(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
     # the largest minor, refused before the first of the sum over p of
     # C(m,p) C(n,p) p^2 checks, as the fallback builder would refuse it
     check_term_count(min(shape.m, shape.n))
+    # [R|C] vs X[i,j] is [1..p|1..p] vs X[a,b] relabeled, i = R_a and j = C_b
     checks = []
     for p in range(1, min(shape.m, shape.n) + 1):
         for rows in itertools.combinations(range(1, shape.m + 1), p):
             for cols in itertools.combinations(range(1, shape.n + 1), p):
-                for i in rows:
-                    for j in cols:
-                        checks.append(test.check(f"[{list(rows)}|{list(cols)}] vs X[{i},{j}]",
-                                                 commutator(gen_id(i, j), rows, cols)))
+                minor = f"[{list(rows)}|{list(cols)}]"
+                for a, i in enumerate(rows, 1):
+                    for b, j in enumerate(cols, 1):
+                        checks.append(test.check(f"{minor} vs X[{i},{j}]", lambda: commutator(
+                            gen_id(i, j), rows, cols), (p, a, b)))
     return checks
 
 

@@ -164,6 +164,15 @@ class TestCommands:
             out = capsys.readouterr()
             assert out.out == "" and out.err == f"error: expected an integer (at position {pos})\n"
 
+    def test_an_over_long_integer_exits_2_with_a_position(self, capsys):
+        limit, digits = sys.get_int_max_str_digits(), "1" * 5000
+        for source, pos in ((f"X[1,{digits}]", 4), (f"q^{digits}", 2), (f"q^-{digits}", 3)):
+            assert main(["normalize", "--n", "2", source]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and out.err == (
+                f"error: integer of 5,000 digits, more than the limit of {limit:,} "
+                f"(at position {pos})\n")
+
     def test_out_of_shape_exit_code(self, capsys):
         assert main(["normalize", "--m", "3", "--n", "3", "X[5,1]"]) == 2
 
@@ -345,7 +354,8 @@ class TestCommands:
             assert main(["suite", name, "--n", "4", "--format", "json"]) == 0
             timings = json.loads(capsys.readouterr().out)["timings"]
             assert set(timings) == {"total_seconds", "zero_test_splits", "zero_test_memo_hits",
-                                    "zero_test_transposed", "flat_checks", "straighten_cache_added"}
+                                    "zero_test_pattern_hits", "zero_test_transposed", "flat_checks",
+                                    "straighten_cache_added"}
             assert timings["flat_checks"] == 0 and timings["zero_test_splits"] > 0, name
 
     def test_fit_exponents_reads_t_where_the_family_does(self, capsys):

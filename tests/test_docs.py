@@ -43,3 +43,13 @@ def test_readme_grammar_is_the_parser_docstring_grammar():
     assert match, "the expr module docstring has no Grammar block"
     documented = _fenced_block("Expression language").splitlines()
     assert textwrap.dedent(match.group(1)).splitlines() == documented
+
+
+def test_readme_lists_every_zero_test_count():
+    # the backquoted names of the sentence that lists the counts under timings;
+    # straighten_cache_added, which every suite reports, has its own paragraph
+    match = re.search(r"report counts under `timings`:(.*?)\.\s", _readme(), re.DOTALL)
+    assert match, "README.md lists no zero-test counts under timings"
+    listed = set(re.findall(r"`(\w+)`", match.group(1)))
+    reported = set(verify.run_suite("thm25", n=3).counts) - {"straighten_cache_added"}
+    assert listed == reported, f"README lists {sorted(listed)}, the suite reports {sorted(reported)}"

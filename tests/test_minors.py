@@ -300,3 +300,13 @@ def test_minor_products_straighten_generator_pairs_only(suite):
     report = run_suite(suite, n=5)
     assert report.passed
     assert report.counts["straighten_cache_added"] == _mono_times_gen.cache_info().currsize <= 300
+
+
+def test_grading_streams_its_minors_past_the_minor_cache():
+    # each minor's bidegree is read once, so no minor is kept: the cache held
+    # all 12,869 minors of an 8x8 grid, most of that run's memory
+    before = minors._minor.cache_info().currsize
+    report = run_suite("grading", n=5)
+    assert report.passed and len(report.checks) > 250
+    assert minors._minor.cache_info().currsize == before
+    assert minors._build_minor(Shape(5, 5), (1, 3), (2, 4)) == minors.minor(Shape(5, 5), (1, 3), (2, 4))

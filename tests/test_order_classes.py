@@ -387,8 +387,8 @@ def test_the_derived_suites_are_the_ones_the_derived_module_runs():
 
 
 def test_counts_are_reported_under_timings_only():
-    counts = {"total_seconds", "zero_test_splits", "zero_test_memo_hits", "zero_test_transposed",
-              "flat_checks", "straighten_cache_added"}
+    counts = {"total_seconds", "zero_test_splits", "zero_test_memo_hits", "zero_test_pattern_hits",
+              "zero_test_transposed", "flat_checks", "straighten_cache_added"}
     report = run_suite("thm25", n=5)
     timings = report.as_dict()["timings"]
     assert set(timings) == counts
@@ -419,3 +419,65 @@ def test_a_randomly_embedded_check_is_its_representative_relabeled():
         image = relabel(x * mp - mp * x, big, row_set, col_set)
         mp_big, x_big = x_prime_minor(big, rows, cols), LocalizedElement(gen(big, 1, l))
         assert image == x_big * mp_big - mp_big * x_big
+
+
+# ---------------------------------------------------------------------------
+# pattern keys
+# ---------------------------------------------------------------------------
+
+KEYED_SHAPES = [(n, n) for n in range(3, 7)] + [(3, 4), (4, 3), (3, 5)]
+
+
+def _compressed(combination):
+    """The combination's normal form, or None when it is zero."""
+    combination = {k: c for k, c in combination.items() if c}
+    return _normal_form(combination) if combination else None
+
+
+@pytest.mark.parametrize("name", ["semicentrality", "cor22", "thm21", "lemma23", "thm25"])
+def test_every_keyed_verdict_is_the_verdict_on_its_own_combination(monkeypatch, name):
+    # each check that a pattern key answers, its combination built at its own
+    # indices: decided by a zero test that reads no key, and a relabeling of
+    # every other combination of its key, so that one normal form serves them
+    keyed, calls = ZeroTest.verdict, []
+
+    def recorded(self, key, build):
+        calls.append((key, keyed(self, key, build), build()))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ZeroTest, "verdict", recorded)
+    for m, n in KEYED_SHAPES:
+        calls.clear()
+        try:
+            report = run_suite(name, m=m, n=n)
+        except ValueError:
+            continue  # the suite does not take this shape
+        fresh, forms = ZeroTest(Shape(m, n)), {}
+        assert report.passed and calls, (m, n)
+        for key, verdict, combination in calls:
+            assert fresh.is_zero(combination) is verdict, (m, n, key)
+            assert forms.setdefault(key, _compressed(combination)) == _compressed(combination), (
+                m, n, key)
+        if name != "thm21":
+            assert report.counts["zero_test_pattern_hits"] > 0, (m, n)
+
+
+def test_a_law_wrong_at_one_column_fails_exactly_the_checks_that_read_it(monkeypatch,
+                                                                         fresh_derived_minors):
+    # every thm25 correction exponent of X[1,l] raised by one, but only when
+    # column 3 is a column of the minor: checks of one order pattern then differ
+    frozen = laws.col_commutation_terms
+
+    def bumped(rows, cols, l):
+        terms = frozen(rows, cols, l)
+        return [t._replace(exponent=t.exponent + 1) for t in terms] if 3 in cols else terms
+
+    monkeypatch.setattr(laws, "col_commutation_terms", bumped)
+    for m, n in [(4, 4), (3, 5), (5, 4)]:
+        s = Shape(m, n)
+        report = run_suite("thm25", m=m, n=n)
+        reads = [g[0] == 1 and 3 in cols and bool(localize._commutation(s, rows, cols, g)[2])
+                 for rows, cols, g in _thm25_calls(s)]
+        assert [not c.ok for c in report.checks] == reads and any(reads), (m, n)
+        assert _outcomes(report.checks) == _outcomes(direct_suite("thm25", s)), (m, n)
+        assert report.counts["flat_checks"] == sum(reads), (m, n)

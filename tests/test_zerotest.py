@@ -212,7 +212,8 @@ def test_semicentrality_reports_its_zero_test_counts():
     assert set(verify.SPLIT_SUITES) == set(zerotest.SUITES)
     timings = run_suite("semicentrality", m=3, n=4).as_dict()["timings"]
     assert set(timings) == {"total_seconds", "zero_test_splits", "zero_test_memo_hits",
-                            "zero_test_transposed", "flat_checks", "straighten_cache_added"}
+                            "zero_test_pattern_hits", "zero_test_transposed", "flat_checks",
+                            "straighten_cache_added"}
     assert timings["flat_checks"] == 0
 
 
