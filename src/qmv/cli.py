@@ -7,6 +7,7 @@ usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from functools import lru_cache
@@ -34,9 +35,20 @@ def _config(args) -> SessionConfig:
     return SessionConfig(m=m, n=n)
 
 
+def _write_json(payload) -> None:
+    """Stream one JSON document, then a newline, to the stdout of the moment
+    (a caller may have redirected it), without holding its text: the
+    encoder's chunks go out joined in batches, so an unbuffered stdout
+    (PYTHONUNBUFFERED) makes one write per batch, not one per chunk."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(payload)
     else:
         print(text)
 
@@ -85,7 +97,7 @@ def _cmd_minor(args) -> int:
 def _cmd_suite(args) -> int:
     report = run_suite(args.name, m=args.m, n=args.n, t=args.t)
     if args.fmt == "json":
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        _write_json(report.as_dict())
     else:
         print(report.summary())
         for check in report.checks:
@@ -108,7 +120,7 @@ def _cmd_fit(args) -> int:
         print(f"fit failed: {exc}", file=sys.stderr)
         return CHECK_FAILURE
     if args.fmt == "json":
-        print(json.dumps([f.as_dict() for f in fits], indent=2, sort_keys=True))
+        _write_json([f.as_dict() for f in fits])
     else:
         for f in fits:
             law = " + ".join(
@@ -124,7 +136,7 @@ def _cmd_jordan(args) -> int:
         args.n = 3
     report = run_suite("jordan-obstruction", m=args.m, n=args.n, t=None)
     if args.fmt == "json":
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        _write_json(report.as_dict())
     else:
         print(report.summary())
         for check in report.checks:

@@ -11,9 +11,11 @@ Grammar:
     set    := '{' i (',' i)* '}'
     i, j, n and int are integers: one or more ASCII digits 0-9
 
-The tokens are the names Xp, Mp, Dq and inv1n, integers, and any other single
-character.  Whitespace may separate any two tokens; a sign after '^' must
-touch its digits, and an integer of more digits than Python converts
+An index i, j or n is below 64, since no grid holds a larger one; a larger
+index is refused at its position without being echoed.  The tokens are the
+names Xp, Mp, Dq and inv1n, integers, and any other single character.
+Whitespace may separate any two tokens; a sign after '^' must touch its
+digits, and an integer of more digits than Python converts
 (``sys.get_int_max_str_digits()``, 4,300 by default) is refused at its
 position.  Products preserve order (the algebra is noncommutative);
 negative powers are allowed only on q and through inv1n.  Evaluation yields a
@@ -27,7 +29,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, Shape, gen
+from .algebra import GRID_LIMIT, AlgebraElement, Shape, gen
 from .localize import LocalizedElement, corner_inverse, loc, x_prime, x_prime_minor
 from .minors import minor
 from .scalar import LaurentScalar
@@ -107,11 +109,18 @@ class _Parser:
                             f"{sys.get_int_max_str_digits():,}", self.pos)
         return int(sign + self.advance())
 
+    def index(self) -> int:
+        """An index of X[i,j], Xp[i,j], a set, A(i,j)@n or Dq@n."""
+        pos, value = self.pos, self.integer()
+        if value >= GRID_LIMIT:
+            raise ExprError(f"an index must be below {GRID_LIMIT}, the grid limit", pos)
+        return value
+
     def index_set(self) -> tuple[int, ...]:
         self.expect("{")
-        items = [self.integer()]
+        items = [self.index()]
         while self.take(","):
-            items.append(self.integer())
+            items.append(self.index())
         if not self.take("}"):
             raise ExprError("malformed set literal: expected ',' or '}'", self.pos)
         if any(a >= b for a, b in zip(items, items[1:])):
@@ -152,9 +161,9 @@ class _Parser:
     def pair(self, opening: str, closing: str) -> tuple[int, int]:
         """The index pair of X[i,j], Xp[i,j] and A(i,j)."""
         self.expect(opening)
-        i = self.integer()
+        i = self.index()
         self.expect(",")
-        j = self.integer()
+        j = self.index()
         self.expect(closing)
         return i, j
 
@@ -169,7 +178,7 @@ class _Parser:
 
     def size(self) -> int:
         self.expect("@")
-        return self.integer()
+        return self.index()
 
     def atom(self):
         token = self.token

@@ -19,34 +19,36 @@ exponents itself, and checks them through the same evaluator.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
 _TABLE_PATH = Path(__file__).with_name("exponents.json")
-_table: dict | None = None
 
 
 class ExponentTableError(RuntimeError):
     pass
 
 
+@lru_cache(maxsize=None)
 def table() -> dict:
-    global _table
-    if _table is None:
-        if not _TABLE_PATH.exists():
-            raise ExponentTableError(
-                f"missing exponent table {_TABLE_PATH}; run the exponent fitter to regenerate"
-            )
-        with open(_TABLE_PATH) as fh:
-            _table = json.load(fh)
-    return _table
+    """The frozen table, read once; each family's law is converted to ints as it loads."""
+    if not _TABLE_PATH.exists():
+        raise ExponentTableError(f"missing exponent table {_TABLE_PATH}; "
+                                 "run the exponent fitter to regenerate")
+    with open(_TABLE_PATH) as fh:
+        loaded = json.load(fh)
+    for entry in loaded["families"].values():
+        entry["law"] = {k: int(v) for k, v in entry["law"].items()}
+    return loaded
 
 
 def law_coefficients(family: str) -> dict[str, int]:
+    """The family's frozen law as {variable: coefficient}, a copy the caller may change."""
     families = table()["families"]
     if family not in families:
         raise ExponentTableError(f"no frozen law for family {family!r}")
-    return {k: int(v) for k, v in families[family]["law"].items()}
+    return dict(families[family]["law"])
 
 
 def exponent(family: str, indices: dict[str, int]) -> int:

@@ -133,18 +133,13 @@ def check_term_count(t: int) -> None:
                          f"more than the limit of {MAX_MINOR_TERMS:,}")
 
 
-def _build_minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
-    """The minor built, for rows and columns already fitted; its terms share
-    one (-q)^k each."""
+@lru_cache(maxsize=None)
+def _minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
+    """Built once per (shape, rows, cols); elements and their coefficients are
+    immutable, so callers share it, and its terms share one (-q)^k each."""
     t = len(rows)
     powers = [LaurentScalar.minus_q_power(k) for k in range(t * (t - 1) // 2 + 1)]
     return AlgebraElement(shape, {codes: powers[inv] for codes, inv in _permutation_words(rows, cols)})
-
-
-# Built once per (shape, rows, cols); elements and their coefficients are
-# immutable, so callers share it.  A caller that reads a minor once streams it
-# through ``_build_minor`` instead.
-_minor = lru_cache(maxsize=None)(_build_minor)
 
 
 def _permutation_words(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[tuple[Codes, int]]:

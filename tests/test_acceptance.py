@@ -11,7 +11,7 @@ from math import comb
 
 from qmv.algebra import Shape, monomial, monomial_count, random_element
 from qmv.minors import inversions, laplace_expand_row
-from qmv.verify import fit_exponents, run_suite, verify_frozen_table
+from qmv.verify import _classical_det, fit_exponents, run_suite, verify_frozen_table
 
 XPRIME_SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
 ALL_DESK_SHAPES = [(m, n) for m in range(1, 5) for n in range(1, 5)]
@@ -136,6 +136,12 @@ def _permutation_sum_classical_det(n):
         mono = monomial(((i, perm[i - 1]), 1) for i in range(1, n + 1))
         out[mono] = Fraction(-1) ** inversions(perm)
     return out
+
+
+def test_the_grading_oracle_is_the_permutation_sum():
+    # grading's q -> 1 oracle, a cofactor expansion memoized over column sets
+    for n in range(1, 7):
+        assert _classical_det(n) == _permutation_sum_classical_det(n)
 
 
 def test_criterion_11_engine_health():

@@ -173,6 +173,35 @@ class TestCommands:
                 f"error: integer of 5,000 digits, more than the limit of {limit:,} "
                 f"(at position {pos})\n")
 
+    def test_an_index_beyond_the_grid_exits_2_without_echoing_it(self, capsys):
+        # no grid holds an index of 64 or more, so the parser refuses one at
+        # its position; it used to echo every digit of a 4,300-digit index
+        ones = "1" * 4300
+        for source, pos in ((f"X[1,{ones}]", 4), (f"Xp[{ones},1]", 3), (f"M[{{1,{ones}}}|{{1,2}}]", 5),
+                            (f"A(1,2)@{ones}", 7), (f"Dq@{ones}", 3), ("X[64,1]", 2)):
+            assert main(["normalize", "--n", "2", source]) == 2
+            out = capsys.readouterr()
+            assert out.out == "" and len(out.err.encode()) < 200
+            assert out.err.endswith(f"(at position {pos})\n") and "111" not in out.err
+        assert main(["normalize", "--n", "2", "X[1,63]"]) == 2  # below 64: the shape's message
+        assert capsys.readouterr().err == "error: generator X[1,63] out of range for shape 2x2\n"
+        assert main(["normalize", "--n", "2", "64*X[1,1]^64"]) == 0  # not indices
+
+    def test_json_reports_are_the_encoder_text_and_a_newline(self, capsys):
+        # every document is streamed; its bytes are json.dumps(..., indent=2, sort_keys=True) + "\n"
+        fits = [verify.fit_exponents("row-laplace", n=2).as_dict()]
+        assert main(["fit-exponents", "row-laplace", "--n", "2", "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(fits, indent=2, sort_keys=True) + "\n"
+        assert main(["equal", "--n", "2", "X[1,2]*X[1,1]", "X[1,1]*X[1,2]", "--format", "json"]) == 1
+        payload = {"lhs": "X[1,2]*X[1,1]", "rhs": "X[1,1]*X[1,2]", "equal": False,
+                   "witness": "-(1 - q^-1)*X[1,1]*X[1,2]"}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        for argv in (["suite", "semicentrality", "--n", "3"], ["jordan", "--n", "3"]):
+            assert main([*argv, "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            # the timings differ between runs, so the document is re-encoded from itself
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
     def test_out_of_shape_exit_code(self, capsys):
         assert main(["normalize", "--m", "3", "--n", "3", "X[5,1]"]) == 2
 

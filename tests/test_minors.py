@@ -1,6 +1,7 @@
 """Quantum determinants, minors, Laplace expansions, and the grid projection."""
 
 import itertools
+from math import comb
 
 import pytest
 
@@ -20,6 +21,7 @@ from qmv.minors import (
     qdet,
 )
 from qmv import laws
+from qmv.checks import IdentityCheck
 from qmv.localize import x_prime_minor
 from qmv.scalar import LaurentScalar, Q, QINV
 from qmv.verify import run_suite
@@ -302,11 +304,62 @@ def test_minor_products_straighten_generator_pairs_only(suite):
     assert report.counts["straighten_cache_added"] == _mono_times_gen.cache_info().currsize <= 300
 
 
-def test_grading_streams_its_minors_past_the_minor_cache():
-    # each minor's bidegree is read once, so no minor is kept: the cache held
-    # all 12,869 minors of an 8x8 grid, most of that run's memory
-    before = minors._minor.cache_info().currsize
-    report = run_suite("grading", n=5)
-    assert report.passed and len(report.checks) > 250
-    assert minors._minor.cache_info().currsize == before
-    assert minors._build_minor(Shape(5, 5), (1, 3), (2, 4)) == minors.minor(Shape(5, 5), (1, 3), (2, 4))
+def test_grading_adds_at_most_one_minor_per_size_to_the_minor_cache():
+    # one leading minor decides each size: building every minor into the
+    # cache held all 12,869 minors of an 8x8 grid, most of that run's memory
+    for m, n in ((5, 5), (3, 4)):
+        minors._minor.cache_clear()
+        report = run_suite("grading", m=m, n=n)
+        assert report.passed  # over every minor: sum_p C(m,p) C(n,p) = C(m+n,m) - 1
+        assert sum("homogeneous" in c.name for c in report.checks) == comb(m + n, m) - 1
+        assert minors._minor.cache_info().currsize <= min(m, n)
+
+
+def _per_minor_grading(s):
+    """grading's minor checks as a loop that builds every minor and compares
+    its bidegree with the indicator of its rows and columns."""
+    checks = []
+    for p in range(1, min(s.m, s.n) + 1):
+        for rows in itertools.combinations(range(1, s.m + 1), p):
+            for cols in itertools.combinations(range(1, s.n + 1), p):
+                want = Bidegree(tuple(int(i in rows) for i in range(1, s.m + 1)),
+                                tuple(int(j in cols) for j in range(1, s.n + 1)))
+                got = minor(s, rows, cols).bidegree_of()
+                checks.append(IdentityCheck(
+                    f"[{list(rows)}|{list(cols)}] homogeneous of indicator bidegree",
+                    got == want, None if got == want else str(got)))
+    return checks
+
+
+@pytest.mark.parametrize("m, n", [(n, n) for n in range(1, 7)] + [(3, 4), (4, 3), (2, 5), (5, 3)])
+def test_grading_gives_every_minor_the_per_minor_verdict(m, n):
+    want = _per_minor_grading(Shape(m, n))
+    checks = run_suite("grading", m=m, n=n).checks
+    assert checks[:len(want)] == want
+    assert "homogeneous" not in checks[len(want)].name
+
+
+def test_a_fault_shared_by_one_size_fails_exactly_that_size(monkeypatch):
+    # every 3-row word loses its last letter, the same fault at every index
+    # set of size 3, so the leading 3-minor fails and each 3-minor is built
+    # for its own witness; the words are the permutation sum's, in its order
+    def faulty(rows, cols):
+        words = [(tuple(letter(r, cols[k]) for r, k in zip(rows, perm)), inversions(perm))
+                 for perm in itertools.permutations(range(len(rows)))]
+        return [(codes[:-1], inv) for codes, inv in words] if len(rows) == 3 else words
+
+    s = Shape(4, 5)
+    monkeypatch.setattr(minors, "_permutation_words", faulty)
+    minors._minor.cache_clear()
+    try:
+        checks = run_suite("grading", m=s.m, n=s.n).checks
+        want = _per_minor_grading(s)
+    finally:
+        minors._minor.cache_clear()  # no faulty minor outlives the patch
+    assert checks[:len(want)] == want
+    failing = [c for c in checks if not c.ok]
+    assert [c.name for c in failing] == [
+        f"[{list(rows)}|{list(cols)}] homogeneous of indicator bidegree"
+        for rows in itertools.combinations(range(1, 5), 3)
+        for cols in itertools.combinations(range(1, 6), 3)]
+    assert all(c.witness == "None" for c in failing)  # no 3-minor is homogeneous

@@ -183,6 +183,18 @@ def test_frozen_table_reproduced():
     assert all(f.matches_frozen for f in fits)
 
 
+def test_a_changed_law_leaves_the_frozen_table_as_it_was():
+    # each law is converted once, when the table loads; every call returns a copy
+    law = laws.law_coefficients("col-laplace")
+    assert law == {"i": -1, "j": 1, "1": 0}
+    law["i"] += 1
+    law["k"] = 5
+    assert laws.law_coefficients("col-laplace") == {"i": -1, "j": 1, "1": 0}
+    assert laws.exponent("col-laplace", {"i": 3, "j": 1}) == -2
+    with pytest.raises(laws.ExponentTableError, match="no frozen law"):
+        laws.law_coefficients("no-such-family")
+
+
 # The suite that checks the identities each fitted family enters.
 LAW_SUITES = {
     "row-laplace": "laplace", "col-laplace": "laplace",
