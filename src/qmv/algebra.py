@@ -34,6 +34,9 @@ Sums and products share one accumulator and one regroup: ``_flatten`` adds an
 element's terms into a flat dict, and ``_regroup`` turns a flat dict into an
 element once, at the end, dropping what cancelled.  ``AlgebraElement.sum``,
 ``+``, ``-`` and ``*`` all end there, so no other code merges terms.
+``AlgebraElement.__mul__`` is ``_product`` between a flatten and a regroup,
+and the localization and the expression evaluator call ``_product`` on flat
+sums directly.
 
 Only the suffix of a monomial moves.  Every letter a rewrite of h * g creates
 is >= g: the swap gives g and h, and the correction X[k,j] * X[i,l] of a
@@ -44,8 +47,8 @@ appends g directly when the last letter of a monomial is <= g; otherwise it
 splits the monomial at g and straightens only the suffix through the cache,
 whose entries are therefore suffixes alone.
 
-The general product, ``AlgebraElement.__mul__``, walks the words of its right
-factor in sorted order and keeps the fold of the left factor by every prefix
+The general product, ``_product``, walks the words of its right factor in
+sorted order and keeps the fold of the left factor by every prefix
 of the current word.  Each word resumes from the longest prefix it shares with
 the previous one, so words sharing a prefix fold that prefix once.  Products
 of a generator with a quantum minor do not take this walk: the minors module
@@ -292,12 +295,62 @@ def _regroup(shape: Shape, acc: Flat) -> "AlgebraElement":
     return AlgebraElement(shape, {codes: LaurentScalar.from_clean(d) for codes, d in grouped.items()})
 
 
+def _shifted(terms: Iterable[tuple[tuple[Codes, int], int]], scalar: dict[int, int]) -> Flat:
+    """Flat terms times a scalar given as {q exponent: coefficient}; what
+    cancels is dropped."""
+    if len(scalar) == 1:
+        (s, k), = scalar.items()
+        return {(codes, e + s): c * k for (codes, e), c in terms}
+    acc: Flat = {}
+    for (codes, e), c in terms:
+        for s, k in scalar.items():
+            acc[codes, e + s] = acc.get((codes, e + s), 0) + c * k
+    return {key: c for key, c in acc.items() if c}
+
+
 def check_degree(degree: int) -> None:
     """Refuse a product whose terms could reach degree ``degree``: some letter
     exponent might then no longer fit in its code."""
     if degree >= EXP_LIMIT:
         raise ValueError(
             f"product of degree up to {degree} exceeds the letter exponent limit {EXP_MASK}")
+
+
+def _max_degree(flat: Flat) -> int:
+    """The largest total degree of a monomial in a flat sum (0 when empty)."""
+    return max([degree(codes) for codes, _ in flat], default=0)
+
+
+def _product(left: Flat, right: Flat) -> Flat:
+    """The flat product of two flat sums, after ``check_degree``; the result
+    may keep cancelled keys.  A scalar left factor, one over the empty
+    monomial alone, shifts the right one.  Otherwise the walk goes over the
+    right factor's words in sorted order, and each word resumes from the kept
+    fold of the prefix it shares with the previous word (all of it for the
+    keys of one monomial); a right factor of one key, a scalar q^e among them,
+    shifts the fold."""
+    words = sorted([(_word_ids(codes), e, c) for (codes, e), c in right.items()], key=itemgetter(0))
+    left_degree = _max_degree(left)
+    check_degree(left_degree + max([len(word) for word, _, _ in words], default=0))
+    if not left_degree:
+        return _shifted(right.items(), {e: c for (_, e), c in left.items()})
+    path: list[Flat] = [left]  # path[k]: left folded by the first k letters
+    prev: tuple[int, ...] = ()
+    acc: Flat = {}
+    for word, er, cr in words:
+        k, stop = 0, min(len(prev), len(word))
+        while k < stop and prev[k] == word[k]:
+            k += 1
+        del path[k + 1:]
+        for g in word[k:]:
+            path.append(_fold_gen(path[-1], g))
+        prev = word
+        if len(words) == 1:
+            return _shifted(path[-1].items(), {er: cr})
+        for (codes, e), c in path[-1].items():
+            key = (codes, e + er)
+            acc[key] = acc.get(key, 0) + c * cr
+    return acc
 
 
 class AlgebraElement:
@@ -379,29 +432,7 @@ class AlgebraElement:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        # Walk the right factor's words in sorted order; each word resumes from
-        # the kept fold of the prefix it shares with the previous word.
-        words = sorted(
-            ((_word_ids(mono), coeff._terms) for mono, coeff in other._terms.items()),
-            key=itemgetter(0),
-        )
-        check_degree(self.max_degree() + max((len(word) for word, _ in words), default=0))
-        path: list[Flat] = [_flatten({}, self._terms)]  # path[k]: left folded by the first k letters
-        prev: tuple[int, ...] = ()
-        acc: Flat = {}
-        for word, right in words:
-            k, stop = 0, min(len(prev), len(word))
-            while k < stop and prev[k] == word[k]:
-                k += 1
-            del path[k + 1:]
-            for g in word[k:]:
-                path.append(_fold_gen(path[-1], g))
-            prev = word
-            for (codes, e), c in path[-1].items():
-                for er, cr in right.items():
-                    key = (codes, e + er)
-                    acc[key] = acc.get(key, 0) + c * cr
-        return _regroup(self.shape, acc)
+        return _regroup(self.shape, _product(_flatten({}, self._terms), _flatten({}, other._terms)))
 
     def __rmul__(self, other: "LaurentScalar | int") -> "AlgebraElement":
         if isinstance(other, (LaurentScalar, int)):

@@ -13,7 +13,7 @@ import sys
 from functools import lru_cache
 
 from .checks import check_zero
-from .expr import ExprError, SessionConfig, evaluate_source, parse_index_set
+from .expr import ExprError, SessionConfig, difference, evaluate_source, parse_index_set
 from .minors import minor
 from .verify import FitError, FIT_FAMILIES, fit_exponents, run_suite, verify_frozen_table
 
@@ -62,9 +62,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_equal(args) -> int:
     config = _config(args)
-    lhs = evaluate_source(args.lhs, config)
-    rhs = evaluate_source(args.rhs, config)
-    check = check_zero("equal", lhs - rhs)
+    check = check_zero("equal", difference(args.lhs, args.rhs, config))
     payload = {"lhs": args.lhs, "rhs": args.rhs, "equal": check.ok}
     if not check.ok:
         payload["witness"] = check.witness

@@ -18,9 +18,14 @@ Whitespace may separate any two tokens; a sign after '^' must touch its
 digits, and an integer of more digits than Python converts
 (``sys.get_int_max_str_digits()``, 4,300 by default) is refused at its
 position.  Products preserve order (the algebra is noncommutative);
-negative powers are allowed only on q and through inv1n.  Evaluation yields a
-LocalizedElement whose denominator exponent is 0 whenever no localized atom
-occurs.
+negative powers are allowed only on q and through inv1n.
+
+Evaluation works on flat values: N X[1,n]^-k is the kernel's flat dict N with
+the corner exponent k, and nodes combine by the localization's flat product,
+sum and power.  A minor or derived atom is flattened once per (shape, node).
+``evaluate`` builds one canonical LocalizedElement at the end, whose
+denominator exponent is 0 whenever no localized atom occurs; ``difference``
+builds lhs - rhs as one, and parses and evaluates lhs before it parses rhs.
 """
 
 from __future__ import annotations
@@ -30,9 +35,11 @@ import sys
 from dataclasses import dataclass
 
 from .algebra import GRID_LIMIT, AlgebraElement, Shape, gen
-from .localize import LocalizedElement, corner_inverse, loc, x_prime, x_prime_minor
+from .localize import (
+    LocalizedElement, Value, _element, _localized_power, _localized_product, _localized_sum,
+    _stripped, _value, x_prime, x_prime_minor,
+)
 from .minors import minor
-from .scalar import LaurentScalar
 
 
 class ExprError(ValueError):
@@ -211,64 +218,115 @@ def parse_index_set(source: str) -> tuple[int, ...]:
     return _Parser(source).parse(_Parser.index_set)
 
 
-def evaluate(node, config: SessionConfig) -> LocalizedElement:
-    """Evaluate an AST over the configured shape; shape violations surface as
-    ExprError/ValueError from the core modules."""
-    shape = config.shape
+def _leading_square(shape: Shape, k: int, what: str) -> None:
+    if k < 1 or k > min(shape.m, shape.n):
+        raise ValueError(f"{what}@{k} does not fit inside shape {shape}")
 
-    def leading_square(k: int, what: str) -> None:
-        if k < 1 or k > min(shape.m, shape.n):
-            raise ValueError(f"{what}@{k} does not fit inside shape {shape}")
 
-    def ev(node) -> LocalizedElement:
-        tag = node[0]
-        if tag == "num":
-            return loc(AlgebraElement.from_scalar(shape, node[1]))
-        if tag == "q":
-            return loc(AlgebraElement.from_scalar(shape, LaurentScalar.q_power(1)))
-        if tag == "gen":
-            return loc(gen(shape, node[1], node[2]))
-        if tag == "xp":
-            return x_prime(shape, node[1], node[2])
-        if tag == "minor":
-            return loc(minor(shape, node[1], node[2]))
-        if tag == "pminor":
-            return x_prime_minor(shape, node[1], node[2])
-        if tag == "comp":
-            i, j, k = node[1], node[2], node[3]
-            leading_square(k, f"A({i},{j})")
-            if not (1 <= i <= k and 1 <= j <= k):
-                raise ValueError(f"A({i},{j})@{k} indices out of range")
-            if k == 1:
-                return loc(AlgebraElement.one(shape))
-            rows = [r for r in range(1, k + 1) if r != i]
-            cols = [c for c in range(1, k + 1) if c != j]
-            return loc(minor(shape, rows, cols))
-        if tag == "det":
-            k = node[1]
-            leading_square(k, "Dq")
-            return loc(minor(shape, range(1, k + 1), range(1, k + 1)))
-        if tag == "inv1n":
-            return corner_inverse(shape)
-        if tag == "neg":
-            return -ev(node[1])
-        if tag == "add":
-            return ev(node[1]) + ev(node[2])
-        if tag == "sub":
-            return ev(node[1]) - ev(node[2])
+def _atom(node, shape: Shape) -> LocalizedElement | AlgebraElement:
+    """The element a minor or derived atom stands for, from the cache of the
+    core module that builds it."""
+    tag = node[0]
+    if tag == "xp":
+        return x_prime(shape, node[1], node[2])
+    if tag == "minor":
+        return minor(shape, node[1], node[2])
+    if tag == "pminor":
+        return x_prime_minor(shape, node[1], node[2])
+    if tag == "comp":
+        i, j, k = node[1], node[2], node[3]
+        _leading_square(shape, k, f"A({i},{j})")
+        if not (1 <= i <= k and 1 <= j <= k):
+            raise ValueError(f"A({i},{j})@{k} indices out of range")
+        if k == 1:
+            return AlgebraElement.one(shape)
+        rows = [r for r in range(1, k + 1) if r != i]
+        cols = [c for c in range(1, k + 1) if c != j]
+        return minor(shape, rows, cols)
+    _leading_square(shape, node[1], "Dq")
+    return minor(shape, range(1, node[1] + 1), range(1, node[1] + 1))
+
+
+_ATOM_TAGS = frozenset(("xp", "minor", "pminor", "comp", "det"))
+
+# (shape, atom node) -> (its element, the element's flat value).  An atom is
+# flattened once per element the core caches return; nothing mutates a flat
+# value.  ``_atom`` still runs each time: it validates the atom, and a traced
+# run then counts the same calls into the core modules whatever this cache
+# held before it.
+_ATOMS: dict[tuple[Shape, tuple], tuple[LocalizedElement | AlgebraElement, Value]] = {}
+
+
+def _scalar(e: int, c: int = 1, k: int = 0) -> Value:
+    """c q^e X[1,n]^-k as a flat value."""
+    return ({((), e): c} if c else {}), k
+
+
+def _exactly(op, shape: Shape, *values: Value) -> Value:
+    """op(shape, *values), where the letter-exponent guards of op read what a
+    canonical form holds: a flat value may keep corner powers its canonical
+    form cancels, so values the guards refuse are taken again, canonical."""
+    try:
+        return op(shape, *values)
+    except ValueError:
+        return op(shape, *(_stripped(shape, v) for v in values))
+
+
+def _negated(value: Value) -> Value:
+    return {key: -c for key, c in value[0].items()}, value[1]
+
+
+def _evaluate(node, shape: Shape) -> Value:
+    """The flat value of an AST: N X[1,n]^-k as (N, k), by the localization's
+    flat product and sum.  Canonical forms are left to the caller."""
+    tag = node[0]
+    if tag in ("mul", "add", "sub"):
+        a, b = _evaluate(node[1], shape), _evaluate(node[2], shape)
         if tag == "mul":
-            return ev(node[1]) * ev(node[2])
-        if tag == "pow":
-            base, e = node[1], node[2]
-            if base == ("q",):
-                return loc(AlgebraElement.from_scalar(shape, LaurentScalar.q_power(e)))
-            if base == ("inv1n",):
-                return corner_inverse(shape, e)
-            return ev(base) ** e
-        raise ValueError(f"unknown AST node {tag!r}")
+            return _exactly(_localized_product, shape, a, b)
+        return _exactly(_localized_sum, shape, a, b if tag == "add" else _negated(b))
+    if tag == "gen":
+        return _value(gen(shape, node[1], node[2]))
+    if tag in _ATOM_TAGS:
+        element, hit = _atom(node, shape), _ATOMS.get((shape, node))
+        if hit is None or hit[0] is not element:
+            hit = _ATOMS[shape, node] = element, _value(element)
+        return hit[1]
+    if tag == "num":
+        return _scalar(0, node[1])
+    if tag == "q":
+        return _scalar(1)
+    if tag == "inv1n":
+        return _scalar(0, k=1)
+    if tag == "neg":
+        return _negated(_evaluate(node[1], shape))
+    if tag == "pow":
+        base, e = node[1], node[2]
+        if base == ("q",):
+            return _scalar(e)
+        if base == ("inv1n",):
+            return _scalar(0, k=e)
+        # the degree guard reads the canonical base, as it did when every
+        # node was a canonical element
+        return _localized_power(shape, _stripped(shape, _evaluate(base, shape)), e)
+    raise ValueError(f"unknown AST node {tag!r}")
 
-    return ev(node)
+
+def evaluate(node, config: SessionConfig) -> LocalizedElement:
+    """Evaluate an AST over the configured shape, in flat form, into one
+    canonical element; shape violations surface as ExprError/ValueError from
+    the core modules."""
+    return _element(config.shape, _evaluate(node, config.shape))
 
 
 def evaluate_source(source: str, config: SessionConfig) -> LocalizedElement:
     return evaluate(parse(source), config)
+
+
+def difference(lhs: str, rhs: str, config: SessionConfig) -> LocalizedElement:
+    """lhs - rhs as one canonical element.  lhs is parsed and evaluated before
+    rhs is parsed, so an error in lhs is the one reported."""
+    shape = config.shape
+    left = _evaluate(parse(lhs), shape)
+    return _element(shape, _exactly(_localized_sum, shape, left,
+                                    _negated(_evaluate(parse(rhs), shape))))

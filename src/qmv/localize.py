@@ -7,6 +7,13 @@ Moving the corner is a closed form (a PBW monomial times X[1,n]^d gains d in
 its corner exponent and a q-power), and so is the canonical form, which strips
 in one pass the corner powers every numerator term holds, up to k.
 
+The arithmetic runs on flat values (N, k), N the kernel's flat
+{(codes, q exponent): int} sum: ``_tau`` twists, ``_moved`` moves the corner,
+and ``_localized_product``, ``_localized_sum`` and ``_localized_power`` are
+the only localized product, sum and power.  The ``LocalizedElement``
+operators wrap them, and the expression evaluator calls them directly and
+builds one canonical element at the end.
+
 On top of the localization this module builds the derived generators
 X'[i,j] = X[i,j] - q^-1 X[1,j] X[i,n] X[1,n]^-1, once per shape, and their
 quantum minors by a memoized first-row q-Laplace expansion (the law (-q)^(j-i)
@@ -42,8 +49,8 @@ from functools import lru_cache
 
 from .algebra import (
     COL_BITS, COL_MASK, EXP_BITS, EXP_LIMIT, EXP_MASK,
-    AlgebraElement, Codes, Flat, Shape, _fold_gen, _regroup, check_degree, exponent, gen, gen_id,
-    letter, word,
+    AlgebraElement, Codes, Flat, Shape, _flatten, _fold_gen, _max_degree, _product,
+    _regroup, _shifted, check_degree, exponent, gen, gen_id, letter, word,
 )
 from .checks import IdentityCheck, check_zero
 from .minors import MinorSpec, _sign, check_term_count, expansion, expansion_products, minor
@@ -66,17 +73,21 @@ def tau_weight(mono: Codes, shape: Shape) -> int:
     return w
 
 
+def _tau(flat: Flat, power: int, shape: Shape) -> Flat:
+    """tau^power of a flat sum: a term of weight w gains q^(power w).  The flat
+    sum itself when no term moves."""
+    weights = [tau_weight(codes, shape) for codes, _ in flat] if power else []
+    if not any(weights):
+        return flat
+    return {(codes, e + power * w): c for ((codes, e), c), w in zip(flat.items(), weights)}
+
+
 def tau(a: AlgebraElement, power: int = 1) -> AlgebraElement:
     """The automorphism with a * X[1,n] = X[1,n] * tau(a); tau^power for any
-    integer.  A term of weight 0 keeps its coefficient, and when no term
-    moves, a itself is returned (elements are immutable)."""
-    weights = [tau_weight(mono, a.shape) for mono in a._terms] if power else []
-    if not any(weights):
-        return a
-    return AlgebraElement(a.shape, {
-        mono: coeff * LaurentScalar.q_power(power * w) if w else coeff
-        for (mono, coeff), w in zip(a._terms.items(), weights)
-    })
+    integer, by ``_tau``.  When no term moves, a itself is returned (elements
+    are immutable)."""
+    moved = _tau(flat := _flatten({}, a._terms), power, a.shape)
+    return a if moved is flat else _regroup(a.shape, moved)
 
 
 def _corner_moved(codes: Codes, d: int, n: int) -> tuple[Codes, int]:
@@ -96,16 +107,38 @@ def _corner_moved(codes: Codes, d: int, n: int) -> tuple[Codes, int]:
     return codes[:pos] + ((corner | (e + d),) if e + d else ()) + rest, -d * c
 
 
+def _moved(flat: Flat, d: int, n: int) -> Flat:
+    """A flat sum times X[1,n]^d by ``_corner_moved``, for any d leaving every
+    corner exponent nonnegative; the flat sum itself when d = 0."""
+    if not d:
+        return flat
+    out: Flat = {}
+    for (codes, e), c in flat.items():
+        moved, s = _corner_moved(codes, d, n)
+        out[moved, e + s] = c
+    return out
+
+
 def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
-    """f * X[1,n]^d in closed form (``_corner_moved``), for any d leaving every
-    corner exponent nonnegative."""
-    if d == 0:
-        return f
-    terms: dict[Codes, LaurentScalar] = {}
-    for codes, coeff in f._terms.items():
-        moved, e = _corner_moved(codes, d, f.shape.n)
-        terms[moved] = coeff * LaurentScalar.q_power(e) if e else coeff
-    return AlgebraElement(f.shape, terms)
+    """f * X[1,n]^d by ``_moved``."""
+    return _regroup(f.shape, _moved(_flatten({}, f._terms), d, f.shape.n)) if d else f
+
+
+def _corner_exponent(codes: Codes, n: int) -> int | None:
+    """d when the monomial is X[1,n]^d with d >= 0, else None."""
+    # a letter of any other generator lies at least EXP_LIMIT from X[1,n]^0
+    d = codes[0] - letter(1, n, 0) if len(codes) == 1 else -1 if codes else 0
+    return d if 0 <= d < EXP_LIMIT else None
+
+
+def _flat_corner_power(flat: Flat, n: int) -> tuple[dict[int, int], int] | None:
+    """({q exponent: coefficient}, d) when a flat sum is c X[1,n]^d with d >= 0
+    (scalars included), else None."""
+    codes = next(iter(flat), (None,))[0]
+    d = None if codes is None else _corner_exponent(codes, n)
+    if d is None or any(key[0] != codes for key in flat):
+        return None
+    return {e: c for (_, e), c in flat.items()}, d
 
 
 def _corner_power(f: AlgebraElement) -> tuple[LaurentScalar, int] | None:
@@ -113,12 +146,69 @@ def _corner_power(f: AlgebraElement) -> tuple[LaurentScalar, int] | None:
     if len(f._terms) != 1:
         return None
     (codes, coeff), = f._terms.items()
-    if not codes:
-        return coeff, 0
-    corner = letter(1, f.shape.n, 0)
-    if len(codes) == 1 and corner < codes[0] < corner + EXP_LIMIT:
-        return coeff, codes[0] - corner
-    return None
+    d = _corner_exponent(codes, f.shape.n)
+    return None if d is None else (coeff, d)
+
+
+# A flat value N X[1,n]^-k is (N, k), N a flat sum without cancelled keys.  The
+# localized product, sum and canonical form below are the only ones: the
+# LocalizedElement operators and the expression evaluator both call them.
+Value = tuple[Flat, int]
+
+
+def _value(x: "LocalizedElement | AlgebraElement") -> Value:
+    """A localized or plain element as a flat value."""
+    numerator, k = (x.numerator, x.k) if isinstance(x, LocalizedElement) else (x, 0)
+    return _flatten({}, numerator._terms), k
+
+
+def _element(shape: Shape, value: Value) -> "LocalizedElement":
+    """The canonical element a flat value stands for."""
+    return LocalizedElement(_regroup(shape, value[0]), value[1])
+
+
+def _stripped(shape: Shape, value: Value) -> Value:
+    """A flat value in canonical form, the one ``LocalizedElement`` keeps."""
+    return _value(_element(shape, value))
+
+
+def _localized_product(shape: Shape, a: Value, b: Value) -> Value:
+    """f X^-k * g X^-l = f tau^k(g) X^-(k+l), X = X[1,n].  A factor c X^d
+    (d >= 0) moves in closed form: f c X^d = c f X^d and c X^d h = c tau^-d(h)
+    X^d; any other product is ``_product``, after its degree check."""
+    (f, k), (g, l) = a, b
+    if power := _flat_corner_power(g, shape.n):
+        c, d = power
+        h = f
+    elif power := _flat_corner_power(f, shape.n):
+        c, d = power
+        h = _tau(g, k - d, shape)
+    else:
+        product = _product(f, _tau(g, k, shape))
+        return {key: c for key, c in product.items() if c}, k + l
+    return _moved(h if c == {0: 1} else _shifted(h.items(), c), d, shape.n), k + l
+
+
+def _localized_sum(shape: Shape, *values: Value) -> Value:
+    """The sum of flat values over their common corner exponent, the largest
+    k: each numerator is moved up to it once and all of them are accumulated
+    in one dict, dropping what cancels."""
+    k = max((l for _, l in values), default=0)
+    acc: Flat = {}
+    for f, l in values:
+        for key, c in _moved(f, k - l, shape.n).items():
+            acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}, k
+
+
+def _localized_power(shape: Shape, value: Value, e: int) -> Value:
+    """value^e (e >= 0) by e products, after ``check_degree`` of e times its
+    numerator degree, which then bounds every product."""
+    check_degree(e * _max_degree(value[0]))
+    result = {((), 0): 1}, 0
+    for _ in range(e):
+        result = _localized_product(shape, result, value)
+    return result
 
 
 class LocalizedElement:
@@ -194,18 +284,7 @@ class LocalizedElement:
         if isinstance(other, (LaurentScalar, int)):
             return self._scaled(self.numerator * other)
         other = _coerce_localized(other, self.shape)
-        k = self.k + other.k
-        # f X^-k g X^-l = f tau^k(g) X^-(k+l), where a factor c X^d (d >= 0)
-        # moves in closed form: f c X^d = c f X^d and c X^d h = c tau^-d(h) X^d
-        if power := _corner_power(other.numerator):
-            c, d = power
-            f = self.numerator
-        elif power := _corner_power(self.numerator):
-            c, d = power
-            f = tau(other.numerator, self.k - d)
-        else:
-            return LocalizedElement(self.numerator * tau(other.numerator, self.k), k)
-        return LocalizedElement(_times_corner(f if c.is_one() else f.scale(c), d), k)
+        return _element(self.shape, _localized_product(self.shape, _value(self), _value(other)))
 
     def __rmul__(self, other) -> "LocalizedElement":
         if isinstance(other, (LaurentScalar, int)):
@@ -217,11 +296,7 @@ class LocalizedElement:
     def __pow__(self, e: int) -> "LocalizedElement":
         if e < 0:
             raise ValueError("negative powers are available only through the corner inverse")
-        check_degree(e * self.numerator.max_degree())
-        result = LocalizedElement(AlgebraElement.one(self.shape))
-        for _ in range(e):
-            result = result * self
-        return result
+        return _element(self.shape, _localized_power(self.shape, _value(self), e))
 
     def scale(self, c: LaurentScalar | int) -> "LocalizedElement":
         return self._scaled(self.numerator.scale(c))
@@ -230,12 +305,9 @@ class LocalizedElement:
     def sum(
         cls, shape: Shape, elements: Iterable["LocalizedElement | AlgebraElement"]
     ) -> "LocalizedElement":
-        """The sum of localized (or plain) elements, over their common corner
-        exponent: each numerator is written over the largest k once, and the
-        numerators are summed by ``AlgebraElement.sum``."""
-        elements = [_coerce_localized(x, shape) for x in elements]
-        k = max((x.k for x in elements), default=0)
-        return cls(AlgebraElement.sum(shape, (x.numerator_over(k) for x in elements)), k)
+        """The sum of localized (or plain) elements, by ``_localized_sum``."""
+        return _element(shape, _localized_sum(
+            shape, *(_value(_coerce_localized(x, shape)) for x in elements)))
 
     def render(self, limit: int | None = None) -> str:
         """Canonical text; a limit bounds the numerator as in ``AlgebraElement.render``."""

@@ -128,7 +128,13 @@ class LaurentScalar:
         return result
 
     def evaluate(self, q0: Fraction | int) -> Fraction:
-        """Value of the Laurent polynomial at q = q0 (q0 must be nonzero)."""
+        """Value of the Laurent polynomial at q = q0 (q0 must be nonzero).  At
+        an integer q0 the sum is taken in integers, over q0 to the lowest
+        exponent: q0^e_min * sum c q0^(e - e_min)."""
+        if isinstance(q0, int) and q0:
+            low = min(self._terms, default=0)
+            num = sum(c * q0 ** (e - low) for e, c in self._terms.items())
+            return Fraction(num, q0 ** -low) if low < 0 else Fraction(num * q0 ** low)
         q0 = Fraction(q0)
         if q0 == 0:
             raise ValueError("cannot evaluate a Laurent polynomial at q = 0")

@@ -227,6 +227,17 @@ def test_associativity_fuzz():
         assert (a * b) * c == a * (b * c)
 
 
+def test_a_scalar_factor_shifts_the_other_one():
+    # the product's fast paths for a factor over the empty monomial alone
+    s = Shape(3, 3)
+    rng = random.Random(31)
+    for c in (Q, Q_MINUS_QINV, LaurentScalar({-2: 3, 1: -1}), LaurentScalar()):
+        scalar = AlgebraElement.from_scalar(s, c)
+        for _ in range(20):
+            a = random_element(s, 3, rng)
+            assert scalar * a == a.scale(c) == a * scalar
+
+
 def test_generator_triples_associate():
     """(a b) c = a (b c) for every ordered triple of generators of 3x3.  The
     triples with a > b > c are the overlap ambiguities of the rewriting

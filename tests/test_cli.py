@@ -327,6 +327,41 @@ class TestCommands:
         assert main(["normalize", "--n", "2", f"(X[1,1]*inv1n)^{2**18}"]) == 2
         assert "exponent limit" in capsys.readouterr().err
 
+    def test_a_power_reads_the_degree_of_its_canonical_base(self, capsys):
+        # X[1,2]^4*inv1n^4 is 1 in the 2x2 localization: degree 0, whatever
+        # corner powers an uncanonical numerator would carry
+        assert main(["normalize", "--n", "2", "(X[1,2]^4*inv1n^4)^65536"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        # X[1,1]*X[1,2]*inv1n is X[1,1], of degree 1
+        assert main(["normalize", "--n", "2", f"(X[1,1]*X[1,2]*inv1n)^{2**18}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: product of degree up to 262144 exceeds the letter exponent limit 262143\n")
+
+    def test_exponent_guards_read_canonical_operands(self, capsys):
+        # the flat value of P*inv1n, P = X[1,3]^262143, keeps the corner power
+        # its canonical form X[1,3]^262142 cancels; moving it once more would
+        # pass the letter exponent limit
+        top = "(X[1,3]^511)^513"
+        assert main(["normalize", "--n", "3", f"{top}*inv1n*X[1,3]"]) == 0
+        assert capsys.readouterr().out == "X[1,3]^262143\n"
+        assert main(["normalize", "--n", "3", f"{top}*inv1n + X[1,3]^2*inv1n^2"]) == 0
+        assert capsys.readouterr().out == "1 + X[1,3]^262142\n"
+        assert main(["normalize", "--n", "3", f"{top}*X[1,3]"]) == 2
+        assert capsys.readouterr().err == (
+            "error: corner exponent 262144 exceeds the letter exponent limit 262143\n")
+
+    @pytest.mark.parametrize("sides", [(f"X[1,1]^{2**18}", "1"), ("1", f"X[1,1]^{2**18}")])
+    def test_equal_refuses_an_over_limit_exponent_on_either_side(self, capsys, sides):
+        assert main(["equal", "--n", "3", *sides]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "exponent limit" in out.err
+
+    def test_equal_reports_an_error_in_lhs_before_a_parse_error_in_rhs(self, capsys):
+        assert main(["equal", "--n", "3", "X[4,1]", "X[1,"]) == 2
+        assert capsys.readouterr().err == "error: generator X[4,1] out of range for shape 3x3\n"
+        assert main(["equal", "--n", "3", "X[1,1]", "X[1,"]) == 2
+        assert capsys.readouterr().err == "error: expected an integer (at position 4)\n"
+
     def test_minor_size_flag_only_where_it_is_read(self, capsys):
         assert main(["suite", "lemma23", "--m", "3", "--n", "3", "--t", "2"]) == 0
         assert main(["fit-exponents", "lemma23-eq1", "--t", "2"]) == 0

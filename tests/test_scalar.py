@@ -159,3 +159,20 @@ def test_scalar_on_the_left_of_an_element():
             assert getattr(Q, op)(element) is NotImplemented
         with pytest.raises(TypeError):
             Q + element
+
+
+@pytest.mark.parametrize("q0", [1, -1, 2, -3, Fraction(5, 7)])
+def test_evaluation_matches_the_fraction_sum(q0):
+    # an integer q0 is summed in integers, over q0 to the lowest exponent
+    rng = random.Random(f"evaluate {q0}")
+    for _ in range(200):
+        s = LaurentScalar({rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(rng.randint(0, 5))})
+        got = s.evaluate(q0)
+        assert type(got) is Fraction
+        assert got == sum((c * Fraction(q0) ** e for e, c in s.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("q0", [0, Fraction(0)])
+def test_evaluation_at_zero_is_refused(q0):
+    with pytest.raises(ValueError, match="q = 0"):
+        (Q + QINV).evaluate(q0)
