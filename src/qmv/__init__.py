@@ -30,7 +30,6 @@ from .localize import (
     full_x_prime_determinant,
     loc,
     minor_over_derived_generators,
-    tau,
     x_prime,
     x_prime_minor,
 )

@@ -22,10 +22,12 @@ negative powers are allowed only on q and through inv1n.
 
 Evaluation works on flat values: N X[1,n]^-k is the kernel's flat dict N with
 the corner exponent k, and nodes combine by the localization's flat product,
-sum and power.  A minor or derived atom is flattened once per (shape, node).
-``evaluate`` builds one canonical LocalizedElement at the end, whose
-denominator exponent is 0 whenever no localized atom occurs; ``difference``
-builds lhs - rhs as one, and parses and evaluates lhs before it parses rhs.
+sum and power.  Every flat value is canonical, as the atoms are and as those
+three return, so each guard reads the operands a canonical element holds.  A
+minor or derived atom is flattened once per (shape, node).  ``evaluate``
+builds one LocalizedElement at the end, whose denominator exponent is 0
+whenever no localized atom occurs; ``difference`` builds lhs - rhs as one, and
+parses and evaluates lhs before it parses rhs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from .algebra import GRID_LIMIT, AlgebraElement, Shape, gen
 from .localize import (
     LocalizedElement, Value, _element, _localized_power, _localized_product, _localized_sum,
-    _stripped, _value, x_prime, x_prime_minor,
+    _value, x_prime, x_prime_minor,
 )
 from .minors import minor
 
@@ -262,35 +264,25 @@ def _scalar(e: int, c: int = 1, k: int = 0) -> Value:
     return ({((), e): c} if c else {}), k
 
 
-def _exactly(op, shape: Shape, *values: Value) -> Value:
-    """op(shape, *values), where the letter-exponent guards of op read what a
-    canonical form holds: a flat value may keep corner powers its canonical
-    form cancels, so values the guards refuse are taken again, canonical."""
-    try:
-        return op(shape, *values)
-    except ValueError:
-        return op(shape, *(_stripped(shape, v) for v in values))
-
-
 def _negated(value: Value) -> Value:
     return {key: -c for key, c in value[0].items()}, value[1]
 
 
 def _evaluate(node, shape: Shape) -> Value:
-    """The flat value of an AST: N X[1,n]^-k as (N, k), by the localization's
-    flat product and sum.  Canonical forms are left to the caller."""
+    """The flat value of an AST: N X[1,n]^-k as (N, k) in canonical form, by
+    the localization's flat product, sum and power."""
     tag = node[0]
     if tag in ("mul", "add", "sub"):
         a, b = _evaluate(node[1], shape), _evaluate(node[2], shape)
         if tag == "mul":
-            return _exactly(_localized_product, shape, a, b)
-        return _exactly(_localized_sum, shape, a, b if tag == "add" else _negated(b))
+            return _localized_product(shape, a, b)
+        return _localized_sum(shape, a, b if tag == "add" else _negated(b))
     if tag == "gen":
-        return _value(gen(shape, node[1], node[2]))
+        return _value(gen(shape, node[1], node[2]), shape)
     if tag in _ATOM_TAGS:
         element, hit = _atom(node, shape), _ATOMS.get((shape, node))
         if hit is None or hit[0] is not element:
-            hit = _ATOMS[shape, node] = element, _value(element)
+            hit = _ATOMS[shape, node] = element, _value(element, shape)
         return hit[1]
     if tag == "num":
         return _scalar(0, node[1])
@@ -306,15 +298,13 @@ def _evaluate(node, shape: Shape) -> Value:
             return _scalar(e)
         if base == ("inv1n",):
             return _scalar(0, k=e)
-        # the degree guard reads the canonical base, as it did when every
-        # node was a canonical element
-        return _localized_power(shape, _stripped(shape, _evaluate(base, shape)), e)
+        return _localized_power(shape, _evaluate(base, shape), e)
     raise ValueError(f"unknown AST node {tag!r}")
 
 
 def evaluate(node, config: SessionConfig) -> LocalizedElement:
     """Evaluate an AST over the configured shape, in flat form, into one
-    canonical element; shape violations surface as ExprError/ValueError from
+    element; shape violations surface as ExprError/ValueError from
     the core modules."""
     return _element(config.shape, _evaluate(node, config.shape))
 
@@ -328,5 +318,4 @@ def difference(lhs: str, rhs: str, config: SessionConfig) -> LocalizedElement:
     rhs is parsed, so an error in lhs is the one reported."""
     shape = config.shape
     left = _evaluate(parse(lhs), shape)
-    return _element(shape, _exactly(_localized_sum, shape, left,
-                                    _negated(_evaluate(parse(rhs), shape))))
+    return _element(shape, _localized_sum(shape, left, _negated(_evaluate(parse(rhs), shape))))

@@ -9,10 +9,11 @@ in one pass the corner powers every numerator term holds, up to k.
 
 The arithmetic runs on flat values (N, k), N the kernel's flat
 {(codes, q exponent): int} sum: ``_tau`` twists, ``_moved`` moves the corner,
-and ``_localized_product``, ``_localized_sum`` and ``_localized_power`` are
-the only localized product, sum and power.  The ``LocalizedElement``
-operators wrap them, and the expression evaluator calls them directly and
-builds one canonical element at the end.
+``_canonical`` is the canonical form, and ``_localized_product``,
+``_localized_sum`` and ``_localized_power`` are the only localized product, sum
+and power; each returns a canonical value.  The ``LocalizedElement`` operators
+wrap them, and the expression evaluator calls them directly and builds one
+element at the end.
 
 On top of the localization this module builds the derived generators
 X'[i,j] = X[i,j] - q^-1 X[1,j] X[i,n] X[1,n]^-1, once per shape, and their
@@ -82,14 +83,6 @@ def _tau(flat: Flat, power: int, shape: Shape) -> Flat:
     return {(codes, e + power * w): c for ((codes, e), c), w in zip(flat.items(), weights)}
 
 
-def tau(a: AlgebraElement, power: int = 1) -> AlgebraElement:
-    """The automorphism with a * X[1,n] = X[1,n] * tau(a); tau^power for any
-    integer, by ``_tau``.  When no term moves, a itself is returned (elements
-    are immutable)."""
-    moved = _tau(flat := _flatten({}, a._terms), power, a.shape)
-    return a if moved is flat else _regroup(a.shape, moved)
-
-
 def _corner_moved(codes: Codes, d: int, n: int) -> tuple[Codes, int]:
     """The monomial times X[1,n]^d in closed form, as (monomial, q exponent),
     for any d leaving its corner exponent nonnegative.  X[1,n] commutes with
@@ -119,11 +112,6 @@ def _moved(flat: Flat, d: int, n: int) -> Flat:
     return out
 
 
-def _times_corner(f: AlgebraElement, d: int) -> AlgebraElement:
-    """f * X[1,n]^d by ``_moved``."""
-    return _regroup(f.shape, _moved(_flatten({}, f._terms), d, f.shape.n)) if d else f
-
-
 def _corner_exponent(codes: Codes, n: int) -> int | None:
     """d when the monomial is X[1,n]^d with d >= 0, else None."""
     # a letter of any other generator lies at least EXP_LIMIT from X[1,n]^0
@@ -141,35 +129,43 @@ def _flat_corner_power(flat: Flat, n: int) -> tuple[dict[int, int], int] | None:
     return {e: c for (_, e), c in flat.items()}, d
 
 
-def _corner_power(f: AlgebraElement) -> tuple[LaurentScalar, int] | None:
-    """(c, d) when f = c X[1,n]^d with d >= 0 (scalars included), else None."""
-    if len(f._terms) != 1:
-        return None
-    (codes, coeff), = f._terms.items()
-    d = _corner_exponent(codes, f.shape.n)
-    return None if d is None else (coeff, d)
-
-
 # A flat value N X[1,n]^-k is (N, k), N a flat sum without cancelled keys.  The
 # localized product, sum and canonical form below are the only ones: the
 # LocalizedElement operators and the expression evaluator both call them.
 Value = tuple[Flat, int]
 
 
-def _value(x: "LocalizedElement | AlgebraElement") -> Value:
-    """A localized or plain element as a flat value."""
+def _strip(monomials: Iterable[Codes], k: int, n: int) -> int:
+    """The corner power that every monomial holds, up to k."""
+    for codes in monomials:
+        if not k:
+            break
+        k = min(k, exponent(codes, (1, n)))
+    return k
+
+
+def _canonical(value: Value, n: int) -> Value:
+    """A flat value in canonical form (k = 0, or some numerator term has corner
+    exponent 0): the corner power every term holds, up to k, is moved out in
+    one pass, and a zero numerator has k = 0."""
+    flat, k = value
+    strip = _strip((codes for codes, _ in flat), k, n)
+    return (_moved(flat, -strip, n), k - strip) if flat else (flat, 0)
+
+
+def _value(x: "LocalizedElement | AlgebraElement", shape: Shape) -> Value:
+    """A localized or plain element of the given shape as a flat value."""
     numerator, k = (x.numerator, x.k) if isinstance(x, LocalizedElement) else (x, 0)
+    if not isinstance(numerator, AlgebraElement):
+        raise TypeError(f"cannot treat {type(x).__name__} as a localized element")
+    if numerator.shape != shape:
+        raise ValueError(f"shape mismatch: {numerator.shape} vs {shape}")
     return _flatten({}, numerator._terms), k
 
 
 def _element(shape: Shape, value: Value) -> "LocalizedElement":
-    """The canonical element a flat value stands for."""
+    """The element a flat value stands for."""
     return LocalizedElement(_regroup(shape, value[0]), value[1])
-
-
-def _stripped(shape: Shape, value: Value) -> Value:
-    """A flat value in canonical form, the one ``LocalizedElement`` keeps."""
-    return _value(_element(shape, value))
 
 
 def _localized_product(shape: Shape, a: Value, b: Value) -> Value:
@@ -185,20 +181,21 @@ def _localized_product(shape: Shape, a: Value, b: Value) -> Value:
         h = _tau(g, k - d, shape)
     else:
         product = _product(f, _tau(g, k, shape))
-        return {key: c for key, c in product.items() if c}, k + l
-    return _moved(h if c == {0: 1} else _shifted(h.items(), c), d, shape.n), k + l
+        return _canonical(({key: c for key, c in product.items() if c}, k + l), shape.n)
+    moved = _moved(h if c == {0: 1} else _shifted(h.items(), c), d, shape.n)
+    return _canonical((moved, k + l), shape.n)
 
 
 def _localized_sum(shape: Shape, *values: Value) -> Value:
     """The sum of flat values over their common corner exponent, the largest
     k: each numerator is moved up to it once and all of them are accumulated
-    in one dict, dropping what cancels."""
+    in one dict, dropping what cancels.  The sum is returned in canonical form."""
     k = max((l for _, l in values), default=0)
     acc: Flat = {}
     for f, l in values:
         for key, c in _moved(f, k - l, shape.n).items():
             acc[key] = acc.get(key, 0) + c
-    return {key: c for key, c in acc.items() if c}, k
+    return _canonical(({key: c for key, c in acc.items() if c}, k), shape.n)
 
 
 def _localized_power(shape: Shape, value: Value, e: int) -> Value:
@@ -220,26 +217,11 @@ class LocalizedElement:
     def __init__(self, numerator: AlgebraElement, k: int = 0):
         if k < 0:
             raise ValueError("denominator exponent must be nonnegative")
-        if k and numerator:
-            # strip the corner powers that every numerator term holds, up to k
-            corner, strip = (1, numerator.shape.n), k
-            for mono in numerator._terms:
-                strip = min(strip, exponent(mono, corner))
-                if not strip:
-                    break
-            numerator, k = _times_corner(numerator, -strip), k - strip
-        if not numerator:
-            k = 0
+        if _strip(numerator._terms, k, numerator.shape.n):
+            flat, k = _canonical((_flatten({}, numerator._terms), k), numerator.shape.n)
+            numerator = _regroup(numerator.shape, flat)
         self.numerator = numerator
         self.k = k
-
-    def _scaled(self, numerator: AlgebraElement) -> "LocalizedElement":
-        """``numerator``, this element's numerator times a scalar, over X[1,n]^-k
-        (k = 0 when it is zero): canonical without the strip scan, since
-        Z[q,q^-1] has no zero divisors."""
-        out = object.__new__(LocalizedElement)
-        out.numerator, out.k = numerator, self.k if numerator else 0
-        return out
 
     @property
     def shape(self) -> Shape:
@@ -263,7 +245,8 @@ class LocalizedElement:
 
     def numerator_over(self, k: int) -> AlgebraElement:
         """Numerator when written over X[1,n]^-k (k >= self.k)."""
-        return _times_corner(self.numerator, k - self.k)
+        moved = _moved(_flatten({}, self.numerator._terms), k - self.k, self.shape.n)
+        return _regroup(self.shape, moved)
 
     def __add__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
         return LocalizedElement.sum(self.shape, (self, other))
@@ -272,42 +255,36 @@ class LocalizedElement:
         return self + other
 
     def __neg__(self) -> "LocalizedElement":
-        return self._scaled(-self.numerator)
+        return LocalizedElement(-self.numerator, self.k)
 
     def __sub__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
-        return LocalizedElement.sum(self.shape, (self, -_coerce_localized(other, self.shape)))
+        return self + -other
 
     def __rsub__(self, other: AlgebraElement) -> "LocalizedElement":
-        return _coerce_localized(other, self.shape) - self
+        return -self + other
 
     def __mul__(self, other) -> "LocalizedElement":
         if isinstance(other, (LaurentScalar, int)):
-            return self._scaled(self.numerator * other)
-        other = _coerce_localized(other, self.shape)
-        return _element(self.shape, _localized_product(self.shape, _value(self), _value(other)))
+            return LocalizedElement(self.numerator * other, self.k)
+        return _element(self.shape, _localized_product(
+            self.shape, _value(self, self.shape), _value(other, self.shape)))
 
     def __rmul__(self, other) -> "LocalizedElement":
         if isinstance(other, (LaurentScalar, int)):
-            return self._scaled(self.numerator * other)
+            return self * other
         if isinstance(other, AlgebraElement):
-            return _coerce_localized(other, self.shape) * self
+            return LocalizedElement(other) * self
         return NotImplemented
 
-    def __pow__(self, e: int) -> "LocalizedElement":
-        if e < 0:
-            raise ValueError("negative powers are available only through the corner inverse")
-        return _element(self.shape, _localized_power(self.shape, _value(self), e))
-
     def scale(self, c: LaurentScalar | int) -> "LocalizedElement":
-        return self._scaled(self.numerator.scale(c))
+        return LocalizedElement(self.numerator.scale(c), self.k)
 
     @classmethod
     def sum(
         cls, shape: Shape, elements: Iterable["LocalizedElement | AlgebraElement"]
     ) -> "LocalizedElement":
         """The sum of localized (or plain) elements, by ``_localized_sum``."""
-        return _element(shape, _localized_sum(
-            shape, *(_value(_coerce_localized(x, shape)) for x in elements)))
+        return _element(shape, _localized_sum(shape, *(_value(x, shape) for x in elements)))
 
     def render(self, limit: int | None = None) -> str:
         """Canonical text; a limit bounds the numerator as in ``AlgebraElement.render``."""
@@ -324,18 +301,6 @@ class LocalizedElement:
 
     def __repr__(self) -> str:
         return f"<{self.shape} localized: {self}>"
-
-
-def _coerce_localized(x, shape: Shape) -> LocalizedElement:
-    if isinstance(x, LocalizedElement):
-        if x.shape != shape:
-            raise ValueError(f"shape mismatch: {x.shape} vs {shape}")
-        return x
-    if isinstance(x, AlgebraElement):
-        if x.shape != shape:
-            raise ValueError(f"shape mismatch: {x.shape} vs {shape}")
-        return LocalizedElement(x)
-    raise TypeError(f"cannot treat {type(x).__name__} as a localized element")
 
 
 def loc(a: AlgebraElement) -> LocalizedElement:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -37,7 +37,9 @@ from .algebra import (
     Bidegree,
     Codes,
     Shape,
+    _flatten,
     _mono_times_gen,
+    _regroup,
     component_basis,
     exponent,
     gen,
@@ -49,8 +51,8 @@ from .algebra import (
 from .checks import IdentityCheck, check_zero
 from .localize import (
     _commutation,
-    _corner_power,
-    _times_corner,
+    _flat_corner_power,
+    _moved,
     corner_inverse,
     correction_products,
     loc,
@@ -368,16 +370,23 @@ class MembershipProblem:
     @cached_property
     def system(self) -> ElementSystem:
         """One column left_i * mono * right_i per unknown and basis monomial."""
-        return _element_system((_column(unk, AlgebraElement(self.shape, {mono: ONE}))
-                                for unk in self.unknowns for mono in unk.basis), self.target)
+        return _element_system((col for unk in self.unknowns for col in _columns(unk)),
+                               self.target)
 
 
-def _column(unk: UnknownCofactor, mono: AlgebraElement) -> AlgebraElement:
-    """left * mono * right, where a factor 1 is skipped and a right factor
-    X[1,n]^d moves the corner in closed form."""
-    col = mono if _corner_power(unk.left) == (ONE, 0) else unk.left * mono
-    right = _corner_power(unk.right)
-    return _times_corner(col, right[1]) if right and right[0] == ONE else col * unk.right
+def _columns(unk: UnknownCofactor) -> Iterator[AlgebraElement]:
+    """left * mono * right for each basis monomial, where a factor 1 is skipped
+    and a right factor X[1,n]^d moves the corner in closed form; both factors
+    are read once for all the monomials."""
+    shape = unk.left.shape
+    left, right = (_flat_corner_power(_flatten({}, f._terms), shape.n) for f in (unk.left, unk.right))
+    for mono in unk.basis:
+        col = AlgebraElement(shape, {mono: ONE})
+        col = col if left == ({0: 1}, 0) else unk.left * col
+        if right and right[0] == {0: 1}:
+            yield _regroup(shape, _moved(_flatten({}, col._terms), right[1], shape.n))
+        else:
+            yield col * unk.right
 
 
 def solve_membership(problem: MembershipProblem):

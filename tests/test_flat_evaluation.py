@@ -1,11 +1,16 @@
-"""The expression evaluator's flat form against a fold through the localized operators.
+"""The expression evaluator's flat form against an independent fold.
 
-``oracle`` evaluates an AST the way the evaluator did before it worked on flat
-values: every node becomes a canonical ``LocalizedElement`` and the nodes are
-combined by that class's operators.  The flat evaluator must print the same
-element and raise the same errors.
+``oracle`` evaluates an AST as a common-denominator fold over the algebra's
+own arithmetic: a node is N X[1,n]^-k, sums lift both numerators to the larger
+k by right factors X[1,n]^d, and products move X[1,n]^-k across by
+substitution into each ordered monomial.  It shares no code with the
+localization's flat product, sum, power or corner moves; each node is
+canonicalized through ``LocalizedElement(N, k)``, so the degree guards read
+what a canonical value holds.  The flat evaluator must print the same element
+and raise the same errors.
 """
 
+import functools
 import importlib.util
 import random
 import sys
@@ -14,11 +19,11 @@ from pathlib import Path
 import pytest
 
 from qmv import cli
-from qmv.algebra import AlgebraElement, Shape, gen
+from qmv.algebra import AlgebraElement, Shape, check_degree, gen, word
 from qmv.cli import main
 from qmv.expr import SessionConfig, evaluate, parse
-from qmv.localize import LocalizedElement, corner_inverse, loc, x_prime, x_prime_minor
-from qmv.minors import minor
+from qmv.localize import LocalizedElement, x_prime
+from qmv.minors import MinorSpec, minor
 from qmv.scalar import LaurentScalar
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,10 +32,59 @@ TAGS = {"num", "q", "gen", "xp", "minor", "pminor", "comp", "det", "inv1n", "neg
         "mul", "pow"}
 
 
+def _twisted(g: AlgebraElement, k: int) -> AlgebraElement:
+    """tau^k(g), for which X[1,n]^-k g = tau^k(g) X[1,n]^-k: q^(k w) X[i,j]
+    substituted into each ordered monomial of g, w = +1 in row 1 and -1 in
+    column n (0 at the corner and elsewhere), as the defining relations
+    X[1,j] X[1,n] = q X[1,n] X[1,j] and X[i,n] X[1,n] = q^-1 X[1,n] X[i,n] read."""
+    shape = g.shape
+    total = AlgebraElement.zero(shape)
+    for mono, coeff in g.terms():
+        prod = AlgebraElement.from_scalar(shape, coeff)
+        for i, j in word(mono):
+            w = (i == 1) - (j == shape.n)
+            prod = prod * gen(shape, i, j).scale(LaurentScalar.q_power(k * w))
+        total = total + prod
+    return total
+
+
+def _sum(a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
+    """N X^-k + M X^-l = (N X^(K-k) + M X^(K-l)) X^-K, K the larger exponent."""
+    corner, top = gen(a.shape, 1, a.shape.n), max(a.k, b.k)
+    return LocalizedElement(
+        a.numerator * corner ** (top - a.k) + b.numerator * corner ** (top - b.k), top)
+
+
+def _product(a: LocalizedElement, b: LocalizedElement) -> LocalizedElement:
+    """f X^-k g X^-l = f tau^k(g) X^-(k+l)."""
+    return LocalizedElement(a.numerator * _twisted(b.numerator, a.k), a.k + b.k)
+
+
+def _negated(a: LocalizedElement) -> LocalizedElement:
+    return LocalizedElement(-a.numerator, a.k)
+
+
+@functools.lru_cache(maxsize=None)
+def _derived_minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> LocalizedElement:
+    """[rows|cols]': the minor expanded on the (m-1)x(n-1) grid, with the
+    derived generators substituted into each ordered monomial."""
+    spec = MinorSpec(rows, cols)
+    if rows[0] < 2 or rows[-1] > shape.m or cols[0] < 1 or cols[-1] > shape.n - 1:
+        raise ValueError(f"derived minor {spec}' does not fit in shape {shape}")
+    abstract = minor(Shape(shape.m - 1, shape.n - 1), [r - 1 for r in rows], cols)
+    total = LocalizedElement(AlgebraElement.zero(shape))
+    for mono, coeff in abstract.terms():
+        prod = LocalizedElement(AlgebraElement.from_scalar(shape, coeff))
+        for r, c in word(mono):
+            prod = _product(prod, x_prime(shape, r + 1, c))
+        total = _sum(total, prod)
+    return total
+
+
 def oracle(node, config: SessionConfig) -> LocalizedElement:
-    """The AST folded through the LocalizedElement operators, one canonical
-    element per node."""
+    """The AST folded over common denominators, one canonical element per node."""
     shape = config.shape
+    scalar = lambda c, k=0: LocalizedElement(AlgebraElement.from_scalar(shape, c), k)
 
     def leading_square(k: int, what: str) -> None:
         if k < 1 or k > min(shape.m, shape.n):
@@ -39,54 +93,59 @@ def oracle(node, config: SessionConfig) -> LocalizedElement:
     def ev(node) -> LocalizedElement:
         tag = node[0]
         if tag == "num":
-            return loc(AlgebraElement.from_scalar(shape, node[1]))
+            return scalar(node[1])
         if tag == "q":
-            return loc(AlgebraElement.from_scalar(shape, LaurentScalar.q_power(1)))
+            return scalar(LaurentScalar.q_power(1))
         if tag == "gen":
-            return loc(gen(shape, node[1], node[2]))
+            return LocalizedElement(gen(shape, node[1], node[2]))
         if tag == "xp":
             return x_prime(shape, node[1], node[2])
         if tag == "minor":
-            return loc(minor(shape, node[1], node[2]))
+            return LocalizedElement(minor(shape, node[1], node[2]))
         if tag == "pminor":
-            return x_prime_minor(shape, node[1], node[2])
+            return _derived_minor(shape, node[1], node[2])
         if tag == "comp":
             i, j, k = node[1], node[2], node[3]
             leading_square(k, f"A({i},{j})")
             if not (1 <= i <= k and 1 <= j <= k):
                 raise ValueError(f"A({i},{j})@{k} indices out of range")
             if k == 1:
-                return loc(AlgebraElement.one(shape))
+                return scalar(1)
             rows = [r for r in range(1, k + 1) if r != i]
             cols = [c for c in range(1, k + 1) if c != j]
-            return loc(minor(shape, rows, cols))
+            return LocalizedElement(minor(shape, rows, cols))
         if tag == "det":
             k = node[1]
             leading_square(k, "Dq")
-            return loc(minor(shape, range(1, k + 1), range(1, k + 1)))
+            return LocalizedElement(minor(shape, range(1, k + 1), range(1, k + 1)))
         if tag == "inv1n":
-            return corner_inverse(shape)
+            return scalar(1, 1)
         if tag == "neg":
-            return -ev(node[1])
+            return _negated(ev(node[1]))
         if tag == "add":
-            return ev(node[1]) + ev(node[2])
+            return _sum(ev(node[1]), ev(node[2]))
         if tag == "sub":
-            return ev(node[1]) - ev(node[2])
+            return _sum(ev(node[1]), _negated(ev(node[2])))
         if tag == "mul":
-            return ev(node[1]) * ev(node[2])
+            return _product(ev(node[1]), ev(node[2]))
         base, e = node[1], node[2]
         if base == ("q",):
-            return loc(AlgebraElement.from_scalar(shape, LaurentScalar.q_power(e)))
+            return scalar(LaurentScalar.q_power(e))
         if base == ("inv1n",):
-            return corner_inverse(shape, e)
-        return ev(base) ** e
+            return scalar(1, e)
+        value = ev(base)
+        check_degree(e * value.numerator.max_degree())
+        result = scalar(1)
+        for _ in range(e):
+            result = _product(result, value)
+        return result
 
     return ev(node)
 
 
 def oracle_difference(lhs: str, rhs: str, config: SessionConfig) -> LocalizedElement:
     left = oracle(parse(lhs), config)
-    return left - oracle(parse(rhs), config)
+    return _sum(left, _negated(oracle(parse(rhs), config)))
 
 
 def _subset(rng: random.Random, lo: int, hi: int, p: int) -> tuple[int, ...]:

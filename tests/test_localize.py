@@ -6,10 +6,15 @@ import random
 import pytest
 
 from qmv import laws
-from qmv.algebra import AlgebraElement, Shape, gen, monomial, random_element
+from qmv.algebra import AlgebraElement, Shape, _flatten, _regroup, gen, monomial, random_element
 from qmv.localize import (
     LocalizedElement,
-    _times_corner,
+    _canonical,
+    _localized_power,
+    _localized_product,
+    _localized_sum,
+    _moved,
+    _tau,
     check_det_reduction,
     check_minor_commutation,
     check_minor_reduction,
@@ -18,7 +23,6 @@ from qmv.localize import (
     full_x_prime_determinant,
     loc,
     minor_over_derived_generators,
-    tau,
     x_prime,
     x_prime_minor,
     x_prime_minor_substituted,
@@ -26,6 +30,14 @@ from qmv.localize import (
 from qmv.minors import minor, qdet
 from qmv.scalar import ONE, Q, Q_MINUS_QINV, QINV, LaurentScalar
 from qmv.verify import run_suite
+
+
+def flat(a: AlgebraElement):
+    return _flatten({}, a._terms)
+
+
+def tau(a: AlgebraElement, power: int = 1) -> AlgebraElement:
+    return _regroup(a.shape, _tau(flat(a), power, a.shape))
 
 
 def test_tau_on_generators():
@@ -37,25 +49,29 @@ def test_tau_on_generators():
 
 
 def test_tau_contract_fuzz():
+    # a X[1,n] = X[1,n] tau(a), where a X[1,n] is both the kernel product and the
+    # closed-form corner move
     rng = random.Random(9)
     for shape in (Shape(2, 2), Shape(3, 3), Shape(3, 4)):
         corner = gen(shape, 1, shape.n)
         for _ in range(170):
             a = random_element(shape, 3, rng)
-            assert a * corner == corner * tau(a)
+            assert a * corner == corner * tau(a) == _regroup(shape, _moved(flat(a), 1, shape.n))
             assert tau(tau(a, 1), -1) == a
 
 
 def test_tau_to_the_zero_returns_its_argument():
-    a = minor(Shape(3, 3), (1, 2), (2, 3))
-    assert tau(a, 0) is a
+    a = flat(minor(Shape(3, 3), (1, 2), (2, 3)))
+    assert _tau(a, 0, Shape(3, 3)) is a
+    assert _moved(a, 0, 3) is a
 
 
 def test_tau_returns_an_element_no_term_of_which_moves():
     # every term of a minor through row 1 and column n has weight 0
     s = Shape(3, 3)
     a = minor(s, (1, 2), (2, 3))
-    assert tau(a, 3) is a
+    f = flat(a)
+    assert _tau(f, 3, s) is f
     b = a + gen(s, 1, 1)
     assert tau(b, 2) == a + gen(s, 1, 1).scale(Q * Q)
 
@@ -91,11 +107,11 @@ def test_corner_closed_form_matches_the_kernel():
     for shape in (Shape(3, 3), Shape(2, 4)):
         corner = gen(shape, 1, shape.n)
         for _ in range(30):
-            f = random_element(shape, 3, rng)
-            via_kernel = f
+            f = flat(random_element(shape, 3, rng))
+            via_kernel = _regroup(shape, f)
             for d in range(4):
-                assert _times_corner(f, d) == via_kernel
-                assert _times_corner(_times_corner(f, d), -d) == f
+                assert _regroup(shape, _moved(f, d, shape.n)) == via_kernel
+                assert _moved(_moved(f, d, shape.n), -d, shape.n) == f
                 via_kernel = via_kernel * corner
 
 
@@ -164,9 +180,35 @@ def test_canonical_form_soundness():
             assert LocalizedElement(f * corner, k + 1) == LocalizedElement(f, k)
 
 
+def test_localized_arithmetic_returns_canonical_values():
+    # every flat product, sum and power comes back as its own canonical form,
+    # whatever corner powers the numerators of its operands hold
+    rng = random.Random(47)
+    for shape in (Shape(2, 2), Shape(2, 3), Shape(3, 3), Shape(3, 4)):
+        n, corner, one = shape.n, gen(shape, 1, shape.n), AlgebraElement.one(shape)
+        value = lambda f, k=0: _canonical((flat(f), k), n)
+        negated = lambda v: ({key: -c for key, c in v[0].items()}, v[1])
+        # X[1,n] inv1n - 1 + X[1,n] is X[1,n]: the product strips to 1, which cancels
+        unit = _localized_product(shape, value(corner), value(one, 1))
+        assert unit == value(one) == (flat(one), 0)
+        assert _localized_sum(shape, unit, value(-one), value(corner)) == (flat(corner), 0)
+        # (X[2,1] + X[1,n]^2) inv1n - X[2,1] inv1n: only the corner term is left
+        lifted = value(gen(shape, 2, 1) + corner ** 2, 1)
+        assert _localized_sum(shape, lifted, value(-gen(shape, 2, 1), 1)) == (flat(corner), 0)
+        results = []
+        for _ in range(25):
+            a, b = (value(random_element(shape, 2, rng) * corner ** rng.randint(0, 2),
+                          rng.randint(0, 3)) for _ in range(2))
+            results += [_localized_product(shape, a, b), _localized_product(shape, b, a),
+                        _localized_sum(shape, a, b), _localized_sum(shape, a, negated(a)),
+                        _localized_power(shape, a, rng.randint(0, 2))]
+            assert _localized_sum(shape, a, negated(a)) == ({}, 0)
+        assert all(result == _canonical(result, n) for result in results)
+
+
 def test_scalar_operations_keep_the_canonical_form():
-    # negation and scaling skip the strip scan; they must agree with it,
-    # and a zero scalar must leave k = 0
+    # negation and scaling agree with the canonical form of the scaled
+    # numerator, and a zero scalar leaves k = 0
     s = Shape(3, 3)
     rng = random.Random(43)
     seen = set()
