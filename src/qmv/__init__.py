@@ -25,10 +25,8 @@ from .localize import (
     check_det_reduction,
     check_minor_commutation,
     check_minor_reduction,
-    corner_inverse,
     expand_minor_without_corner,
     full_x_prime_determinant,
-    loc,
     minor_over_derived_generators,
     x_prime,
     x_prime_minor,

@@ -11,9 +11,9 @@ The arithmetic runs on flat values (N, k), N the kernel's flat
 {(codes, q exponent): int} sum: ``_tau`` twists, ``_moved`` moves the corner,
 ``_canonical`` is the canonical form, and ``_localized_product``,
 ``_localized_sum`` and ``_localized_power`` are the only localized product, sum
-and power; each returns a canonical value.  The ``LocalizedElement`` operators
-wrap them, and the expression evaluator calls them directly and builds one
-element at the end.
+and power; each returns a canonical value.  ``combined``, a sum of products
+built into one element, computes every other localized value through them; the
+expression evaluator calls them directly and builds one element at the end.
 
 On top of the localization this module builds the derived generators
 X'[i,j] = X[i,j] - q^-1 X[1,j] X[i,n] X[1,n]^-1, once per shape, and their
@@ -112,26 +112,22 @@ def _moved(flat: Flat, d: int, n: int) -> Flat:
     return out
 
 
-def _corner_exponent(codes: Codes, n: int) -> int | None:
-    """d when the monomial is X[1,n]^d with d >= 0, else None."""
-    # a letter of any other generator lies at least EXP_LIMIT from X[1,n]^0
-    d = codes[0] - letter(1, n, 0) if len(codes) == 1 else -1 if codes else 0
-    return d if 0 <= d < EXP_LIMIT else None
-
-
 def _flat_corner_power(flat: Flat, n: int) -> tuple[dict[int, int], int] | None:
     """({q exponent: coefficient}, d) when a flat sum is c X[1,n]^d with d >= 0
     (scalars included), else None."""
     codes = next(iter(flat), (None,))[0]
-    d = None if codes is None else _corner_exponent(codes, n)
-    if d is None or any(key[0] != codes for key in flat):
+    if codes is None or len(codes) > 1:
+        return None
+    # a letter of any other generator lies at least EXP_LIMIT from X[1,n]^0
+    d = codes[0] - letter(1, n, 0) if codes else 0
+    if not 0 <= d < EXP_LIMIT or any(key[0] != codes for key in flat):
         return None
     return {e: c for (_, e), c in flat.items()}, d
 
 
 # A flat value N X[1,n]^-k is (N, k), N a flat sum without cancelled keys.  The
-# localized product, sum and canonical form below are the only ones: the
-# LocalizedElement operators and the expression evaluator both call them.
+# localized product, sum and canonical form below are the only ones: ``combined``
+# and the expression evaluator both call them.
 Value = tuple[Flat, int]
 
 
@@ -153,8 +149,11 @@ def _canonical(value: Value, n: int) -> Value:
     return (_moved(flat, -strip, n), k - strip) if flat else (flat, 0)
 
 
-def _value(x: "LocalizedElement | AlgebraElement", shape: Shape) -> Value:
-    """A localized or plain element of the given shape as a flat value."""
+def _value(x: "LocalizedElement | AlgebraElement | Value", shape: Shape) -> Value:
+    """A localized or plain element of the given shape as a flat value; a flat
+    value is returned as it is."""
+    if isinstance(x, tuple):
+        return x
     numerator, k = (x.numerator, x.k) if isinstance(x, LocalizedElement) else (x, 0)
     if not isinstance(numerator, AlgebraElement):
         raise TypeError(f"cannot treat {type(x).__name__} as a localized element")
@@ -196,6 +195,24 @@ def _localized_sum(shape: Shape, *values: Value) -> Value:
         for key, c in _moved(f, k - l, shape.n).items():
             acc[key] = acc.get(key, 0) + c
     return _canonical(({key: c for key, c in acc.items() if c}, k), shape.n)
+
+
+def combined(shape: Shape, *terms) -> "LocalizedElement":
+    """The sum of c f1 ... fr over terms (c, f1, ..., fr), as one canonical
+    element: c an int or a ``LaurentScalar``, each f a plain or localized
+    element or its flat value.  c goes on the first factor, and is skipped
+    when it is 1; a term with c = 0 adds nothing."""
+    values = []
+    for c, first, *rest in terms:
+        if not c:
+            continue
+        value = _value(first, shape)
+        if c != 1:
+            value = _shifted(value[0].items(), {0: c} if isinstance(c, int) else c._terms), value[1]
+        for f in rest:
+            value = _localized_product(shape, value, _value(f, shape))
+        values.append(value)
+    return _element(shape, _localized_sum(shape, *values))
 
 
 def _localized_power(shape: Shape, value: Value, e: int) -> Value:
@@ -243,48 +260,13 @@ class LocalizedElement:
     def __hash__(self) -> int:
         return hash((self.numerator, self.k))
 
-    def numerator_over(self, k: int) -> AlgebraElement:
-        """Numerator when written over X[1,n]^-k (k >= self.k)."""
-        moved = _moved(_flatten({}, self.numerator._terms), k - self.k, self.shape.n)
-        return _regroup(self.shape, moved)
+    # perfbench/tracer.py times __init__, __mul__ and __add__ by name; nothing in
+    # qmv calls the two operators, which compute through ``combined``
+    def __mul__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
+        return combined(self.shape, (1, self, other))
 
     def __add__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
-        return LocalizedElement.sum(self.shape, (self, other))
-
-    def __radd__(self, other: AlgebraElement) -> "LocalizedElement":
-        return self + other
-
-    def __neg__(self) -> "LocalizedElement":
-        return LocalizedElement(-self.numerator, self.k)
-
-    def __sub__(self, other: "LocalizedElement | AlgebraElement") -> "LocalizedElement":
-        return self + -other
-
-    def __rsub__(self, other: AlgebraElement) -> "LocalizedElement":
-        return -self + other
-
-    def __mul__(self, other) -> "LocalizedElement":
-        if isinstance(other, (LaurentScalar, int)):
-            return LocalizedElement(self.numerator * other, self.k)
-        return _element(self.shape, _localized_product(
-            self.shape, _value(self, self.shape), _value(other, self.shape)))
-
-    def __rmul__(self, other) -> "LocalizedElement":
-        if isinstance(other, (LaurentScalar, int)):
-            return self * other
-        if isinstance(other, AlgebraElement):
-            return LocalizedElement(other) * self
-        return NotImplemented
-
-    def scale(self, c: LaurentScalar | int) -> "LocalizedElement":
-        return LocalizedElement(self.numerator.scale(c), self.k)
-
-    @classmethod
-    def sum(
-        cls, shape: Shape, elements: Iterable["LocalizedElement | AlgebraElement"]
-    ) -> "LocalizedElement":
-        """The sum of localized (or plain) elements, by ``_localized_sum``."""
-        return _element(shape, _localized_sum(shape, *(_value(x, shape) for x in elements)))
+        return combined(self.shape, (1, self), (1, other))
 
     def render(self, limit: int | None = None) -> str:
         """Canonical text; a limit bounds the numerator as in ``AlgebraElement.render``."""
@@ -301,16 +283,6 @@ class LocalizedElement:
 
     def __repr__(self) -> str:
         return f"<{self.shape} localized: {self}>"
-
-
-def loc(a: AlgebraElement) -> LocalizedElement:
-    """Embed an ordinary element into the localization."""
-    return LocalizedElement(a)
-
-
-def corner_inverse(shape: Shape, k: int = 1) -> LocalizedElement:
-    """X[1,n]^-k."""
-    return LocalizedElement(AlgebraElement.one(shape), k)
 
 
 @lru_cache(maxsize=None)
@@ -357,9 +329,8 @@ def x_prime_minor(
 def _x_prime_minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> LocalizedElement:
     if len(rows) == 1:
         return x_prime(shape, rows[0], cols[0])
-    return LocalizedElement.sum(shape, (
-        x_prime(shape, *t.gen).scale(LaurentScalar.minus_q_power(t.exponent))
-        * _x_prime_minor(shape, *t.minor)
+    return combined(shape, *(
+        (LaurentScalar.minus_q_power(t.exponent), x_prime(shape, *t.gen), _x_prime_minor(shape, *t.minor))
         for t in laws.row_terms(rows, cols, 1, rows[0])
     ))
 
@@ -372,13 +343,8 @@ def x_prime_minor_substituted(
     small = Shape(shape.m - 1, shape.n - 1)
     abstract = minor(small, [r - 1 for r in rows], list(cols))
     entries = x_prime_entries(shape)
-    total = LocalizedElement(AlgebraElement.zero(shape))
-    for mono, coeff in abstract.terms():
-        prod = LocalizedElement(AlgebraElement.one(shape))
-        for (r, c) in word(mono):
-            prod = prod * entries[(r + 1, c)]
-        total = total + prod.scale(coeff)
-    return total
+    return combined(shape, *((coeff, *(entries[r + 1, c] for r, c in word(mono)))
+                             for mono, coeff in abstract.terms()))
 
 
 def full_x_prime_determinant(shape: Shape) -> LocalizedElement:
@@ -393,10 +359,11 @@ def check_det_reduction(n: int) -> list[IdentityCheck]:
     full determinant, on either side of the corner."""
     right_name, left_name = det_reduction_names(n)
     shape = Shape(n, n)
-    detp = full_x_prime_determinant(shape)
-    corner = loc(gen(shape, 1, n))
-    rhs = minor(shape, range(1, n + 1), range(1, n + 1)).scale(LaurentScalar.minus_q_power(1 - n))
-    return [check_zero(right_name, detp * corner - rhs), check_zero(left_name, corner * detp - rhs)]
+    detp, corner = full_x_prime_determinant(shape), gen(shape, 1, n)
+    # the right side as a term, subtracted
+    rhs = -LaurentScalar.minus_q_power(1 - n), minor(shape, range(1, n + 1), range(1, n + 1))
+    return [check_zero(right_name, combined(shape, (1, detp, corner), rhs)),
+            check_zero(left_name, combined(shape, (1, corner, detp), rhs))]
 
 
 def det_reduction_names(n: int) -> list[str]:
@@ -416,13 +383,11 @@ def check_minor_reduction(shape: Shape, rows: tuple[int, ...], cols: tuple[int, 
     p = len(rows)
     if p < 2 or rows[0] != 1 or cols[-1] != shape.n:
         raise ValueError("reduction needs p >= 2, row 1 present, and column n present")
-    mp = x_prime_minor(shape, rows[1:], cols[:-1])
-    big = minor(shape, rows, cols)
-    scaled = LaurentScalar.minus_q_power(1 - p)
-    right = LocalizedElement(big.scale(scaled), 1)
-    left = corner_inverse(shape).scale(scaled) * big
+    mp, scaled = x_prime_minor(shape, rows[1:], cols[:-1]), -LaurentScalar.minus_q_power(1 - p)
+    big, inverse = minor(shape, rows, cols), LocalizedElement(AlgebraElement.one(shape), 1)
     right_name, left_name = reduction_names(shape, rows, cols)
-    return [check_zero(right_name, mp - right), check_zero(left_name, mp - left)]
+    return [check_zero(right_name, combined(shape, (1, mp), (scaled, big, inverse))),
+            check_zero(left_name, combined(shape, (1, mp), (scaled, inverse, big)))]
 
 
 def reduction_names(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> list[str]:
@@ -485,8 +450,8 @@ def expand_minor_without_corner(
     else:
         checks = [check_zero(names[0], solved)]
     scale = -LaurentScalar.minus_q_power(-terms[corner].exponent)
-    rewriting = LocalizedElement(AlgebraElement.sum(shape, others).scale(scale), 1)
-    checks.append(check_zero(names[-1], rewriting - target))
+    rewriting = LocalizedElement(AlgebraElement.sum(shape, others), 1)
+    checks.append(check_zero(names[-1], combined(shape, (scale, rewriting), (-1, target))))
     return checks
 
 
@@ -517,10 +482,8 @@ def minor_over_derived_generators(
     target = minor(shape, rows, cols)  # validates the index sets
     cofactors = {key: LocalizedElement(_regroup(shape, body), k)
                  for key, (k, body) in _derived_cofactors(shape, rows, cols).items()}
-    total = LocalizedElement.sum(
-        shape, (x_prime_minor(shape, r, c) * piece for (r, c), piece in cofactors.items())
-    )
-    return cofactors, check_zero(derived_name(shape, rows, cols), total - target)
+    terms = [(1, x_prime_minor(shape, r, c), piece) for (r, c), piece in cofactors.items()]
+    return cofactors, check_zero(derived_name(shape, rows, cols), combined(shape, *terms, (-1, target)))
 
 
 def derived_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> str:
@@ -605,8 +568,7 @@ def check_minor_commutation(
     mp = x_prime_minor(shape, rows, cols)
     x = gen(shape, *g)
     # x mp - twist * mp x plus the correction sum, accumulated once
-    difference = LocalizedElement.sum(
-        shape, [loc(x) * mp, mp * x.scale(-twist), *correction_products(shape, terms, g)])
+    difference = combined(shape, (1, x, mp), (-twist, mp, x), *correction_terms(shape, terms, g))
     return check_zero(commutation_name(shape, rows, cols, g, claim), difference)
 
 
@@ -617,18 +579,15 @@ def commutation_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...],
     return f"X[{g[0]},{g[1]}] vs [{list(rows)}|{list(cols)}]' in {shape}: {claim}"
 
 
-def correction_products(shape: Shape, terms: list[laws.Term], g: Gen) -> list[LocalizedElement]:
+def correction_terms(shape: Shape, terms: list[laws.Term], g: Gen) -> list[tuple]:
     """The correction sum of the edge generator g = X[1,l] or X[k,n] against a
-    derived minor, as the products -c (-q)^e X[gen] [minor]' of its commutation
-    term table, in table order, that complete x [R|C]' - [R|C]' x to zero.  By
-    Theorem 2.5, c = q(q - q^-1) for X[1,l] and q^-1(q^-1 - q) for X[k,n].  The
-    scalar goes on the one-letter generator, never on the product."""
+    derived minor, as the ``combined`` terms (-c (-q)^e, X[gen], [minor]') of its
+    commutation term table, in table order, that complete x [R|C]' - [R|C]' x
+    to zero.  By Theorem 2.5, c = q(q - q^-1) for X[1,l] and q^-1(q^-1 - q) for
+    X[k,n].  The scalar goes on the one-letter generator, never on the product."""
     c = correction_scalar(g)
-    return [
-        loc(gen(shape, *t.gen).scale(c * LaurentScalar.minus_q_power(t.exponent)))
-        * x_prime_minor(shape, *t.minor)
-        for t in terms
-    ]
+    return [(c * LaurentScalar.minus_q_power(t.exponent), gen(shape, *t.gen), x_prime_minor(shape, *t.minor))
+            for t in terms]
 
 
 def correction_scalar(g: Gen) -> LaurentScalar:

@@ -64,7 +64,7 @@ class LaurentScalar:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = LaurentScalar.from_int(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, LaurentScalar):
             return NotImplemented
         return self._terms == other._terms

@@ -50,12 +50,13 @@ from .algebra import (
 )
 from .checks import IdentityCheck, check_zero
 from .localize import (
+    LocalizedElement,
     _commutation,
     _flat_corner_power,
     _moved,
-    corner_inverse,
-    correction_products,
-    loc,
+    _value,
+    combined,
+    correction_terms,
     x_prime_entries,
     x_prime_minor,
 )
@@ -280,18 +281,19 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
     else:
         edges = ([(1, l) for l in range(1, shape.n)] if family == "thm25-2prime"
                  else [(k, shape.n) for k in range(2, shape.m + 1)])
+        # the corrections complete x mp - mp x to zero; derived minors have denominator
+        # exponent 1 (Cor. 2.2), so all is read as its numerator over X[1,n]^-1
+        over = lambda e: _regroup(shape, _moved(_value(e, shape)[0], 1 - e.k, shape.n))
         for size in ((t - 1,) if t is not None else (1, 2)):
             for rows in itertools.combinations(range(2, shape.m + 1), size):
                 for cols in itertools.combinations(range(1, shape.n), size):
                     for g in edges:
                         # a q-twist has no correction table, so nothing to fit
                         if terms := _commutation(shape, rows, cols, g)[2]:
-                            # the corrections complete x mp - mp x to zero; derived minors have
-                            # denominator exponent 1 (Cor. 2.2), so all is read over X[1,n]^-1
-                            x, mp = loc(gen(shape, *g)), x_prime_minor(shape, rows, cols)
-                            columns = correction_products(shape, _unknown(terms), g)
-                            yield ((mp * x - x * mp).numerator_over(1), terms,
-                                   [c.numerator_over(1) for c in columns])
+                            x, mp = gen(shape, *g), x_prime_minor(shape, rows, cols)
+                            columns = correction_terms(shape, _unknown(terms), g)
+                            yield (over(combined(shape, (1, mp, x), (-1, x, mp))), terms,
+                                   [over(combined(shape, column)) for column in columns])
 
 
 def fit_exponents(family: str, m: int | None = None, n: int | None = None,
@@ -541,50 +543,44 @@ class SuiteReport:
         )
 
 
-def _quantum_relation_checks(entries: dict[Gen, object], label: str) -> list[IdentityCheck]:
-    """The four defining relation schemes over any grid of elements.
-
-    entries maps (row, col) positions to elements supporting *, - and scale.
-    """
+def _quantum_relation_checks(shape: Shape, entries: dict[Gen, AlgebraElement | LocalizedElement],
+                             label: str) -> list[IdentityCheck]:
+    """The four defining relation schemes over any grid of plain or localized
+    elements of the shape, keyed by (row, col).  Each entry is flattened once,
+    and each relation is one ``combined`` sum."""
+    values = {pos: _value(x, shape) for pos, x in entries.items()}
     out: list[IdentityCheck] = []
-    positions = sorted(entries)
-    for (i, j), (k, l) in itertools.combinations(positions, 2):
-        a, b = entries[(i, j)], entries[(k, l)]
-        if i == k and j < l:
-            out.append(check_zero(f"{label}: row relation ({i},{j})({k},{l})",
-                                  a * b - (b * a).scale(Q)))
-        elif j == l and i < k:
-            out.append(check_zero(f"{label}: column relation ({i},{j})({k},{l})",
-                                  a * b - (b * a).scale(Q)))
-        elif i < k and j > l:
-            out.append(check_zero(f"{label}: antidiagonal relation ({i},{j})({k},{l})",
-                                  a * b - b * a))
-        elif i < k and j < l:
-            c = entries[(i, l)] * entries[(k, j)]
-            out.append(check_zero(f"{label}: diagonal relation ({i},{j})({k},{l})",
-                                  a * b - b * a - c.scale(Q_MINUS_QINV)))
+    minus_q, qinv_minus_q = -Q, QINV - Q  # built once, not per relation
+    for (i, j), (k, l) in itertools.combinations(sorted(values), 2):
+        a, b = values[i, j], values[k, l]
+        # the positions are sorted, so i < k, or i == k and j < l
+        if i == k or j == l:
+            kind, terms = "row" if i == k else "column", ((1, a, b), (minus_q, b, a))
+        elif j > l:
+            kind, terms = "antidiagonal", ((1, a, b), (-1, b, a))
+        else:
+            kind, terms = "diagonal", ((1, a, b), (-1, b, a), (qinv_minus_q, values[i, l], values[k, j]))
+        out.append(check_zero(f"{label}: {kind} relation ({i},{j})({k},{l})", combined(shape, *terms)))
     return out
 
 
 def _suite_eq1_relations(shape: Shape) -> list[IdentityCheck]:
     entries = {(i, j): gen(shape, i, j) for i, j in shape.generators()}
-    return _quantum_relation_checks(entries, f"X over {shape}")
+    return _quantum_relation_checks(shape, entries, f"X over {shape}")
 
 
 def _suite_lemma111(shape: Shape) -> list[IdentityCheck]:
     if shape.m < 2 or shape.n < 2:
         return []
-    entries = x_prime_entries(shape)
-    checks = _quantum_relation_checks(entries, f"X' over {shape}")
-    corner = loc(gen(shape, 1, shape.n))
+    entries, n = x_prime_entries(shape), shape.n
+    checks = _quantum_relation_checks(shape, entries, f"X' over {shape}")
+    corner, inverse = gen(shape, 1, n), LocalizedElement(AlgebraElement.one(shape), 1)
     for (i, j), xp in sorted(entries.items()):
-        checks.append(check_zero(f"X'[{i},{j}] commutes with X[1,{shape.n}]",
-                                 xp * corner - corner * xp))
-    n = shape.n
+        checks.append(check_zero(f"X'[{i},{j}] commutes with X[1,{n}]",
+                                 combined(shape, (1, xp, corner), (-1, corner, xp))))
     for (i, j), xp in sorted(entries.items()):
-        via_minor = loc(minor(shape, (1, i), (j, n)).scale(-QINV)) * corner_inverse(shape)
         checks.append(check_zero(f"X'[{i},{j}] = -q^-1 [1,{i}|{j},{n}] X[1,{n}]^-1",
-                                 xp - via_minor))
+                                 combined(shape, (1, xp), (QINV, minor(shape, (1, i), (j, n)), inverse))))
     return checks
 
 
@@ -593,49 +589,45 @@ def _suite_prop112(shape: Shape) -> list[IdentityCheck]:
     if m < 2 or n < 2:
         return []
     checks: list[IdentityCheck] = []
-    xp = x_prime_entries(shape)
-    X = lambda i, j: loc(gen(shape, i, j))
+    xp = {pos: _value(x, shape) for pos, x in x_prime_entries(shape).items()}
+    X = {(i, j): _value(gen(shape, i, j), shape) for i, j in shape.generators()}
     for j in range(1, n):
         for i in range(2, m + 1):
-            lhs = X(1, j) * X(i, n) - (X(i, n) * X(1, j)).scale(Q * Q)
-            rhs = (xp[(i, j)] * X(1, n)).scale(Q * (Q * Q - ONE))
-            checks.append(check_zero(f"edge relation 1: j={j}, i={i}", lhs - rhs))
+            checks.append(check_zero(f"edge relation 1: j={j}, i={i}", combined(
+                shape, (1, X[1, j], X[i, n]), (-(Q * Q), X[i, n], X[1, j]),
+                (-(Q * (Q * Q - ONE)), xp[i, j], X[1, n]))))
     for j in range(1, n):
         for k in range(2, m + 1):
             for l in range(1, n):
-                a, b = X(1, j), xp[(k, l)]
+                a, b = X[1, j], xp[k, l]
                 if l < j:
-                    rhs = (X(1, l) * xp[(k, j)]).scale(QINV - Q)
-                    checks.append(check_zero(f"edge relation 2.1<: j={j}, k={k}, l={l}",
-                                             a * b - b * a - rhs))
+                    name, terms = f"2.1<: j={j}, k={k}, l={l}", (
+                        (1, a, b), (-1, b, a), (Q_MINUS_QINV, X[1, l], xp[k, j]))
                 elif l == j:
-                    checks.append(check_zero(f"edge relation 2.1=: j={j}, k={k}",
-                                             a * b - (b * a).scale(QINV)))
+                    name, terms = f"2.1=: j={j}, k={k}", ((1, a, b), (-QINV, b, a))
                 else:
-                    checks.append(check_zero(f"edge relation 2.1>: j={j}, k={k}, l={l}",
-                                             a * b - b * a))
+                    name, terms = f"2.1>: j={j}, k={k}, l={l}", ((1, a, b), (-1, b, a))
+                checks.append(check_zero(f"edge relation {name}", combined(shape, *terms)))
     for i in range(2, m + 1):
         for l in range(1, n):
             for k in range(2, m + 1):
-                a, b = X(i, n), xp[(k, l)]
+                a, b = X[i, n], xp[k, l]
                 if k < i:
-                    checks.append(check_zero(f"edge relation 2.2<: i={i}, k={k}, l={l}",
-                                             a * b - b * a))
+                    name, terms = f"2.2<: i={i}, k={k}, l={l}", ((1, a, b), (-1, b, a))
                 elif k == i:
-                    checks.append(check_zero(f"edge relation 2.2=: i={i}, l={l}",
-                                             a * b - (b * a).scale(Q)))
+                    name, terms = f"2.2=: i={i}, l={l}", ((1, a, b), (-Q, b, a))
                 else:
-                    rhs = (X(k, n) * xp[(i, l)]).scale(Q_MINUS_QINV)
-                    checks.append(check_zero(f"edge relation 2.2>: i={i}, k={k}, l={l}",
-                                             a * b - b * a - rhs))
+                    name, terms = f"2.2>: i={i}, k={k}, l={l}", (
+                        (1, a, b), (-1, b, a), (-Q_MINUS_QINV, X[k, n], xp[i, l]))
+                checks.append(check_zero(f"edge relation {name}", combined(shape, *terms)))
     for k in range(1, n):
         for l in range(k + 1, n + 1):
             checks.append(check_zero(f"first-row q-commutation: cols {k},{l}",
-                                     X(1, k) * X(1, l) - (X(1, l) * X(1, k)).scale(Q)))
+                                     combined(shape, (1, X[1, k], X[1, l]), (-Q, X[1, l], X[1, k]))))
     for i in range(1, m):
         for j in range(i + 1, m + 1):
             checks.append(check_zero(f"last-column q-commutation: rows {i},{j}",
-                                     X(i, n) * X(j, n) - (X(j, n) * X(i, n)).scale(Q)))
+                                     combined(shape, (1, X[i, n], X[j, n]), (-Q, X[j, n], X[i, n]))))
     return checks
 
 

@@ -13,7 +13,7 @@ from qmv import verify
 from qmv.algebra import AlgebraElement, Shape, gen
 from qmv.cli import main
 from qmv.expr import ExprError, SessionConfig, evaluate_source, parse
-from qmv.localize import corner_inverse, loc, x_prime, x_prime_minor
+from qmv.localize import LocalizedElement, x_prime, x_prime_minor
 from qmv.minors import minor, qdet
 from qmv.scalar import LaurentScalar
 
@@ -24,7 +24,7 @@ C33 = SessionConfig(m=3, n=3)
 class TestParse:
     def test_det_definition_at_two(self):
         ast = parse("X[1,1]*X[2,2] - q*X[1,2]*X[2,1]")
-        assert evaluate_source("X[1,1]*X[2,2] - q*X[1,2]*X[2,1]", C22) == loc(qdet(Shape(2, 2)))
+        assert evaluate_source("X[1,1]*X[2,2] - q*X[1,2]*X[2,1]", C22) == LocalizedElement(qdet(Shape(2, 2)))
         assert ast[0] == "sub"
 
     def test_derived_generator(self):
@@ -46,7 +46,7 @@ class TestParse:
             parse("M[{1,2|{1,2}]")
 
     def test_negative_power_only_on_q(self):
-        assert evaluate_source("q^-1 * q", C22) == loc(AlgebraElement.one(Shape(2, 2)))
+        assert evaluate_source("q^-1 * q", C22) == LocalizedElement(AlgebraElement.one(Shape(2, 2)))
         with pytest.raises(ExprError, match="negative powers"):
             parse("X[1,1]^-1")
 
@@ -58,7 +58,7 @@ class TestParse:
 
     def test_leading_minus(self):
         s = Shape(2, 2)
-        assert evaluate_source("-X[1,1] + X[1,1]", C22) == loc(AlgebraElement.zero(s))
+        assert evaluate_source("-X[1,1] + X[1,1]", C22) == LocalizedElement(AlgebraElement.zero(s))
 
     def test_trailing_junk(self):
         with pytest.raises(ExprError, match="trailing"):
@@ -87,9 +87,9 @@ class TestParse:
 
 class TestEvaluate:
     def test_det_atom(self):
-        assert evaluate_source("Dq@2", C22) == loc(qdet(Shape(2, 2)))
+        assert evaluate_source("Dq@2", C22) == LocalizedElement(qdet(Shape(2, 2)))
         # leading-block determinant inside a larger grid
-        assert evaluate_source("Dq@2", C33) == loc(minor(Shape(3, 3), (1, 2), (1, 2)))
+        assert evaluate_source("Dq@2", C33) == LocalizedElement(minor(Shape(3, 3), (1, 2), (1, 2)))
 
     def test_semicentrality_expression(self):
         got = evaluate_source(
@@ -97,19 +97,19 @@ class TestEvaluate:
         assert got.is_zero()
 
     def test_corner_inverse_cancels(self):
-        assert evaluate_source("inv1n * X[1,2]", C22) == loc(AlgebraElement.one(Shape(2, 2)))
-        assert evaluate_source("inv1n^2 * X[1,3]^2", C33) == loc(AlgebraElement.one(Shape(3, 3)))
+        assert evaluate_source("inv1n * X[1,2]", C22) == LocalizedElement(AlgebraElement.one(Shape(2, 2)))
+        assert evaluate_source("inv1n^2 * X[1,3]^2", C33) == LocalizedElement(AlgebraElement.one(Shape(3, 3)))
 
     def test_complement_atom(self):
-        assert evaluate_source("A(2,2)@2", C22) == loc(gen(Shape(2, 2), 1, 1))
-        assert evaluate_source("A(1,1)@1", C33) == loc(AlgebraElement.one(Shape(3, 3)))
+        assert evaluate_source("A(2,2)@2", C22) == LocalizedElement(gen(Shape(2, 2), 1, 1))
+        assert evaluate_source("A(1,1)@1", C33) == LocalizedElement(AlgebraElement.one(Shape(3, 3)))
 
     def test_primed_minor_atom(self):
         assert evaluate_source("Mp[{2,3}|{1,2}]", C33) == x_prime_minor(Shape(3, 3), (2, 3), (1, 2))
 
     def test_scalar_power(self):
         s = Shape(2, 2)
-        assert evaluate_source("q^3 * 2", C22) == loc(
+        assert evaluate_source("q^3 * 2", C22) == LocalizedElement(
             AlgebraElement.from_scalar(s, LaurentScalar({3: 2})))
 
 
@@ -118,13 +118,13 @@ def test_round_trip_canonical_output():
     shape = Shape(3, 3)
     config = C33
     samples = [
-        loc(gen(shape, 2, 2) * gen(shape, 1, 1) * gen(shape, 2, 1)),
-        loc(qdet(shape)),
+        LocalizedElement(gen(shape, 2, 2) * gen(shape, 1, 1) * gen(shape, 2, 1)),
+        LocalizedElement(qdet(shape)),
         x_prime(shape, 2, 1),
         x_prime_minor(shape, (2, 3), (1, 2)),
-        loc(qdet(shape)) * corner_inverse(shape),
-        loc(AlgebraElement.zero(shape)),
-        loc(AlgebraElement.from_scalar(shape, LaurentScalar({-2: 3, 1: -1}))),
+        LocalizedElement(qdet(shape), 1),
+        LocalizedElement(AlgebraElement.zero(shape)),
+        LocalizedElement(AlgebraElement.from_scalar(shape, LaurentScalar({-2: 3, 1: -1}))),
     ]
     for e in samples:
         assert evaluate_source(str(e), config) == e, str(e)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from qmv import cli
+from qmv import cli, expr, localize
 from qmv.algebra import AlgebraElement, Shape, check_degree, gen, word
 from qmv.cli import main
 from qmv.expr import SessionConfig, evaluate, parse
@@ -210,7 +210,7 @@ def tags(node) -> set[str]:
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
-def test_flat_evaluation_prints_what_the_localized_operators_print(shape):
+def test_flat_evaluation_prints_what_the_common_denominator_fold_prints(shape):
     rng = random.Random(f"flat {shape}")
     config = SessionConfig(shape.m, shape.n)
     seen = set()
@@ -232,7 +232,7 @@ def _session_queries():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_equal_answers_the_session_stream_as_the_localized_operators_do(seed, capsys, monkeypatch):
+def test_equal_answers_the_session_stream_as_the_common_denominator_fold_does(seed, capsys, monkeypatch):
     queries = _session_queries()(seed, 300)
     argvs = [q.argv() + ["--format", fmt] for q in queries for fmt in ("text", "json")]
 
@@ -264,13 +264,15 @@ def test_equal_and_normalize_use_neither_the_localized_product_nor_sum(capsys, m
             out.append((code, *capsys.readouterr()))
         return out
 
-    # the first run also fills the derived-minor cache, which is built with them
+    # the first run also fills the derived-minor cache, which is built with ``combined``
     want = run()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a localized operator was called")
+        raise AssertionError("an element-level localized product or sum was called")
 
     monkeypatch.setattr(LocalizedElement, "__mul__", refuse)
-    monkeypatch.setattr(LocalizedElement, "sum", refuse)
+    monkeypatch.setattr(LocalizedElement, "__add__", refuse)
+    monkeypatch.setattr(localize, "combined", refuse)
+    assert not hasattr(expr, "combined")  # so every call would reach the patched name
     assert run() == want
     assert all(code in (0, 1) for code, _, _ in want)

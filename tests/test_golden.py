@@ -1,13 +1,16 @@
 """Canonical text pinned by sha256: localized normal forms, the determinant, a
 failure witness, the fitted exponent table and suite reports, among them the
 suites whose checks are differences and sums of many terms, and the commutation
-corrections of both orientations.  A change that must leave behaviour alone has
-to keep every digest."""
+corrections of both orientations; and the derived suites' reports under
+perturbed laws, whose witnesses come from the localized fallback builders.  A
+change that must leave behaviour alone has to keep every digest."""
 
 import hashlib
 import json
 
 import pytest
+
+from qmv import laws, localize
 
 from qmv.cli import main
 
@@ -70,4 +73,60 @@ def test_canonical_output_is_unchanged(capsys, argv, digest):
         text = json.dumps(report, sort_keys=True)
     else:
         text = f"{code}\n{out}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Laws whose constant is raised by one, so that the localized fallback
+# builders make the failing checks and their witnesses: the commutation
+# corrections of both orientations, the Lemma 2.3 first-row expansion, and the
+# row expansion behind every derived minor.  127 checks fail over these cases.
+PERTURBED_LAWS = ("thm25-2prime", "thm25-4prime", "lemma23-eq1", "row-laplace")
+FALLBACK = [
+    ("lemma111", 3, 3, "909704acf64a38b478e0aa2de29693f28f8e4afae4fc3745666badf00ff57881"),
+    ("lemma111", 3, 4, "30aafc53376bf004e9c7059f312d824ed1d5bf3fc509cecd02d0cddcf70065c5"),
+    ("lemma111", 4, 4, "d51d7ddc49d8653fd623331041b5640f08dabf09dd31e3a9fa25914b0b32b32c"),
+    ("prop112", 3, 3, "d1bd229ac548512c8e62edebbc55e724bb78cbdf78431c14b86a56860d4298c6"),
+    ("prop112", 3, 4, "9ea57522e05b12f935ea72bcbc4c841c6bbc8410b43a18980c534046e6c10711"),
+    ("prop112", 4, 4, "ea3a1a96939a19efa6b6d7acabee7f4f01cbd150942e51c0e90d02395a5eb39d"),
+    ("thm21", 3, 3, "c312d384d8b37526548c2736a6f4c317473b4e304553d3a1361a8346c76bc580"),
+    ("thm21", 4, 4, "f825e8fe128712cf275c9ae05e58be3b59a396d6cf2399ab11a1f26b1532faab"),
+    ("cor22", 3, 3, "32f4cb9fbb44fb313910836790a2551132115992890c5184f5443239c95db8b3"),
+    ("cor22", 3, 4, "d7c41d9be004a9afc6d08a5565be497bb2089cc42f1956751b16525a4a5c9933"),
+    ("cor22", 4, 4, "c1bf01d865dfc581f6617ed3bc24368720c5c15fafeba6fa0e3bb6eaafb92262"),
+    ("lemma23", 3, 3, "0fa6238a3dcf73f7f417952fac03089d696aee6316a6da90b41847f3614048ac"),
+    ("lemma23", 3, 4, "b03ce6e867979d65ae93945da366263ad1c38de54419081f400dfd8732fe842a"),
+    ("lemma23", 4, 4, "48ff2166c775070deb2351a538c30c41a4a1ca1728a566ebd2353bc08e5c63b8"),
+    ("thm25", 3, 3, "0d5d4efea129a25d17851cb445dbb26fbc3a1425a6708733bd635f675c612b3c"),
+    ("thm25", 3, 4, "77576f7883db013da6a7f7c14dddceeee9b29b4eb842003d4995d81458958c60"),
+    ("thm25", 4, 4, "5d205d1ef75ddd39986bac58372b7dea2e0b35e82ddca3ad91539bd6d8729d4f"),
+]
+
+
+@pytest.fixture
+def perturbed_laws(monkeypatch):
+    frozen = laws.law_coefficients
+
+    def perturbed(family):
+        law = frozen(family)
+        if family in PERTURBED_LAWS:
+            law["1"] = law.get("1", 0) + 1
+        return law
+
+    monkeypatch.setattr(laws, "law_coefficients", perturbed)
+    # derived minors memoize row-laplace results, so no perturbed law may outlive a case
+    for cached in (localize.x_prime, localize._x_prime_minor):
+        cached.cache_clear()
+    yield
+    for cached in (localize.x_prime, localize._x_prime_minor):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("suite,m,n,digest", FALLBACK, ids=[f"{s}-{m}x{n}" for s, m, n, _ in FALLBACK])
+def test_fallback_witnesses_under_perturbed_laws_are_unchanged(capsys, perturbed_laws, suite, m, n,
+                                                               digest):
+    # the exit code and the report without its timings
+    code = main(["suite", suite, "--m", str(m), "--n", str(n), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    del report["timings"]
+    text = f"{code}\n{json.dumps(report, sort_keys=True)}"
     assert hashlib.sha256(text.encode()).hexdigest() == digest

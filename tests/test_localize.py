@@ -15,13 +15,13 @@ from qmv.localize import (
     _localized_sum,
     _moved,
     _tau,
+    _value,
     check_det_reduction,
     check_minor_commutation,
     check_minor_reduction,
-    corner_inverse,
+    combined,
     expand_minor_without_corner,
     full_x_prime_determinant,
-    loc,
     minor_over_derived_generators,
     x_prime,
     x_prime_minor,
@@ -38,6 +38,11 @@ def flat(a: AlgebraElement):
 
 def tau(a: AlgebraElement, power: int = 1) -> AlgebraElement:
     return _regroup(a.shape, _tau(flat(a), power, a.shape))
+
+
+def inverse(shape: Shape, k: int = 1) -> LocalizedElement:
+    """X[1,n]^-k."""
+    return LocalizedElement(AlgebraElement.one(shape), k)
 
 
 def test_tau_on_generators():
@@ -88,18 +93,30 @@ def test_corner_factor_products_match_the_kernel():
             for c in (ONE, -(Q * Q), ONE + Q):
                 for d in range(3):
                     g = LocalizedElement((corner ** d).scale(c), rng.randint(0, 2))
-                    assert f * g == kernel(f, g)
-                    assert g * f == kernel(g, f)
+                    assert combined(shape, (1, f, g)) == kernel(f, g)
+                    assert combined(shape, (1, g, f)) == kernel(g, f)
 
 
 def test_plain_left_operand_meets_a_localized_right_operand():
     rng = random.Random(17)
     s = Shape(3, 3)
-    for right in (x_prime(s, 2, 1), x_prime_minor(s, (2, 3), (1, 2)), corner_inverse(s)):
+    for right in (x_prime(s, 2, 1), x_prime_minor(s, (2, 3), (1, 2)), inverse(s)):
         a = random_element(s, 2, rng)
-        for got, want in ((a + right, loc(a) + right), (a - right, loc(a) - right),
-                          (a * right, loc(a) * right)):
-            assert isinstance(got, LocalizedElement) and got == want
+        # a plain element, its embedding and its flat value make the same terms
+        for lifted in (LocalizedElement(a), _value(a, s)):
+            assert combined(s, (1, a), (1, right)) == combined(s, (1, lifted), (1, right))
+            assert combined(s, (1, a), (-1, right)) == combined(s, (1, lifted), (-1, right))
+            assert combined(s, (1, a, right)) == combined(s, (1, lifted, right))
+
+
+def test_the_operators_kept_for_the_tracer_are_combined():
+    rng = random.Random(53)
+    s = Shape(3, 3)
+    for _ in range(10):
+        a = LocalizedElement(random_element(s, 2, rng), rng.randint(0, 2))
+        b = random_element(s, 2, rng)
+        assert a * b == combined(s, (1, a, b))
+        assert a + b == combined(s, (1, a), (1, b))
 
 
 def test_corner_closed_form_matches_the_kernel():
@@ -107,11 +124,12 @@ def test_corner_closed_form_matches_the_kernel():
     for shape in (Shape(3, 3), Shape(2, 4)):
         corner = gen(shape, 1, shape.n)
         for _ in range(30):
-            f = flat(random_element(shape, 3, rng))
-            via_kernel = _regroup(shape, f)
+            a = random_element(shape, 3, rng)
+            f, via_kernel = flat(a), a
             for d in range(4):
                 assert _regroup(shape, _moved(f, d, shape.n)) == via_kernel
                 assert _moved(_moved(f, d, shape.n), -d, shape.n) == f
+                assert combined(shape, (1, a, corner ** d)) == LocalizedElement(via_kernel)
                 via_kernel = via_kernel * corner
 
 
@@ -138,17 +156,20 @@ def test_difference_matches_sum_with_the_negation():
     for _ in range(30):
         a = LocalizedElement(random_element(s, 3, rng), rng.randint(0, 3))
         b = LocalizedElement(random_element(s, 3, rng), rng.randint(0, 3))
-        assert a - b == a + (-b)
-        assert (a - a).is_zero() and (a - a).k == 0
-        assert b.numerator - a == -(a - b.numerator)
+        # a scalar -1 on a term is the negated numerator
+        assert combined(s, (1, a), (-1, b)) == combined(s, (1, a), (1, LocalizedElement(-b.numerator, b.k)))
+        zero = combined(s, (1, a), (-1, a))
+        assert zero.is_zero() and zero.k == 0
+        assert combined(s, (1, b.numerator), (-1, a)) == combined(s, (-1, combined(s, (1, a), (-1, b.numerator))))
 
 
 def test_corner_inverse_cancels():
     s = Shape(3, 3)
-    one = loc(AlgebraElement.one(s))
-    corner = loc(gen(s, 1, 3))
-    assert corner * corner_inverse(s) == one
-    assert corner_inverse(s) * corner == one
+    one = LocalizedElement(AlgebraElement.one(s))
+    corner = gen(s, 1, 3)
+    assert combined(s, (1, corner, inverse(s))) == one
+    assert combined(s, (1, inverse(s), corner)) == one
+    assert combined(s, (1, inverse(s, 2), corner, corner)) == one
     assert LocalizedElement(gen(s, 1, 3), 1) == one
 
 
@@ -157,17 +178,18 @@ def test_embedding_is_a_ring_map():
     rng = random.Random(13)
     for _ in range(40):
         f, g = random_element(s, 2, rng), random_element(s, 2, rng)
-        assert loc(f) * loc(g) == loc(f * g)
-        assert loc(f) + loc(g) == loc(f + g)
+        embedded = LocalizedElement(f), LocalizedElement(g)
+        assert combined(s, (1, *embedded)) == LocalizedElement(f * g)
+        assert combined(s, *((1, x) for x in embedded)) == LocalizedElement(f + g)
 
 
 def test_twisted_fraction_product():
     # X[1,1] X[1,n]^-1 moves the corner inverse across with a q-twist:
     # X[1,n] (X[1,1] X[1,n]^-1) = q^-1 X[1,1]
     s = Shape(2, 2)
-    frac = loc(gen(s, 1, 1)) * corner_inverse(s)
+    frac = combined(s, (1, gen(s, 1, 1), inverse(s)))
     assert frac.k == 1 and frac.numerator == gen(s, 1, 1)
-    assert loc(gen(s, 1, 2)) * frac == loc(gen(s, 1, 1).scale(QINV))
+    assert combined(s, (1, gen(s, 1, 2), frac)) == LocalizedElement(gen(s, 1, 1).scale(QINV))
 
 
 def test_canonical_form_soundness():
@@ -208,7 +230,8 @@ def test_localized_arithmetic_returns_canonical_values():
 
 def test_scalar_operations_keep_the_canonical_form():
     # negation and scaling agree with the canonical form of the scaled
-    # numerator, and a zero scalar leaves k = 0
+    # numerator, with the scalar as a term's coefficient or as a factor on
+    # either side, and a zero scalar leaves k = 0
     s = Shape(3, 3)
     rng = random.Random(43)
     seen = set()
@@ -216,11 +239,11 @@ def test_scalar_operations_keep_the_canonical_form():
         for _ in range(15):
             x = LocalizedElement(random_element(s, 3, rng) + gen(s, 2, 1), k)
             seen.add(x.k)
-            want = LocalizedElement(-x.numerator, x.k)
-            assert ((-x).numerator, (-x).k) == (want.numerator, want.k)
+            want, got = LocalizedElement(-x.numerator, x.k), combined(s, (-1, x))
+            assert (got.numerator, got.k) == (want.numerator, want.k)
             for c in (0, ONE, Q, Q_MINUS_QINV):
-                want = LocalizedElement(x.numerator.scale(c), x.k)
-                for got in (x.scale(c), x * c, c * x):
+                want, scalar = LocalizedElement(x.numerator.scale(c), x.k), AlgebraElement.from_scalar(s, c)
+                for got in (combined(s, (c, x)), combined(s, (1, x, scalar)), combined(s, (1, scalar, x))):
                     assert (got.numerator, got.k) == (want.numerator, want.k), (c, x)
     assert seen == {0, 1, 2}
 
@@ -240,17 +263,17 @@ def test_equality_matches_cross_multiplication():
 def test_x_prime_two_by_two():
     s = Shape(2, 2)
     got = x_prime(s, 2, 1)
-    want = loc(gen(s, 2, 1)) - (loc(gen(s, 1, 1)) * loc(gen(s, 2, 2)) * corner_inverse(s)).scale(QINV)
+    want = combined(s, (1, gen(s, 2, 1)), (-QINV, gen(s, 1, 1), gen(s, 2, 2), inverse(s)))
     assert got == want
 
 
 def test_x_prime_both_forms_and_corner_commutation():
     for shape in (Shape(2, 2), Shape(3, 3), Shape(3, 4), Shape(4, 4)):
-        corner = loc(gen(shape, 1, shape.n))
+        corner = gen(shape, 1, shape.n)
         for i in range(2, shape.m + 1):
             for j in range(1, shape.n):
                 xp = x_prime(shape, i, j)
-                assert xp * corner == corner * xp
+                assert combined(shape, (1, xp, corner)) == combined(shape, (1, corner, xp))
         # lemma111 reports the agreement of both defining forms, one check per entry
         report = run_suite("lemma111", m=shape.m, n=shape.n)
         forms = [c for c in report.checks if " = -q^-1 [1," in c.name]
@@ -294,30 +317,30 @@ def test_cached_minors_are_not_changed_by_callers():
     s = Shape(4, 4)
     first = x_prime_minor(s, (2, 3), (1, 3))
     text = str(first)
-    _ = -first
-    _ = first.scale(Q)
-    _ = first * loc(gen(s, 1, 1)) + first
+    _ = combined(s, (-1, first))
+    _ = combined(s, (Q, first))
+    _ = combined(s, (1, first, gen(s, 1, 1)), (1, first))
     again = x_prime_minor(s, (2, 3), (1, 3))
     assert str(again) == text
     assert again == x_prime_minor_substituted(s, (2, 3), (1, 3))
     entry = x_prime(s, 2, 1)
-    _ = -entry
-    _ = entry.scale(QINV)
+    _ = combined(s, (-1, entry))
+    _ = combined(s, (QINV, entry, gen(s, 1, 1)))
     assert x_prime(s, 2, 1) == x_prime_minor_substituted(s, (2,), (1,))
 
 
 def test_x_prime_minor_commutes_with_corner():
     s = Shape(3, 3)
-    corner = loc(gen(s, 1, 3))
+    corner = gen(s, 1, 3)
     mp = x_prime_minor(s, (2, 3), (1, 2))
-    assert mp * corner == corner * mp
+    assert combined(s, (1, mp, corner)) == combined(s, (1, corner, mp))
 
 
 def test_det_reduction_hand_expansion_at_two():
     # X'[2,1] X[1,2] = -q^-1 (X[1,1] X[2,2] - q X[1,2] X[2,1])
     s = Shape(2, 2)
-    lhs = x_prime(s, 2, 1) * loc(gen(s, 1, 2))
-    rhs = loc(qdet(s).scale(-QINV))
+    lhs = combined(s, (1, x_prime(s, 2, 1), gen(s, 1, 2)))
+    rhs = LocalizedElement(qdet(s).scale(-QINV))
     assert lhs == rhs
 
 

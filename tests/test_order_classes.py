@@ -22,6 +22,7 @@ from qmv.algebra import COL_MASK, EXP_BITS, EXP_MASK, AlgebraElement, Shape, gen
 from qmv.localize import (
     LocalizedElement,
     check_minor_commutation,
+    combined,
     check_minor_reduction,
     expand_minor_without_corner,
     minor_over_derived_generators,
@@ -103,9 +104,10 @@ def test_relabeling_is_multiplicative(case):
 def test_relabeling_is_multiplicative_on_the_localization(case):
     s, rows, cols, a, b = case
     image = lambda x: relabel(x, BIG, rows, cols)
-    assert image(a) * image(b) == image(a * b)
-    assert image(a * b).k == (a * b).k
-    assert image(a * b).render() == _renamed((a * b).render(), rows, cols)
+    product = combined(s, (1, a, b))
+    assert combined(BIG, (1, image(a), image(b))) == image(product)
+    assert image(product).k == product.k
+    assert image(product).render() == _renamed(product.render(), rows, cols)
 
 
 def _renamed(text, rows, cols):
@@ -415,10 +417,10 @@ def test_a_randomly_embedded_check_is_its_representative_relabeled():
         c = tuple(col_set.index(x) + 1 for x in cols)
         g = (1, col_set.index(l) + 1)
         mp = x_prime_minor(small, r, c)
-        x = LocalizedElement(gen(small, *g))
-        image = relabel(x * mp - mp * x, big, row_set, col_set)
-        mp_big, x_big = x_prime_minor(big, rows, cols), LocalizedElement(gen(big, 1, l))
-        assert image == x_big * mp_big - mp_big * x_big
+        x = gen(small, *g)
+        image = relabel(combined(small, (1, x, mp), (-1, mp, x)), big, row_set, col_set)
+        mp_big, x_big = x_prime_minor(big, rows, cols), gen(big, 1, l)
+        assert image == combined(big, (1, x_big, mp_big), (-1, mp_big, x_big))
 
 
 # ---------------------------------------------------------------------------

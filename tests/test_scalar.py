@@ -146,19 +146,25 @@ class TestScalarFraction:
 
 
 def test_scalar_on_the_left_of_an_element():
-    # the scalar declines an element operand, so the element's reflected method runs
+    # the scalar declines an element operand, so a plain element's reflected
+    # method runs; a localized element takes its scalar as a coefficient of
+    # ``combined``, and has no reflected method
     from qmv.algebra import Shape, gen
-    from qmv.localize import LocalizedElement
+    from qmv.localize import LocalizedElement, combined
 
     s = Shape(2, 3)
     x = gen(s, 1, 2) * gen(s, 2, 1) + gen(s, 2, 3).scale(QINV)
-    for element in (x, LocalizedElement(x, 1)):
-        for c in (Q, QINV - Q, ZERO, ONE):
-            assert c * element == element.scale(c)
+    localized = LocalizedElement(x, 1)
+    for c in (Q, QINV - Q, ZERO, ONE):
+        assert c * x == x.scale(c)
+        assert combined(s, (c, localized)) == LocalizedElement(x.scale(c), 1)
+    for element in (x, localized):
         for op in ("__add__", "__sub__", "__rsub__", "__mul__"):
             assert getattr(Q, op)(element) is NotImplemented
         with pytest.raises(TypeError):
             Q + element
+    with pytest.raises(TypeError):
+        Q * localized
 
 
 @pytest.mark.parametrize("q0", [1, -1, 2, -3, Fraction(5, 7)])

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qmv import laws, localize, verify
 from qmv.algebra import AlgebraElement, Bidegree, Shape, component_basis, exponent, gen, monomial
 from qmv.checks import WITNESS_TERMS, check_zero
-from qmv.localize import corner_inverse, loc
+from qmv.localize import LocalizedElement
 from qmv.minors import qdet
 from qmv.scalar import LaurentScalar, ScalarFraction, ONE, Q
 from qmv.verify import (
@@ -563,7 +563,7 @@ def test_check_zero_bounds_a_large_witness():
     check = check_zero("det vanishes", det)
     assert not check.ok
     assert check.witness == f"{head} + ... (120 terms)"
-    localized = check_zero("det X[1,5]^-1 vanishes", loc(det) * corner_inverse(s))
+    localized = check_zero("det X[1,5]^-1 vanishes", LocalizedElement(det, 1))
     assert localized.witness.startswith("(X[1,1]*X[2,2]*X[3,3]*X[4,4]*X[5,5] - q*")
     assert localized.witness.endswith(" + ... (120 terms))*inv1n")
 
@@ -572,4 +572,4 @@ def test_check_zero_keeps_a_small_witness_in_full():
     s = Shape(2, 2)
     difference = gen(s, 2, 2) * gen(s, 1, 1) - gen(s, 1, 1) * gen(s, 2, 2)
     assert check_zero("commute", difference).witness == str(difference)
-    assert check_zero("commute", loc(difference)).witness == str(difference)
+    assert check_zero("commute", LocalizedElement(difference)).witness == str(difference)
