@@ -232,7 +232,9 @@ def _session_queries():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_equal_answers_the_session_stream_as_the_common_denominator_fold_does(seed, capsys, monkeypatch):
+def test_equal_answers_the_session_stream_as_the_localized_operators_do(seed, capsys, monkeypatch):
+    """The flat ``difference`` answers as the common-denominator fold does, the fold that
+    computes what the localized operators computed before they were replaced by ``combined``."""
     queries = _session_queries()(seed, 300)
     argvs = [q.argv() + ["--format", fmt] for q in queries for fmt in ("text", "json")]
 
