@@ -300,7 +300,7 @@ def _shifted(terms: Iterable[tuple[tuple[Codes, int], int]], scalar: dict[int, i
     cancels is dropped."""
     if len(scalar) == 1:
         (s, k), = scalar.items()
-        return {(codes, e + s): c * k for (codes, e), c in terms}
+        return {(codes, e + s): c * k for (codes, e), c in terms if c * k}
     acc: Flat = {}
     for (codes, e), c in terms:
         for s, k in scalar.items():

@@ -22,6 +22,11 @@ building a product:
   [R|C]: as X^-1 N = tau(N) X^-1, [r|c]' N X^-k = (-q)^-s M_rc tau(N)
   X^(-1-k), and times X^(K+1), K the largest k, every power is cleared.
 
+Each combination is decided once per pattern key (``ZeroTest.verdict``).
+A thm25 key ranks g and its correction table once per check; lemma23's keys
+are the ids ``Rewritings`` gives each minor, one walk of its rewriting per
+run, so a check builds its table or cofactor map only for a new key.
+
 A check whose Cor 2.2 prerequisites were not all proved, or that the test
 does not find zero, falls back in one place, ``ZeroTest.decide``: the
 localize module's builder builds it, once per group of checks it builds
@@ -46,15 +51,10 @@ from .zerotest import ZeroTest, ranked
 from . import laws
 
 
-def pattern(tag: str, minors: list[laws.MinorKey], terms: list[laws.Term] = (), words=()) -> tuple:
-    """The key ``ZeroTest.verdict`` reads for the builder ``tag`` over these minors
-    (a generator is 1-by-1), terms and (PBW word, *data) tuples: the exponents and
-    data, and every index ``ranked`` by one map (the words' letters read no other)."""
-    pairs = [*minors, *(((t.gen[0], *t.minor[0]), (t.gen[1], *t.minor[1])) for t in terms)]
-    rho, gamma, moved = ranked({r for rs, _ in pairs for r in rs}, {c for _, cs in pairs for c in cs})
-    return (tag, *[t.exponent for t in terms],
-            *[(tuple(map(rho, rs)), tuple(map(gamma, cs))) for rs, cs in pairs],
-            *[(tuple(map(moved, w)), *data) for w, *data in words])
+def _ranked(terms: list[laws.Term], rho, gamma) -> tuple:
+    """Each term's exponent, minor and generator, every index ranked by rho and gamma."""
+    return tuple((t.exponent, tuple(map(rho, t.minor[0])), tuple(map(gamma, t.minor[1])),
+                  rho(t.gen[0]), gamma(t.gen[1])) for t in terms)
 
 
 class DerivedMinors:
@@ -180,14 +180,19 @@ def _commutation_check(shape: Shape, derived: DerivedMinors, rows: tuple[int, ..
                        cols: tuple[int, ...], g: tuple[int, int]) -> IdentityCheck:
     """The check ``check_minor_commutation`` builds, decided as
     x M - c q^(+-1) M x + sum_t corr_t X_t M_t when Cor 2.2 was proved for
-    [rows|cols]' and every correction minor (corr_t / (-q)^e_t is fixed by g's row rank)."""
+    [rows|cols]' and every correction minor (corr_t / (-q)^e_t is fixed by g's
+    row rank).  Its key ranks g and the correction table once, against
+    [1 u rows | cols u n] and g; with the size and whether g's free index lies
+    in the minor, that fixes M's ranks."""
     claim, twist, terms = _commutation(shape, rows, cols, g)
     verdict = None
     if derived.holds(rows, cols) and all(derived.holds(*t.minor) for t in terms):
-        big = ((1,) + rows, cols + (shape.n,))
-        key = pattern("thm25", [big, ((g[0],), (g[1],))], terms) + tuple(twist._terms.items())
+        rho, gamma, _ = ranked({1, *rows, g[0]}, {*cols, shape.n, g[1]})
+        key = ("thm25", len(rows), rho(g[0]), gamma(g[1]), g[0] in rows or g[1] in cols,
+               *_ranked(terms, rho, gamma), *twist._terms.items())
 
         def build():
+            big = ((1,) + rows, cols + (shape.n,))
             x, shift = (letter(*g),), 1 if g[0] == 1 else -1  # X^-1 x X = q^shift x
             entries = [(x, *big, (), 0, 1)]
             entries += [((), *big, x, e + shift, -c) for e, c in twist._terms.items()]
@@ -202,50 +207,99 @@ def _commutation_check(shape: Shape, derived: DerivedMinors, rows: tuple[int, ..
                                lambda: [check_minor_commutation(shape, rows, cols, g)])[0]
 
 
+class Rewritings:
+    """Lemma 2.3's rewritings of one suite run, walked once per minor, each
+    minor interned as two nodes of one table for the run.
+
+    Its local node holds whether it has row 1 and column n and its size; off
+    the corner, also the position of the corner term of the table
+    ``localize._rewriting`` solves and each term's (exponent, minor,
+    generator), with the enlarged minor's last-row table when there is one,
+    every index ranked once against [1 u rows | cols u n].  Its tree node
+    holds the local id and the tree ids of the minors its rewriting reaches,
+    the enlarged minor first, then the table's.  Each of those minors' index
+    sets lies in the minor's own, 1 and n ranked first and last, and a
+    piece's corner weight reads only those, so equal tree ids have cofactor
+    maps that are relabelings of each other.  Per minor the walk keeps the
+    two ids and whether Cor 2.2 was proved for every derived minor it
+    reaches."""
+
+    def __init__(self, derived: DerivedMinors):
+        self.derived = derived
+        self.ids: dict[tuple, int] = {}  # local nodes have length 3 or 6, tree nodes 2
+        self.nodes: dict[laws.MinorKey, tuple[int, int, bool]] = {}
+
+    def _id(self, node: tuple) -> int:
+        return self.ids.setdefault(node, len(self.ids))
+
+    def node(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple[int, int, bool]:
+        """[rows|cols]'s local id, its tree id, and whether every derived minor it reaches holds."""
+        if rows[0] == 1 and cols[-1] == self.derived.n:  # (-q)^(p-1) [rows - 1 | cols - n]' X[1,n]
+            local = self._id((True, True, len(rows)))
+            return local, self._id((local, ())), bool(self.derived.holds(rows[1:], cols[:-1]))
+        got = self.nodes.get((rows, cols))
+        if got is None:
+            terms, corner, enlarged = _rewriting(self.derived.test.shape, rows, cols)
+            rho, gamma, _ = ranked({1, *rows}, {*cols, self.derived.n})
+            last = enlarged and _ranked(laws.last_row_terms(*enlarged), rho, gamma)
+            local = self._id((rows[0] == 1, cols[-1] == self.derived.n, len(rows), corner,
+                              _ranked(terms, rho, gamma), last))
+            reached = [enlarged] if enlarged else []
+            reached += [t.minor for k, t in enumerate(terms) if k != corner]
+            _, trees, holds = zip(*itertools.starmap(self.node, reached))
+            got = self.nodes[rows, cols] = (local, self._id((local, trees)), all(holds))
+        return got
+
+
 def _suite_lemma23(shape: Shape, test: ZeroTest, t: int | None = None) -> list[IdentityCheck]:
     m, n = shape.m, shape.n
     sizes = [t] if t else list(range(2, min(m, n) + 1))
     for p in sizes:
         check_term_count(min(p + 1, m, n))  # the enlarged minor, when there is one
-    derived, checks = DerivedMinors(test), []
+    walk, checks = Rewritings(DerivedMinors(test)), []
     for p in sizes:
-        cofactors: dict = {}  # maps reach only p-minors and their enlarged minors
+        # a p-minor's rewritings reach only p-minors and minors through the corner
+        walk.nodes.clear()
         keys = [(rows, cols) for rows in itertools.combinations(range(1, m + 1), p)
                 for cols in itertools.combinations(range(1, n + 1), p)]
         for rows, cols in keys:
             if rows[0] != 1 or cols[-1] != n:
-                checks += _expansion_checks(shape, test, rows, cols)
-        checks += [_derived_check(shape, derived, cofactors, rows, cols) for rows, cols in keys]
+                checks += _expansion_checks(shape, walk, rows, cols)
+        checks += [_derived_check(shape, walk, rows, cols) for rows, cols in keys]
     return checks
 
 
-def _expansion_checks(shape: Shape, test: ZeroTest, rows: tuple[int, ...],
+def _expansion_checks(shape: Shape, walk: Rewritings, rows: tuple[int, ...],
                       cols: tuple[int, ...]) -> list[IdentityCheck]:
     """The checks ``expand_minor_without_corner`` builds, each decided as the
-    combination of its expansion's right products."""
-    terms, _, enlarged = _rewriting(shape, rows, cols)
-    verdicts = [test.verdict(pattern("expansion", [enlarged or ((), ())], terms),
-                             lambda: table_combination(shape, terms, False, enlarged))]
-    if enlarged:
-        last = laws.last_row_terms(*enlarged)
-        verdicts.append(test.verdict(pattern("last row", [enlarged], last),
-                                     lambda: table_combination(shape, last, False, enlarged)))
+    combination of its expansion's right products, keyed by the minor's local id."""
+    test, local = walk.derived.test, walk.node(rows, cols)[0]
+
+    def expansion(last: bool):
+        terms, _, enlarged = _rewriting(shape, rows, cols)
+        return table_combination(shape, laws.last_row_terms(*enlarged) if last else terms, False,
+                                 enlarged)
+
+    verdicts = [test.verdict(("expansion", local), lambda: expansion(False))]
+    if rows[0] != 1 and cols[-1] != shape.n:
+        verdicts.append(test.verdict(("last row", local), lambda: expansion(True)))
     # the rewriting is the first expansion solved for its corner term
     verdicts.append(verdicts[0])
     return test.decide(expansion_names(shape, rows, cols), verdicts,
                        lambda: expand_minor_without_corner(shape, rows, cols))
 
 
-def _derived_check(shape: Shape, derived: DerivedMinors, cofactors: dict, rows: tuple[int, ...],
+def _derived_check(shape: Shape, walk: Rewritings, rows: tuple[int, ...],
                    cols: tuple[int, ...]) -> IdentityCheck:
     """The check ``minor_over_derived_generators`` builds, decided as
     sum (-q)^-s M_rc tau(N) X^(K-k) - [rows|cols] X^(K+1) over the cofactor map's
-    pieces [r|c]' N X^-k, when Cor 2.2 was proved for every [r|c]'."""
-    n = shape.n
-    pieces = _derived_cofactors(shape, rows, cols, cofactors)
+    pieces [r|c]' N X^-k, keyed by the minor's tree id, when Cor 2.2 was proved
+    for every [r|c]'."""
+    n, (_, tree, holds) = shape.n, walk.node(rows, cols)
     verdict = None
-    if all(derived.holds(*key) for key in pieces):
+    if holds:
         def build():
+            pieces = _derived_cofactors(shape, rows, cols)
             top = max(k for k, _ in pieces.values())
             entries = [((), rows, cols, (letter(1, n, top + 1),), 0, -1)]
             for (r, c), (k, body) in pieces.items():
@@ -255,12 +309,9 @@ def _derived_check(shape: Shape, derived: DerivedMinors, cofactors: dict, rows: 
                     entries.append(((), (1,) + r, c + (n,), moved,
                                     e + tau_weight(codes, shape) + shift - s, _sign(s) * c2))
             return combination(entries)
-        words = [(codes, i, k, e, c2) for i, (k, body) in enumerate(pieces.values())
-                 for (codes, e), c2 in body.items()]  # c2 q^e codes in the i-th piece's N
-        verdict = derived.test.verdict(pattern(
-            "derived", [((1,) + rows, cols + (n,)), (rows, cols), *pieces], words=words), build)
-    return derived.test.decide([derived_name(shape, rows, cols)], [verdict],
-                               lambda: [minor_over_derived_generators(shape, rows, cols)[1]])[0]
+        verdict = walk.derived.test.verdict(("derived", tree), build)
+    return walk.derived.test.decide([derived_name(shape, rows, cols)], [verdict],
+                                    lambda: [minor_over_derived_generators(shape, rows, cols)[1]])[0]
 
 
 SUITES = {

@@ -503,9 +503,9 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
     one key takes the same number of rewritings (one through the enlarged
     minor, whose key has the minor's size, two through a minor that misses
     row 1 only), so the pieces of a key share their k and add as they are.
-    Each map a rewriting reaches is made once per ``memo``, a dict the caller
-    keeps for as long as it likes; rewritings reach only minors through
-    column n, so the memo keeps only theirs.  Builds no check."""
+    Each map a rewriting reaches is made once per ``memo``, which the
+    recursion passes down; rewritings reach only minors through column n, so
+    the memo keeps only theirs.  Builds no check."""
     if memo is None:
         memo = {}
     if (rows, cols) in memo:

@@ -26,7 +26,7 @@ from qmv.algebra import (
     sort_key,
     word,
 )
-from qmv.algebra import _mono_times_gen
+from qmv.algebra import _mono_times_gen, _shifted
 from qmv.minors import minor
 from qmv.scalar import LaurentScalar, Q, QINV, Q_MINUS_QINV
 
@@ -287,6 +287,16 @@ def elements_with_repeats(draw):
     repeats = draw(st.lists(st.sampled_from(drawn), max_size=3))
     negated = [-x for x in draw(st.lists(st.sampled_from(drawn), max_size=3))]
     return s, draw(st.permutations(drawn + repeats + negated))
+
+
+def test_a_shifted_sum_drops_what_cancels():
+    # flat terms ((codes, q exponent), coefficient) times a scalar {q exponent:
+    # coefficient}: a one-term scalar keeps no zero coefficient, as a longer one does not
+    w = monomial([((1, 2), 1)])
+    assert _shifted([(((), 0), 1)], {0: 0}) == {}
+    assert _shifted([(((), 0), 0), ((w, 1), 1), (((), 1), 2)], {2: -1}) == {(w, 3): -1, ((), 3): -2}
+    assert _shifted([(((), 0), 1), (((), 1), 1)], {0: 1, -1: -1}) == {((), 1): 1, ((), -1): -1}
+    assert _shifted([((w, 0), 2)], {0: 1, 1: 0}) == {(w, 0): 2}
 
 
 @settings(max_examples=80, deadline=None)

@@ -13,6 +13,7 @@ reference for it is the per-check loops of the localize module's builders.
 import itertools
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -224,28 +225,33 @@ def fresh_derived_minors():
 # the derived suites against the per-check builders
 # ---------------------------------------------------------------------------
 
+def direct_groups(name, shape, t=None):
+    """The cor22, lemma23 and thm25 suites as per-check loops: each builder
+    call, in the suite's order, as a function that builds its checks."""
+    m, n = shape.m, shape.n
+    sizes = [t] if t else list(range(2, min(m, n) + 1))
+    if name == "cor22":
+        for p in sizes:
+            for rows in itertools.combinations(range(2, m + 1), p - 1):
+                for cols in itertools.combinations(range(1, n), p - 1):
+                    yield partial(check_minor_reduction, shape, (1,) + rows, cols + (n,))
+    elif name == "lemma23":
+        for p in sizes:
+            keys = list(itertools.product(itertools.combinations(range(1, m + 1), p),
+                                          itertools.combinations(range(1, n + 1), p)))
+            for rows, cols in keys:
+                if rows[0] != 1 or cols[-1] != n:
+                    yield partial(expand_minor_without_corner, shape, rows, cols)
+            for rows, cols in keys:
+                yield lambda rows=rows, cols=cols: [minor_over_derived_generators(shape, rows, cols)[1]]
+    else:
+        for call in _thm25_calls(shape, t):
+            yield lambda call=call: [check_minor_commutation(shape, *call)]
+
+
 def direct_suite(name, shape, t=None):
     """The cor22, lemma23 and thm25 suites as per-check loops, one check at a time."""
-    checks = []
-    if name == "cor22":
-        for p in ([t] if t else list(range(2, min(shape.m, shape.n) + 1))):
-            for rows in itertools.combinations(range(2, shape.m + 1), p - 1):
-                for cols in itertools.combinations(range(1, shape.n), p - 1):
-                    checks.extend(check_minor_reduction(shape, (1,) + rows, cols + (shape.n,)))
-    elif name == "lemma23":
-        for p in ([t] if t else list(range(2, min(shape.m, shape.n) + 1))):
-            for rows in itertools.combinations(range(1, shape.m + 1), p):
-                for cols in itertools.combinations(range(1, shape.n + 1), p):
-                    if rows[0] == 1 and cols[-1] == shape.n:
-                        continue
-                    checks.extend(expand_minor_without_corner(shape, rows, cols))
-            for rows in itertools.combinations(range(1, shape.m + 1), p):
-                for cols in itertools.combinations(range(1, shape.n + 1), p):
-                    _, check = minor_over_derived_generators(shape, rows, cols)
-                    checks.append(check)
-    else:
-        checks = [check_minor_commutation(shape, *call) for call in _thm25_calls(shape, t)]
-    return checks
+    return [check for build in direct_groups(name, shape, t) for check in build()]
 
 
 def _thm25_calls(shape, t=None):
@@ -483,3 +489,54 @@ def test_a_law_wrong_at_one_column_fails_exactly_the_checks_that_read_it(monkeyp
         assert [not c.ok for c in report.checks] == reads and any(reads), (m, n)
         assert _outcomes(report.checks) == _outcomes(direct_suite("thm25", s)), (m, n)
         assert report.counts["flat_checks"] == sum(reads), (m, n)
+
+
+def _swapped(table, fields, swaps):
+    """The law table with its first two terms' ``fields`` swapped where 3 is a
+    column of the minor, each exponent kept in its place; each swap is
+    appended to ``swaps``."""
+    frozen = getattr(laws, table)
+
+    def patched(rows, cols, *args):
+        terms = frozen(rows, cols, *args)
+        if 3 in cols and len(terms) > 1:
+            a, b = terms[:2]
+            terms = [a._replace(**{f: getattr(b, f) for f in fields}),
+                     b._replace(**{f: getattr(a, f) for f in fields}), *terms[2:]]
+            swaps.append((rows, cols, *args))
+        return terms
+
+    return patched
+
+
+# Tables changed at their indices only: the exponents stay, so a key that
+# kept the exponents but not each term's minor and generator would pass the
+# swapped members of an order-pattern class along with the others.  At 3x5,
+# X[1,4] against [rows|1,2]' and [rows|1,3]' is one such class for thm25; at
+# 4x4, [rows|1,2] and [rows|1,3] one for lemma23.
+SWAPPED_TABLES = [
+    ("thm25", "col_commutation_terms", ("gen",)),
+    ("lemma23", "first_row_terms", ("minor", "gen")),
+]
+
+
+@pytest.mark.parametrize("name,table,fields", SWAPPED_TABLES,
+                         ids=[f"{name}-{table}" for name, table, _ in SWAPPED_TABLES])
+def test_a_table_swapped_at_one_column_fails_exactly_the_checks_that_read_it(
+        monkeypatch, fresh_derived_minors, name, table, fields):
+    swaps, failed = [], 0
+    monkeypatch.setattr(laws, table, _swapped(table, fields, swaps))
+    for m, n in [(3, 4), (4, 3), (4, 4), (3, 5)]:
+        report = run_suite(name, m=m, n=n)
+        direct, reads = [], []
+        for build in direct_groups(name, Shape(m, n)):
+            swaps.clear()
+            checks = build()
+            direct += checks
+            # a last-row expansion reads no first-row table
+            reads += [bool(swaps) and "last-row" not in c.name for c in checks]
+        assert _outcomes(report.checks) == _outcomes(direct), (m, n)
+        assert [not c.ok for c in report.checks] == reads, (m, n)
+        assert report.counts["flat_checks"] == sum(reads), (m, n)
+        failed += sum(reads)
+    assert failed
