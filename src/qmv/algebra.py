@@ -28,15 +28,15 @@ and the kernel never decodes.
 Straightening computes with integer coefficients.  A term is c * q^e * monomial
 with c a Python int, and the q exponent travels in the key: the cache
 ``_mono_times_gen(codes, gid)`` returns ``(codes, e, c)`` triples, and a product
-accumulates into one flat ``{(codes, e): c}`` dict.  ``LaurentScalar`` appears
-only at the element boundary: an element stores ``{Codes: LaurentScalar}``.
-Sums and products share one accumulator and one regroup: ``_flatten`` adds an
-element's terms into a flat dict, and ``_regroup`` turns a flat dict into an
-element once, at the end, dropping what cancelled.  ``AlgebraElement.sum``,
-``+``, ``-`` and ``*`` all end there, so no other code merges terms.
-``AlgebraElement.__mul__`` is ``_product`` between a flatten and a regroup,
-and the localization and the expression evaluator call ``_product`` on flat
-sums directly.
+accumulates into one flat ``{(codes, e): c}`` dict.  An element stores that
+flat dict itself, with no zero coefficient, so an element, a flat sum and the
+numerator of a localized value are one representation.  ``AlgebraElement.sum``,
+``+``, ``-`` and ``*`` accumulate into one dict and ``_nonzero`` drops what
+cancelled; ``*`` is ``_product`` on the two dicts, as the localization and the
+expression evaluator call it.  ``_grouped`` forms the ``LaurentScalar``
+coefficient of each monomial, the one place that is done, only where a ring
+coefficient is needed: printing, ``specialize``, ``scale`` and the solver
+tables of the verify module.
 
 Only the suffix of a monomial moves.  Every letter a rewrite of h * g creates
 is >= g: the swap gives g and h, and the correction X[k,j] * X[i,l] of a
@@ -54,7 +54,7 @@ the previous one, so words sharing a prefix fold that prefix once.  Products
 of a generator with a quantum minor do not take this walk: the minors module
 writes them as combinations of states and splits each state along one row of
 its minor, down to two-letter straightenings and smaller states.  Its
-``flat`` builds them with the same flat accumulator and regroup, the zerotest
+``flat`` builds them with the same flat accumulator, the zerotest
 module decides them with the same splits without building them, and
 ``__mul__`` stays their reference.
 
@@ -72,7 +72,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 
-from .scalar import LaurentScalar, ONE
+from .scalar import LaurentScalar
 
 Gen = tuple[int, int]
 Codes = tuple[int, ...]
@@ -275,24 +275,18 @@ def _fold_gen(flat: Flat, g: int) -> Flat:
     return out
 
 
-def _flatten(acc: Flat, terms: dict[Codes, LaurentScalar]) -> Flat:
-    """Add an element's terms into a flat accumulator; returns the accumulator.
-    Cancelled keys stay with coefficient 0 until ``_regroup`` drops them."""
-    for mono, coeff in terms.items():
-        for e, c in coeff._terms.items():
-            key = (mono, e)
-            acc[key] = acc.get(key, 0) + c
-    return acc
+def _nonzero(flat: Flat) -> Flat:
+    """A flat sum without its cancelled keys."""
+    return {key: c for key, c in flat.items() if c}
 
 
-def _regroup(shape: Shape, acc: Flat) -> "AlgebraElement":
-    """The element a flat accumulator sums to: its nonzero coefficients grouped
-    by monomial into one ``LaurentScalar`` each."""
+def _grouped(flat: Flat) -> dict[Codes, LaurentScalar]:
+    """The coefficient of each monomial of a flat sum without cancelled keys,
+    as one ``LaurentScalar``, monomials in the order they first occur."""
     grouped: dict[Codes, dict[int, int]] = {}
-    for (codes, e), c in acc.items():
-        if c:
-            grouped.setdefault(codes, {})[e] = c
-    return AlgebraElement(shape, {codes: LaurentScalar.from_clean(d) for codes, d in grouped.items()})
+    for (codes, e), c in flat.items():
+        grouped.setdefault(codes, {})[e] = c
+    return {codes: LaurentScalar.from_clean(d) for codes, d in grouped.items()}
 
 
 def _shifted(terms: Iterable[tuple[tuple[Codes, int], int]], scalar: dict[int, int]) -> Flat:
@@ -354,11 +348,13 @@ def _product(left: Flat, right: Flat) -> Flat:
 
 
 class AlgebraElement:
-    """A finite LaurentScalar-linear combination of PBW monomials over a fixed shape."""
+    """A finite Z[q, q^-1]-linear combination of PBW monomials over a fixed
+    shape, stored as the flat sum {(codes, q exponent): int} with no zero
+    coefficient.  The dict is shared, never mutated."""
 
     __slots__ = ("shape", "_terms")
 
-    def __init__(self, shape: Shape, terms: dict[Codes, LaurentScalar]):
+    def __init__(self, shape: Shape, terms: Flat):
         self.shape = shape
         self._terms = terms
 
@@ -368,13 +364,11 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, shape: Shape) -> "AlgebraElement":
-        return cls(shape, {IDENTITY_MONOMIAL: ONE})
+        return cls(shape, {(IDENTITY_MONOMIAL, 0): 1})
 
     @classmethod
     def from_scalar(cls, shape: Shape, c: LaurentScalar | int) -> "AlgebraElement":
-        if isinstance(c, int):
-            c = LaurentScalar.from_int(c)
-        return cls(shape, {IDENTITY_MONOMIAL: c} if c else {})
+        return cls.one(shape).scale(c)
 
     @classmethod
     def sum(cls, shape: Shape, elements: Iterable["AlgebraElement"]) -> "AlgebraElement":
@@ -384,12 +378,13 @@ class AlgebraElement:
         for a in elements:
             if a.shape != shape:
                 raise ValueError(f"shape mismatch: {a.shape} vs {shape}")
-            _flatten(acc, a._terms)
-        return _regroup(shape, acc)
+            for key, c in a._terms.items():
+                acc[key] = acc.get(key, 0) + c
+        return cls(shape, _nonzero(acc))
 
     def terms(self) -> list[tuple[Codes, LaurentScalar]]:
         """(monomial, coefficient) pairs in the canonical printing order."""
-        return sorted(self._terms.items(), key=lambda t: sort_key(t[0]))
+        return sorted(_grouped(self._terms).items(), key=lambda t: sort_key(t[0]))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -411,7 +406,7 @@ class AlgebraElement:
         return AlgebraElement.sum(self.shape, (self, other))
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, {m: -c for m, c in self._terms.items()})
+        return AlgebraElement(self.shape, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
@@ -419,11 +414,11 @@ class AlgebraElement:
         return AlgebraElement.sum(self.shape, (self, -other))
 
     def scale(self, c: LaurentScalar | int) -> "AlgebraElement":
+        """c times the element, each monomial's coefficient multiplied in the ring."""
         if isinstance(c, int):
             c = LaurentScalar.from_int(c)
-        if not c:
-            return AlgebraElement.zero(self.shape)
-        return AlgebraElement(self.shape, {m: c * v for m, v in self._terms.items()})
+        return AlgebraElement(self.shape, {(mono, e): x for mono, v in _grouped(self._terms).items()
+                                           for e, x in (c * v)._terms.items()})
 
     def __mul__(self, other: "AlgebraElement | LaurentScalar | int") -> "AlgebraElement":
         if isinstance(other, (LaurentScalar, int)):
@@ -432,7 +427,7 @@ class AlgebraElement:
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return _regroup(self.shape, _product(_flatten({}, self._terms), _flatten({}, other._terms)))
+        return AlgebraElement(self.shape, _nonzero(_product(self._terms, other._terms)))
 
     def __rmul__(self, other: "LaurentScalar | int") -> "AlgebraElement":
         if isinstance(other, (LaurentScalar, int)):
@@ -450,11 +445,11 @@ class AlgebraElement:
 
     def max_degree(self) -> int:
         """The largest total degree of a term (0 for the zero element)."""
-        return max(map(degree, self._terms), default=0)
+        return _max_degree(self._terms)
 
     def bidegree_of(self) -> Bidegree | None:
         """The common bidegree of all terms, or None when inhomogeneous."""
-        degs = {bidegree(mono, self.shape) for mono in self._terms}
+        degs = {bidegree(mono, self.shape) for mono, _ in self._terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -462,13 +457,13 @@ class AlgebraElement:
     def kill_generator(self, g: Gen) -> "AlgebraElement":
         """Image under the specialization sending X[g] to 0 (drop terms containing it)."""
         return AlgebraElement(
-            self.shape, {m: c for m, c in self._terms.items() if exponent(m, g) == 0}
+            self.shape, {key: c for key, c in self._terms.items() if exponent(key[0], g) == 0}
         )
 
     def specialize(self, q0: Fraction | int) -> dict[Codes, Fraction]:
         """Evaluate every coefficient at q = q0; zero coefficients dropped."""
         out = {}
-        for mono, coeff in self._terms.items():
+        for mono, coeff in _grouped(self._terms).items():
             v = coeff.evaluate(q0)
             if v:
                 out[mono] = v
@@ -489,7 +484,7 @@ def gen(shape: Shape, i: int, j: int) -> AlgebraElement:
     """The generator X[i,j] as a one-term element."""
     if not shape.contains(i, j):
         raise ValueError(f"generator X[{i},{j}] out of range for shape {shape}")
-    return AlgebraElement(shape, {(letter(i, j),): ONE})
+    return AlgebraElement(shape, {((letter(i, j),), 0): 1})
 
 
 def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -93,9 +93,9 @@ class DerivedMinors:
             s, big, verdict = len(rows), ((1,) + rows, cols + (self.n,)), None
             terms = laws.row_terms(rows, cols, 1, rows[0]) if s > 1 else []
             if all(self.holds(*t.minor) and self.commutes(*t.minor) for t in terms):
-                # a derived minor avoids row 1 and column n, so its step and its
-                # commutation rank alike for every [rows|cols] of size s
-                verdict = self.test.verdict(("step", s, *[t.exponent for t in terms]),
+                # the step reads only [1 u rows | cols u n] and its table, ranked
+                rho, gamma, _ = ranked({1, *rows}, {*cols, self.n})
+                verdict = self.test.verdict(("step", s, *_ranked(terms, rho, gamma)),
                                             lambda: self._step(rows, cols, big, terms))
             self.verdicts[key] = verdict
         return self.verdicts[key]
@@ -312,11 +312,3 @@ def _derived_check(shape: Shape, walk: Rewritings, rows: tuple[int, ...],
         verdict = walk.derived.test.verdict(("derived", tree), build)
     return walk.derived.test.decide([derived_name(shape, rows, cols)], [verdict],
                                     lambda: [minor_over_derived_generators(shape, rows, cols)[1]])[0]
-
-
-SUITES = {
-    "cor22": _suite_cor22,
-    "thm21": _suite_thm21,
-    "lemma23": _suite_lemma23,
-    "thm25": _suite_thm25,
-}

@@ -23,8 +23,9 @@ negative powers are allowed only on q and through inv1n.
 Evaluation works on flat values: N X[1,n]^-k is the kernel's flat dict N with
 the corner exponent k, and nodes combine by the localization's flat product,
 sum and power.  Every flat value is canonical, as the atoms are and as those
-three return, so each guard reads the operands a canonical element holds.  A
-minor or derived atom is flattened once per (shape, node).  ``evaluate``
+three return, so each guard reads the operands a canonical element holds.  An
+atom's flat value is the dict its element stores, read without a copy from
+the cache of the core module that builds it.  ``evaluate``
 builds one LocalizedElement at the end, whose denominator exponent is 0
 whenever no localized atom occurs; ``difference`` builds lhs - rhs as one, and
 parses and evaluates lhs before it parses rhs.
@@ -226,9 +227,11 @@ def _leading_square(shape: Shape, k: int, what: str) -> None:
 
 
 def _atom(node, shape: Shape) -> LocalizedElement | AlgebraElement:
-    """The element a minor or derived atom stands for, from the cache of the
-    core module that builds it."""
+    """The element a generator, minor or derived atom stands for, from the
+    cache of the core module that builds it."""
     tag = node[0]
+    if tag == "gen":
+        return gen(shape, node[1], node[2])
     if tag == "xp":
         return x_prime(shape, node[1], node[2])
     if tag == "minor":
@@ -249,14 +252,7 @@ def _atom(node, shape: Shape) -> LocalizedElement | AlgebraElement:
     return minor(shape, range(1, node[1] + 1), range(1, node[1] + 1))
 
 
-_ATOM_TAGS = frozenset(("xp", "minor", "pminor", "comp", "det"))
-
-# (shape, atom node) -> (its element, the element's flat value).  An atom is
-# flattened once per element the core caches return; nothing mutates a flat
-# value.  ``_atom`` still runs each time: it validates the atom, and a traced
-# run then counts the same calls into the core modules whatever this cache
-# held before it.
-_ATOMS: dict[tuple[Shape, tuple], tuple[LocalizedElement | AlgebraElement, Value]] = {}
+_ATOM_TAGS = frozenset(("gen", "xp", "minor", "pminor", "comp", "det"))
 
 
 def _scalar(e: int, c: int = 1, k: int = 0) -> Value:
@@ -277,13 +273,8 @@ def _evaluate(node, shape: Shape) -> Value:
         if tag == "mul":
             return _localized_product(shape, a, b)
         return _localized_sum(shape, a, b if tag == "add" else _negated(b))
-    if tag == "gen":
-        return _value(gen(shape, node[1], node[2]), shape)
     if tag in _ATOM_TAGS:
-        element, hit = _atom(node, shape), _ATOMS.get((shape, node))
-        if hit is None or hit[0] is not element:
-            hit = _ATOMS[shape, node] = element, _value(element, shape)
-        return hit[1]
+        return _value(_atom(node, shape), shape)
     if tag == "num":
         return _scalar(0, node[1])
     if tag == "q":

@@ -8,12 +8,13 @@ its corner exponent and a q-power), and so is the canonical form, which strips
 in one pass the corner powers every numerator term holds, up to k.
 
 The arithmetic runs on flat values (N, k), N the kernel's flat
-{(codes, q exponent): int} sum: ``_tau`` twists, ``_moved`` moves the corner,
-``_canonical`` is the canonical form, and ``_localized_product``,
-``_localized_sum`` and ``_localized_power`` are the only localized product, sum
-and power; each returns a canonical value.  ``combined``, a sum of products
-built into one element, computes every other localized value through them; the
-expression evaluator calls them directly and builds one element at the end.
+{(codes, q exponent): int} sum, the dict an element stores: ``_tau`` twists,
+``_moved`` moves the corner, ``_canonical`` is the canonical form, and
+``_localized_product``, ``_localized_sum`` and ``_localized_power`` are the
+only localized product, sum and power; each returns a canonical value.
+``combined``, a sum of products built into one element, computes every other
+localized value through them; the expression evaluator calls them directly and
+builds one element at the end.
 
 On top of the localization this module builds the derived generators
 X'[i,j] = X[i,j] - q^-1 X[1,j] X[i,n] X[1,n]^-1, once per shape, and their
@@ -45,13 +46,12 @@ them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
 from functools import lru_cache
 
 from .algebra import (
     COL_BITS, COL_MASK, EXP_BITS, EXP_LIMIT, EXP_MASK,
-    AlgebraElement, Codes, Flat, Shape, _flatten, _fold_gen, _max_degree, _product,
-    _regroup, _shifted, check_degree, exponent, gen, gen_id, letter, word,
+    AlgebraElement, Codes, Flat, Shape, _fold_gen, _max_degree, _nonzero, _product,
+    _shifted, check_degree, exponent, gen, gen_id, letter, word,
 )
 from .checks import IdentityCheck, check_zero
 from .minors import MinorSpec, _sign, check_term_count, expansion, expansion_products, minor
@@ -131,9 +131,9 @@ def _flat_corner_power(flat: Flat, n: int) -> tuple[dict[int, int], int] | None:
 Value = tuple[Flat, int]
 
 
-def _strip(monomials: Iterable[Codes], k: int, n: int) -> int:
-    """The corner power that every monomial holds, up to k."""
-    for codes in monomials:
+def _strip(flat: Flat, k: int, n: int) -> int:
+    """The corner power that every monomial of a flat sum holds, up to k."""
+    for codes, _ in flat:
         if not k:
             break
         k = min(k, exponent(codes, (1, n)))
@@ -145,13 +145,13 @@ def _canonical(value: Value, n: int) -> Value:
     exponent 0): the corner power every term holds, up to k, is moved out in
     one pass, and a zero numerator has k = 0."""
     flat, k = value
-    strip = _strip((codes for codes, _ in flat), k, n)
+    strip = _strip(flat, k, n)
     return (_moved(flat, -strip, n), k - strip) if flat else (flat, 0)
 
 
 def _value(x: "LocalizedElement | AlgebraElement | Value", shape: Shape) -> Value:
-    """A localized or plain element of the given shape as a flat value; a flat
-    value is returned as it is."""
+    """A localized or plain element of the given shape as a flat value, its
+    numerator's dict not copied; a flat value is returned as it is."""
     if isinstance(x, tuple):
         return x
     numerator, k = (x.numerator, x.k) if isinstance(x, LocalizedElement) else (x, 0)
@@ -159,12 +159,12 @@ def _value(x: "LocalizedElement | AlgebraElement | Value", shape: Shape) -> Valu
         raise TypeError(f"cannot treat {type(x).__name__} as a localized element")
     if numerator.shape != shape:
         raise ValueError(f"shape mismatch: {numerator.shape} vs {shape}")
-    return _flatten({}, numerator._terms), k
+    return numerator._terms, k
 
 
 def _element(shape: Shape, value: Value) -> "LocalizedElement":
-    """The element a flat value stands for."""
-    return LocalizedElement(_regroup(shape, value[0]), value[1])
+    """The element a flat value stands for, wrapping its dict."""
+    return LocalizedElement(AlgebraElement(shape, value[0]), value[1])
 
 
 def _localized_product(shape: Shape, a: Value, b: Value) -> Value:
@@ -180,7 +180,7 @@ def _localized_product(shape: Shape, a: Value, b: Value) -> Value:
         h = _tau(g, k - d, shape)
     else:
         product = _product(f, _tau(g, k, shape))
-        return _canonical(({key: c for key, c in product.items() if c}, k + l), shape.n)
+        return _canonical((_nonzero(product), k + l), shape.n)
     moved = _moved(h if c == {0: 1} else _shifted(h.items(), c), d, shape.n)
     return _canonical((moved, k + l), shape.n)
 
@@ -194,7 +194,7 @@ def _localized_sum(shape: Shape, *values: Value) -> Value:
     for f, l in values:
         for key, c in _moved(f, k - l, shape.n).items():
             acc[key] = acc.get(key, 0) + c
-    return _canonical(({key: c for key, c in acc.items() if c}, k), shape.n)
+    return _canonical((_nonzero(acc), k), shape.n)
 
 
 def combined(shape: Shape, *terms) -> "LocalizedElement":
@@ -235,8 +235,8 @@ class LocalizedElement:
         if k < 0:
             raise ValueError("denominator exponent must be nonnegative")
         if _strip(numerator._terms, k, numerator.shape.n):
-            flat, k = _canonical((_flatten({}, numerator._terms), k), numerator.shape.n)
-            numerator = _regroup(numerator.shape, flat)
+            flat, k = _canonical((numerator._terms, k), numerator.shape.n)
+            numerator = AlgebraElement(numerator.shape, flat)
         self.numerator = numerator
         self.k = k
 
@@ -273,7 +273,7 @@ class LocalizedElement:
         num = self.numerator.render(limit)
         if self.k == 0:
             return num
-        if len(self.numerator._terms) > 1:
+        if len({codes for codes, _ in self.numerator._terms}) > 1:  # more than one monomial
             num = f"({num})"
         suffix = "inv1n" if self.k == 1 else f"inv1n^{self.k}"
         return f"{num}*{suffix}"
@@ -480,7 +480,7 @@ def minor_over_derived_generators(
     """
     rows, cols = tuple(rows), tuple(cols)
     target = minor(shape, rows, cols)  # validates the index sets
-    cofactors = {key: LocalizedElement(_regroup(shape, body), k)
+    cofactors = {key: LocalizedElement(AlgebraElement(shape, body), k)
                  for key, (k, body) in _derived_cofactors(shape, rows, cols).items()}
     terms = [(1, x_prime_minor(shape, r, c), piece) for (r, c), piece in cofactors.items()]
     return cofactors, check_zero(derived_name(shape, rows, cols), combined(shape, *terms, (-1, target)))
@@ -532,7 +532,7 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
             for (codes, e2), c2 in body.items():
                 term = (codes, e2 + k * w + x)
                 acc[term] = acc.get(term, 0) + c2 * sign
-    out = {key: (k, {term: c2 for term, c2 in acc.items() if c2}) for key, (k, acc) in sums.items()}
+    out = {key: (k, _nonzero(acc)) for key, (k, acc) in sums.items()}
     if cols[-1] == n:
         memo[rows, cols] = out
     return out

@@ -39,9 +39,9 @@ per pair of generators.
 form.  A state with a right word splits at its bottom row and any other state
 at its top row; each piece's rest comes from a memo of state products that one
 build makes and drops, the top-level pieces go straight into the result, and
-the result is regrouped once.  A state that splits at neither end is built
-without W, then multiplied by W.  The zerotest module decides combinations
-with the same splits without building them.
+what cancels is dropped once, at the end.  A state that splits at neither end
+is built without W, then multiplied by W.  The zerotest module decides
+combinations with the same splits without building them.
 
 Row and column expansions both take their terms and exponent laws from the
 tables in the laws module, fitted by the exponent solver and frozen with the
@@ -57,7 +57,7 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import (
-    COL_BITS, EXP_BITS, EXP_MASK, AlgebraElement, Codes, Flat, Shape, _fold_gen, _regroup, decode,
+    COL_BITS, EXP_BITS, EXP_MASK, AlgebraElement, Codes, Flat, Shape, _fold_gen, _nonzero, decode,
     gen, letter,
 )
 from .scalar import LaurentScalar
@@ -135,11 +135,10 @@ def check_term_count(t: int) -> None:
 
 @lru_cache(maxsize=None)
 def _minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
-    """Built once per (shape, rows, cols); elements and their coefficients are
-    immutable, so callers share it, and its terms share one (-q)^k each."""
-    t = len(rows)
-    powers = [LaurentScalar.minus_q_power(k) for k in range(t * (t - 1) // 2 + 1)]
-    return AlgebraElement(shape, {codes: powers[inv] for codes, inv in _permutation_words(rows, cols)})
+    """Built once per (shape, rows, cols); elements are immutable, so callers
+    share it.  Each word's term is (-q)^inv(sigma), the flat key (word, inv)
+    with coefficient (-1)^inv."""
+    return AlgebraElement(shape, {(codes, inv): _sign(inv) for codes, inv in _permutation_words(rows, cols)})
 
 
 def _permutation_words(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[tuple[Codes, int]]:
@@ -287,9 +286,8 @@ def table_combination(shape: Shape, terms: list[laws.Term], left: bool,
     minor ``minus`` when one is given."""
     entries = [((), *minus, (), 0, -1)] if minus else []
     for t in terms:
-        (x, coeff), = _factor(shape, t)._terms.items()
         entries.extend((x, *t.minor, (), e, c) if left else ((), *t.minor, x, e, c)
-                       for e, c in coeff._terms.items())
+                       for (x, e), c in _factor(shape, t)._terms.items())
     return combination(entries)
 
 
@@ -307,7 +305,7 @@ def _flat(shape: Shape, combination: Combination, memo: Memo) -> AlgebraElement:
     acc: Flat = {}
     for (state, e), c in combination.items():
         _expand(state, e, c, memo, acc)
-    return _regroup(shape, acc)
+    return AlgebraElement(shape, _nonzero(acc))
 
 
 def _expand(state: State, e0: int, c0: int, memo: Memo, acc: Flat) -> Flat:
@@ -406,8 +404,5 @@ def project_pi(element: AlgebraElement, target: Shape) -> AlgebraElement:
         raise ValueError(
             f"projection expects a square {s}x{s} source for target {target}, got {source}"
         )
-    terms: dict[Codes, LaurentScalar] = {}
-    for mono, coeff in element.terms():
-        if all(target.contains(*decode(code)[0]) for code in mono):
-            terms[mono] = coeff
-    return AlgebraElement(target, terms)
+    return AlgebraElement(target, {(mono, e): c for (mono, e), c in element._terms.items()
+                                   if all(target.contains(*decode(code)[0]) for code in mono)})

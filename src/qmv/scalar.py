@@ -1,8 +1,10 @@
 """Exact arithmetic in the Laurent polynomial ring Z[q, q^-1] and its fraction field.
 
-Every coefficient in the system is a ``LaurentScalar``: a sparse mapping from
+A coefficient in the ring is a ``LaurentScalar``: a sparse mapping from
 integer powers of q to arbitrary-precision integer coefficients.  Zero terms
 are never stored, so structural equality is exact equality in the ring.
+Elements keep their coefficients flat, by q exponent (the algebra module), and
+form these where a ring coefficient is needed.
 """
 
 from __future__ import annotations

@@ -30,16 +30,17 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from importlib import import_module
 from math import comb, factorial
 
 from .algebra import (
     AlgebraElement,
     Bidegree,
     Codes,
+    Flat,
     Shape,
-    _flatten,
+    _grouped,
     _mono_times_gen,
-    _regroup,
     component_basis,
     exponent,
     gen,
@@ -54,7 +55,6 @@ from .localize import (
     _commutation,
     _flat_corner_power,
     _moved,
-    _value,
     combined,
     correction_terms,
     x_prime_entries,
@@ -150,15 +150,17 @@ class ElementSystem:
 
 def _element_system(columns: Iterable[AlgebraElement], target: AlgebraElement) -> ElementSystem:
     """Rows for the target's monomials in its order, then for each new monomial
-    in column order; the columns are read one at a time and not kept."""
+    in column order, each entry a monomial's coefficient in the ring; the
+    columns are read one at a time and not kept."""
     index: dict[LaurentScalar, int] = {ZERO: 0}
     entry = lambda coeff: index.setdefault(coeff, len(index))
-    row_of = {mono: r for r, mono in enumerate(target._terms)}
-    rhs = [entry(coeff) for coeff in target._terms.values()]
+    goal = _grouped(target._terms)
+    row_of = {mono: r for r, mono in enumerate(goal)}
+    rhs = [entry(coeff) for coeff in goal.values()]
     rows: list[dict[int, int]] = [{} for _ in rhs]
     n_cols = 0
     for c, col in enumerate(columns):
-        for mono, coeff in col._terms.items():
+        for mono, coeff in _grouped(col._terms).items():
             r = row_of.setdefault(mono, len(rows))
             if r == len(rows):
                 rows.append({})
@@ -283,7 +285,7 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
                  else [(k, shape.n) for k in range(2, shape.m + 1)])
         # the corrections complete x mp - mp x to zero; derived minors have denominator
         # exponent 1 (Cor. 2.2), so all is read as its numerator over X[1,n]^-1
-        over = lambda e: _regroup(shape, _moved(_value(e, shape)[0], 1 - e.k, shape.n))
+        over = lambda e: AlgebraElement(shape, _moved(e.numerator._terms, 1 - e.k, shape.n))
         for size in ((t - 1,) if t is not None else (1, 2)):
             for rows in itertools.combinations(range(2, shape.m + 1), size):
                 for cols in itertools.combinations(range(1, shape.n), size):
@@ -381,12 +383,12 @@ def _columns(unk: UnknownCofactor) -> Iterator[AlgebraElement]:
     and a right factor X[1,n]^d moves the corner in closed form; both factors
     are read once for all the monomials."""
     shape = unk.left.shape
-    left, right = (_flat_corner_power(_flatten({}, f._terms), shape.n) for f in (unk.left, unk.right))
+    left, right = (_flat_corner_power(f._terms, shape.n) for f in (unk.left, unk.right))
     for mono in unk.basis:
-        col = AlgebraElement(shape, {mono: ONE})
+        col = AlgebraElement(shape, {(mono, 0): 1})
         col = col if left == ({0: 1}, 0) else unk.left * col
         if right and right[0] == {0: 1}:
-            yield _regroup(shape, _moved(_flatten({}, col._terms), right[1], shape.n))
+            yield AlgebraElement(shape, _moved(col._terms, right[1], shape.n))
         else:
             yield col * unk.right
 
@@ -404,13 +406,12 @@ def solve_membership(problem: MembershipProblem):
     if status == "none":
         return "no-solution", None
     slots = [(unk.name, mono) for unk in problem.unknowns for mono in unk.basis]
-    terms: dict[str, dict[Codes, LaurentScalar]] = {unk.name: {} for unk in problem.unknowns}
+    terms: dict[str, Flat] = {unk.name: {} for unk in problem.unknowns}
     for (name, mono), value in zip(slots, sol):
         scalar = value.as_scalar()
         if scalar is None:
             return "solution", None
-        if scalar:
-            terms[name][mono] = scalar
+        terms[name].update(((mono, e), c) for e, c in scalar._terms.items())
     cofactors = {name: AlgebraElement(problem.shape, t) for name, t in terms.items()}
     reconstructed = AlgebraElement.sum(problem.shape, (
         unk.left * cofactors[unk.name] * unk.right for unk in problem.unknowns))
@@ -546,20 +547,19 @@ class SuiteReport:
 def _quantum_relation_checks(shape: Shape, entries: dict[Gen, AlgebraElement | LocalizedElement],
                              label: str) -> list[IdentityCheck]:
     """The four defining relation schemes over any grid of plain or localized
-    elements of the shape, keyed by (row, col).  Each entry is flattened once,
-    and each relation is one ``combined`` sum."""
-    values = {pos: _value(x, shape) for pos, x in entries.items()}
+    elements of the shape, keyed by (row, col), each relation one ``combined``
+    sum."""
     out: list[IdentityCheck] = []
     minus_q, qinv_minus_q = -Q, QINV - Q  # built once, not per relation
-    for (i, j), (k, l) in itertools.combinations(sorted(values), 2):
-        a, b = values[i, j], values[k, l]
+    for (i, j), (k, l) in itertools.combinations(sorted(entries), 2):
+        a, b = entries[i, j], entries[k, l]
         # the positions are sorted, so i < k, or i == k and j < l
         if i == k or j == l:
             kind, terms = "row" if i == k else "column", ((1, a, b), (minus_q, b, a))
         elif j > l:
             kind, terms = "antidiagonal", ((1, a, b), (-1, b, a))
         else:
-            kind, terms = "diagonal", ((1, a, b), (-1, b, a), (qinv_minus_q, values[i, l], values[k, j]))
+            kind, terms = "diagonal", ((1, a, b), (-1, b, a), (qinv_minus_q, entries[i, l], entries[k, j]))
         out.append(check_zero(f"{label}: {kind} relation ({i},{j})({k},{l})", combined(shape, *terms)))
     return out
 
@@ -589,8 +589,8 @@ def _suite_prop112(shape: Shape) -> list[IdentityCheck]:
     if m < 2 or n < 2:
         return []
     checks: list[IdentityCheck] = []
-    xp = {pos: _value(x, shape) for pos, x in x_prime_entries(shape).items()}
-    X = {(i, j): _value(gen(shape, i, j), shape) for i, j in shape.generators()}
+    xp = x_prime_entries(shape)
+    X = {(i, j): gen(shape, i, j) for i, j in shape.generators()}
     for j in range(1, n):
         for i in range(2, m + 1):
             checks.append(check_zero(f"edge relation 1: j={j}, i={i}", combined(
@@ -752,6 +752,8 @@ def _suite_jordan(shape: Shape) -> list[IdentityCheck]:
     return checks
 
 
+# Every suite: its function, or the module ("zerotest" or "derived") whose
+# ``_suite_<name>`` decides each check by a zero test, run with one ZeroTest.
 SUITES = {
     "eq1-relations": _suite_eq1_relations,
     "appendix": _suite_appendix,
@@ -760,13 +762,14 @@ SUITES = {
     "pbw-count": _suite_pbw_count,
     "grading": _suite_grading,
     "jordan-obstruction": _suite_jordan,
+    "centrality": "zerotest",
+    "semicentrality": "zerotest",
+    "laplace": "zerotest",
+    "cor22": "derived",
+    "thm21": "derived",
+    "lemma23": "derived",
+    "thm25": "derived",
 }
-
-# The suites of the zerotest module, which decide each check by a row-by-row zero test.
-SPLIT_SUITES = ("centrality", "semicentrality", "laplace")
-
-# The suites of the derived module, which decide each check by the zero test in corner form.
-DERIVED_SUITES = ("cor22", "thm21", "lemma23", "thm25")
 
 # The suites that take a minor size t.
 SIZED_SUITES = ("cor22", "lemma23", "thm25")
@@ -775,9 +778,9 @@ SIZED_SUITES = ("cor22", "lemma23", "thm25")
 def run_suite(name: str, m: int | None = None, n: int | None = None,
               t: int | None = None) -> SuiteReport:
     """Run one named identity suite over the given shape parameters."""
-    if name not in SUITES and name not in SPLIT_SUITES and name not in DERIVED_SUITES:
-        available = ", ".join(sorted([*SUITES, *SPLIT_SUITES, *DERIVED_SUITES]))
-        raise ValueError(f"unknown suite {name!r}; available: {available}")
+    suite = SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
     if n is None and m is None:
         raise ValueError(f"suite {name} needs shape parameters (--m/--n)")
     if n is None:
@@ -794,17 +797,14 @@ def run_suite(name: str, m: int | None = None, n: int | None = None,
         raise ValueError(f"suite {name} takes t >= 2, got t=1")
     cached = _mono_times_gen.cache_info().currsize
     start = time.monotonic()
-    if name in SPLIT_SUITES or name in DERIVED_SUITES:
+    if isinstance(suite, str):
         # each module loads on first use: a process that runs none of its
         # suites never compiles it
-        from .zerotest import check_by_rows
-        if name in SPLIT_SUITES:
-            from .zerotest import SUITES as module_suites
-        else:
-            from .derived import SUITES as module_suites
-        checks, counts = check_by_rows(module_suites[name], shape, t)
+        test = import_module(f"{__package__}.zerotest").ZeroTest(shape)
+        run = getattr(import_module(f"{__package__}.{suite}"), f"_suite_{name}")
+        checks, counts = (run(shape, test) if t is None else run(shape, test, t)), test.counts()
     else:
-        checks, counts = SUITES[name](shape), {}
+        checks, counts = suite(shape), {}
     elapsed = time.monotonic() - start
     counts["straighten_cache_added"] = _mono_times_gen.cache_info().currsize - cached
     return SuiteReport(name, {"m": m, "n": n, **({"t": t} if t else {})}, checks, elapsed, counts)

@@ -291,19 +291,3 @@ def _suite_laplace(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
                 checks.append(test.check(name.format(a, b), table_combination(
                     shape, table(full, full, a, b), left, minus)))
     return checks
-
-
-SUITES = {
-    "centrality": _suite_centrality,
-    "semicentrality": _suite_semicentrality,
-    "laplace": _suite_laplace,
-}
-
-
-def check_by_rows(suite: Callable[..., list[IdentityCheck]], shape: Shape, t: int | None = None
-                  ) -> tuple[list[IdentityCheck], dict[str, int]]:
-    """One suite's checks, with one zero test for the run, and its counts; t
-    only for the suites that take it."""
-    test = ZeroTest(shape)
-    checks = suite(shape, test) if t is None else suite(shape, test, t)
-    return checks, test.counts()

@@ -136,6 +136,13 @@ class TestCommands:
         out = capsys.readouterr().out.strip()
         assert out == "X[1,1]*X[2,2] - (q - q^-1)*X[1,2]*X[2,1]"
 
+    def test_a_localized_numerator_is_parenthesized_by_its_monomials(self, capsys):
+        # one monomial whose coefficient has two terms stays bare; two monomials are grouped
+        for expr, want in [("(q+q^-1)*X[1,1]*inv1n", "(q + q^-1)*X[1,1]*inv1n"),
+                           ("X[1,1]*inv1n + q*X[2,2]*inv1n", "(X[1,1] + q*X[2,2])*inv1n")]:
+            assert main(["normalize", "--n", "3", expr]) == 0
+            assert capsys.readouterr().out == want + "\n"
+
     def test_equal_central_determinant(self, capsys):
         code = main(["equal", "--m", "3", "--n", "3", "Dq@3 * X[2,2]", "X[2,2] * Dq@3"])
         assert code == 0

@@ -35,13 +35,14 @@ def test_inversion_count():
 
 
 def test_minors_match_the_inversion_count_permutation_sum():
-    # every minor up to 6x6, terms and their order included
+    # every minor up to 6x6, terms and their order included; the term
+    # (-q)^inv(p) word is the flat key (word, inv(p)) with coefficient (-1)^inv(p)
     s = Shape(6, 6)
     for t in range(1, 7):
         for rows in itertools.combinations(range(1, 7), t):
             for cols in itertools.combinations(range(1, 7), t):
-                want = [(tuple(letter(rows[a], cols[p[a]]) for a in range(t)),
-                         LaurentScalar.minus_q_power(inversions(p)))
+                want = [((tuple(letter(rows[a], cols[p[a]]) for a in range(t)), inversions(p)),
+                         (-1) ** inversions(p))
                         for p in itertools.permutations(range(t))]
                 assert list(minor(s, rows, cols)._terms.items()) == want, (rows, cols)
 

@@ -33,6 +33,12 @@ from qmv.verify import (
 )
 
 
+def grouped(shape, terms):
+    """The element sum c * mono over {monomial: LaurentScalar c}, in the flat
+    {(monomial, q exponent): int} form it stores; zero coefficients add nothing."""
+    return AlgebraElement(shape, {(mono, e): x for mono, c in terms.items() for e, x in c._terms.items()})
+
+
 class TestLinearSolver:
     def sf(self, k):
         return ScalarFraction(LaurentScalar.from_int(k))
@@ -237,7 +243,7 @@ def test_membership_system_matches_the_generic_build(n):
     # columns left * mono * right through two kernel products each
     problem = jordan_membership_problem(n)
     generic = verify._element_system(
-        (unk.left * AlgebraElement(problem.shape, {mono: ONE}) * unk.right
+        (unk.left * grouped(problem.shape, {mono: ONE}) * unk.right
          for unk in problem.unknowns for mono in unk.basis), problem.target)
     system = problem.system
     assert (system.n_cols, system.entries, system.rows, system.rhs) == (
@@ -276,12 +282,12 @@ class TestMembership:
         s = Shape(3, 3)
         problem = jordan_membership_problem(3)
         beta_mono = problem.unknowns[1].basis[0]
-        target = AlgebraElement(s, {beta_mono: ONE}) * gen(s, 1, 3)
+        target = grouped(s, {beta_mono: ONE}) * gen(s, 1, 3)
         variant = MembershipProblem(s, target, problem.unknowns)
         verdict, cofactors = solve_membership(variant)
         assert verdict == "solution"
         assert cofactors["alpha"].is_zero()
-        assert cofactors["beta"] == AlgebraElement(s, {beta_mono: ONE})
+        assert cofactors["beta"] == grouped(s, {beta_mono: ONE})
 
     def test_verdict_stable_under_specialization(self):
         problem = jordan_membership_problem(3)
@@ -307,7 +313,7 @@ def reference_solve(problem, convert, zero):
     every entry converted where it is read and rows opened in printing order
     at the first nonzero entry; solved by ``solve_linear``."""
     s = problem.shape
-    columns = [unk.left * AlgebraElement(s, {mono: ONE}) * unk.right
+    columns = [unk.left * grouped(s, {mono: ONE}) * unk.right
                for unk in problem.unknowns for mono in unk.basis]
     rows, rhs, row_of = [], [], {}
 
@@ -338,7 +344,7 @@ def reference_membership(problem):
         return "solution", None
     slots = [(unk.name, mono) for unk in problem.unknowns for mono in unk.basis]
     return "solution", {
-        unk.name: AlgebraElement(problem.shape, {
+        unk.name: grouped(problem.shape, {
             mono: v for (name, mono), v in zip(slots, values) if name == unk.name and v})
         for unk in problem.unknowns}
 
@@ -352,7 +358,7 @@ def solvable_variant():
     """The problem of ``test_manifestly_solvable_variant``."""
     s = Shape(3, 3)
     problem = jordan_membership_problem(3)
-    target = AlgebraElement(s, {problem.unknowns[1].basis[0]: ONE}) * gen(s, 1, 3)
+    target = grouped(s, {problem.unknowns[1].basis[0]: ONE}) * gen(s, 1, 3)
     return MembershipProblem(s, target, problem.unknowns)
 
 
@@ -408,7 +414,7 @@ def membership_problems(draw):
         for name in ("u", "v")[:draw(st.integers(1, 2))]]
     if draw(st.booleans()):
         target = AlgebraElement.sum(s, [
-            unk.left * AlgebraElement(s, {mono: draw(SMALL_SCALARS)}) * unk.right
+            unk.left * grouped(s, {mono: draw(SMALL_SCALARS)}) * unk.right
             for unk in unknowns for mono in unk.basis])
     else:
         target = element(3)
@@ -559,7 +565,7 @@ def test_associativity_fuzz_smoke():
 def test_check_zero_bounds_a_large_witness():
     s = Shape(5, 5)
     det = qdet(s)
-    head = str(AlgebraElement(s, dict(det.terms()[:WITNESS_TERMS])))
+    head = str(grouped(s, dict(det.terms()[:WITNESS_TERMS])))
     check = check_zero("det vanishes", det)
     assert not check.ok
     assert check.witness == f"{head} + ... (120 terms)"
