@@ -41,10 +41,10 @@ import itertools
 from .algebra import Shape, gen_id, letter
 from .checks import IdentityCheck
 from .localize import (
-    _commutation, _corner_moved, _derived_cofactors, _rewriting, check_det_reduction,
+    _commutation, _derived_cofactors, _localized_product, _rewriting, check_det_reduction,
     check_minor_commutation, check_minor_reduction, commutation_name, correction_scalar,
     derived_name, det_reduction_names, expand_minor_without_corner, expansion_names,
-    minor_over_derived_generators, reduction_names, tau_weight,
+    minor_over_derived_generators, reduction_names,
 )
 from .minors import _sign, check_term_count, combination, commutator, product, table_combination
 from .zerotest import ZeroTest, ranked
@@ -277,8 +277,7 @@ def _expansion_checks(shape: Shape, walk: Rewritings, rows: tuple[int, ...],
 
     def expansion(last: bool):
         terms, _, enlarged = _rewriting(shape, rows, cols)
-        return table_combination(shape, laws.last_row_terms(*enlarged) if last else terms, False,
-                                 enlarged)
+        return table_combination(shape, laws.last_row_terms(*enlarged) if last else terms, enlarged)
 
     verdicts = [test.verdict(("expansion", local), lambda: expansion(False))]
     if rows[0] != 1 and cols[-1] != shape.n:
@@ -301,13 +300,14 @@ def _derived_check(shape: Shape, walk: Rewritings, rows: tuple[int, ...],
         def build():
             pieces = _derived_cofactors(shape, rows, cols)
             top = max(k for k, _ in pieces.values())
-            entries = [((), rows, cols, (letter(1, n, top + 1),), 0, -1)]
+            corner = (letter(1, n, top + 1),)
+            entries = [((), rows, cols, corner, 0, -1)]
             for (r, c), (k, body) in pieces.items():
-                s = len(r)
-                for (codes, e), c2 in body.items():
-                    moved, shift = _corner_moved(codes, top - k, n)
-                    entries.append(((), (1,) + r, c + (n,), moved,
-                                    e + tau_weight(codes, shape) + shift - s, _sign(s) * c2))
+                # X^-1 N X^-k X^(K+1) = tau(N) X^(K-k), a flat value with k = 0
+                value = _localized_product(shape, ({((), 0): 1}, 1), (body, k))
+                value = _localized_product(shape, value, ({(corner, 0): 1}, 0))
+                entries += [((), (1,) + r, c + (n,), codes, e - len(r), _sign(len(r)) * c2)
+                            for (codes, e), c2 in value[0].items()]
             return combination(entries)
         verdict = walk.derived.test.verdict(("derived", tree), build)
     return walk.derived.test.decide([derived_name(shape, rows, cols)], [verdict],

@@ -10,10 +10,14 @@ One evaluator, ``exponent(family, indices)``, reads a frozen law.  Each
 family's terms are written once, as a term function below that names its
 family: pure index arithmetic giving, per term, the law's variables, the minor
 and the one generator multiplying it, with the exponent evaluated at exactly
-those variables.  The expansions, the Lemma 2.3 rewriting, the commutation
-checks and the exponent solver all read these tables; the solver builds the
-suites' own products with every exponent set to zero, solves for the
-exponents itself, and checks them through the same evaluator.
+those variables.  The family also fixes the side the generator stands on, and
+``_term`` alone records it in each term: the row expansion and the two
+Theorem 2.5 correction tables put it left of the minor, the column, first-row
+and last-row expansions right, so no reader of a table chooses a side.  The
+expansions, the Lemma 2.3 rewriting, the commutation checks and the exponent
+solver all read these tables; the solver builds the suites' own products with
+every exponent set to zero, solves for the exponents itself, and checks them
+through the same evaluator.
 """
 
 from __future__ import annotations
@@ -60,20 +64,26 @@ def exponent(family: str, indices: dict[str, int]) -> int:
 MinorKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+# The families whose generator stands left of the minor; every other one's stands right.
+_LEFT = frozenset({"row-laplace", "thm25-2prime", "thm25-4prime"})
+
+
 class Term(NamedTuple):
-    """One term (-q)^exponent [minor] X[gen] of a family, keyed by the law's
-    variables; the family fixes the side of the generator.  The minor key
-    ((), ()) names 1."""
+    """One term of a family, keyed by the law's variables: (-q)^exponent
+    X[gen] [minor] when ``left``, else (-q)^exponent [minor] X[gen].  The
+    minor key ((), ()) names 1."""
 
     indices: dict[str, int]
     exponent: int
     minor: MinorKey
     gen: tuple[int, int]
+    left: bool
 
 
 def _term(family: str, indices: dict[str, int], minor: MinorKey, gen: tuple[int, int]) -> Term:
-    """A term of the family, its exponent the frozen law at exactly these indices."""
-    return Term(indices, exponent(family, indices), minor, gen)
+    """A term of the family, its exponent the frozen law at exactly these
+    indices, its generator on the family's side."""
+    return Term(indices, exponent(family, indices), minor, gen, family in _LEFT)
 
 
 def _drop(indices: tuple[int, ...], position: int) -> tuple[int, ...]:

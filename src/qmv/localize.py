@@ -14,7 +14,9 @@ The arithmetic runs on flat values (N, k), N the kernel's flat
 only localized product, sum and power; each returns a canonical value.
 ``combined``, a sum of products built into one element, computes every other
 localized value through them; the expression evaluator calls them directly and
-builds one element at the end.
+builds one element at the end.  The corner's closed forms live here alone:
+another module that multiplies by a power of X[1,n], or by its inverse, does
+so through ``_localized_product`` or ``combined``.
 
 On top of the localization this module builds the derived generators
 X'[i,j] = X[i,j] - q^-1 X[1,j] X[i,n] X[1,n]^-1, once per shape, and their
@@ -170,7 +172,8 @@ def _element(shape: Shape, value: Value) -> "LocalizedElement":
 def _localized_product(shape: Shape, a: Value, b: Value) -> Value:
     """f X^-k * g X^-l = f tau^k(g) X^-(k+l), X = X[1,n].  A factor c X^d
     (d >= 0) moves in closed form: f c X^d = c f X^d and c X^d h = c tau^-d(h)
-    X^d; any other product is ``_product``, after its degree check."""
+    X^d, and the move first cancels against the denominator X^-(k+l), as far
+    as both go; any other product is ``_product``, after its degree check."""
     (f, k), (g, l) = a, b
     if power := _flat_corner_power(g, shape.n):
         c, d = power
@@ -181,8 +184,9 @@ def _localized_product(shape: Shape, a: Value, b: Value) -> Value:
     else:
         product = _product(f, _tau(g, k, shape))
         return _canonical((_nonzero(product), k + l), shape.n)
-    moved = _moved(h if c == {0: 1} else _shifted(h.items(), c), d, shape.n)
-    return _canonical((moved, k + l), shape.n)
+    cancelled = min(d, k + l)
+    moved = _moved(h if c == {0: 1} else _shifted(h.items(), c), d - cancelled, shape.n)
+    return _canonical((moved, k + l - cancelled), shape.n)
 
 
 def _localized_sum(shape: Shape, *values: Value) -> Value:
@@ -258,7 +262,8 @@ class LocalizedElement:
         return self.k == other.k and self.numerator == other.numerator
 
     def __hash__(self) -> int:
-        return hash((self.numerator, self.k))
+        # equal to a plain element when k = 0, so it hashes as one
+        return hash((self.numerator, self.k) if self.k else self.numerator)
 
     # perfbench/tracer.py times __init__, __mul__ and __add__ by name; nothing in
     # qmv calls the two operators, which compute through ``combined``
@@ -491,8 +496,8 @@ def derived_name(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> 
     return f"[{list(rows)}|{list(cols)}] over derived minors in {shape}"
 
 
-def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...],
-                       memo: dict | None = None) -> dict[laws.MinorKey, tuple[int, Flat]]:
+def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]
+                       ) -> dict[laws.MinorKey, tuple[int, Flat]]:
     """The cofactor map of [rows|cols], each piece N X[1,n]^-k as (k, N), N in
     the kernel's flat {(codes, q exponent): int} form.  A minor through the
     corner is (-q)^(p-1) [R-1|C-n]' X[1,n]; any other is rewritten by
@@ -503,18 +508,14 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
     one key takes the same number of rewritings (one through the enlarged
     minor, whose key has the minor's size, two through a minor that misses
     row 1 only), so the pieces of a key share their k and add as they are.
-    Each map a rewriting reaches is made once per ``memo``, which the
-    recursion passes down; rewritings reach only minors through column n, so
-    the memo keeps only theirs.  Builds no check."""
-    if memo is None:
-        memo = {}
-    if (rows, cols) in memo:
-        return memo[rows, cols]
+    The walk reaches no minor twice: a rewriting reaches the enlarged minor,
+    which passes through the corner, and minors that keep column n, whose own
+    rewritings reach only minors through the corner; so it is at most two
+    rewritings deep and needs no memo.  Builds no check."""
     n = shape.n
     if rows[0] == 1 and cols[-1] == n:
         s = len(rows) - 1
-        memo[rows, cols] = {(rows[1:], cols[:-1]): (0, {((letter(1, n),), s): _sign(s)})}
-        return memo[rows, cols]
+        return {(rows[1:], cols[:-1]): (0, {((letter(1, n),), s): _sign(s)})}
     terms, corner, enlarged = _rewriting(shape, rows, cols)
     e = terms[corner].exponent
     # (minor, generator or None, x, sign): the right cofactor sign (-q)^x X[gen] X[1,n]^-1
@@ -525,17 +526,14 @@ def _derived_cofactors(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...
     for (r, c), g, x, sign in rights:
         w = (g[0] == 1) - (g[1] == n) if g else 0
         sign *= _sign(x)
-        for key, (k, body) in _derived_cofactors(shape, r, c, memo).items():
+        for key, (k, body) in _derived_cofactors(shape, r, c).items():
             if g:
                 body = _fold_gen(body, gen_id(*g))
             acc = sums.setdefault(key, (k + 1, {}))[1]
             for (codes, e2), c2 in body.items():
                 term = (codes, e2 + k * w + x)
                 acc[term] = acc.get(term, 0) + c2 * sign
-    out = {key: (k, _nonzero(acc)) for key, (k, acc) in sums.items()}
-    if cols[-1] == n:
-        memo[rows, cols] = out
-    return out
+    return {key: (k, _nonzero(acc)) for key, (k, acc) in sums.items()}
 
 
 def _commutation(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...], g: Gen

@@ -45,7 +45,9 @@ combinations with the same splits without building them.
 
 Row and column expansions both take their terms and exponent laws from the
 tables in the laws module, fitted by the exponent solver and frozen with the
-package, and are built as combinations.
+package, and are built as combinations.  Each term carries the side its
+generator stands on, so ``table_combination``, ``expansion`` and
+``expansion_products`` read a table of either side without being told it.
 """
 
 from __future__ import annotations
@@ -279,14 +281,14 @@ def commutator(g: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> Combinat
     return combination([((), rows, cols, x, 0, 1), (x, rows, cols, (), 0, -1)])
 
 
-def table_combination(shape: Shape, terms: list[laws.Term], left: bool,
+def table_combination(shape: Shape, terms: list[laws.Term],
                       minus: laws.MinorKey | None = None) -> Combination:
-    """The sum of a term table's products (-q)^e X[gen] [minor], generators on
-    the left, or (-q)^e [minor] X[gen], generators on the right; minus the
-    minor ``minus`` when one is given."""
+    """The sum of a term table's products, (-q)^e X[gen] [minor] or
+    (-q)^e [minor] X[gen] as each term's side says; minus the minor ``minus``
+    when one is given."""
     entries = [((), *minus, (), 0, -1)] if minus else []
     for t in terms:
-        entries.extend((x, *t.minor, (), e, c) if left else ((), *t.minor, x, e, c)
+        entries.extend((x, *t.minor, (), e, c) if t.left else ((), *t.minor, x, e, c)
                        for (x, e), c in _factor(shape, t)._terms.items())
     return combination(entries)
 
@@ -352,17 +354,10 @@ def _add(acc: Flat, terms: Terms, head: Codes, tail: Codes, e0: int, c0: int) ->
             acc[key] = get(key, 0) + c0 * c
 
 
-def _products(shape: Shape, terms: list[laws.Term], left: bool) -> list[AlgebraElement]:
-    """A term table's products, generators on the given side, in table order,
-    with one memo."""
-    memo: Memo = {}
-    return [_flat(shape, table_combination(shape, [t], left), memo) for t in terms]
-
-
 def laplace_expand_row(shape: Shape, i: int, k: int) -> AlgebraElement:
     """sum_j (-q)^(j-i) X[k,j] A(i,j): the determinant when k = i, zero otherwise."""
     full = tuple(range(1, _square_side(shape, i, k) + 1))
-    return flat(shape, table_combination(shape, laws.row_terms(full, full, i, k), True))
+    return expansion(shape, laws.row_terms(full, full, i, k))
 
 
 def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
@@ -372,19 +367,15 @@ def laplace_expand_col(shape: Shape, j: int, l: int) -> AlgebraElement:
 
 
 def expansion(shape: Shape, terms: list[laws.Term]) -> AlgebraElement:
-    """sum (-q)^e [minor] X[gen] over a term table whose generators stand right."""
-    return flat(shape, table_combination(shape, terms, False))
+    """The sum of a term table's products, each generator on its term's side."""
+    return flat(shape, table_combination(shape, terms))
 
 
 def expansion_products(shape: Shape, terms: list[laws.Term]) -> list[AlgebraElement]:
-    """The products (-q)^e [minor] X[gen] of such a term table, in table order."""
-    return _products(shape, terms, False)
-
-
-def left_expansion_products(shape: Shape, terms: list[laws.Term]) -> list[AlgebraElement]:
-    """The products (-q)^e X[gen] [minor] of a term table whose generators stand
-    left, in table order."""
-    return _products(shape, terms, True)
+    """A term table's products, each generator on its term's side, in table
+    order, built with one memo."""
+    memo: Memo = {}
+    return [_flat(shape, table_combination(shape, [t]), memo) for t in terms]
 
 
 def _square_side(shape: Shape, a: int, b: int) -> int:

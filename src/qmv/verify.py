@@ -53,8 +53,7 @@ from .checks import IdentityCheck, check_zero
 from .localize import (
     LocalizedElement,
     _commutation,
-    _flat_corner_power,
-    _moved,
+    _localized_product,
     combined,
     correction_terms,
     x_prime_entries,
@@ -65,7 +64,6 @@ from .minors import (
     complement_minor,
     expansion_products,
     laplace_expand_row,
-    left_expansion_products,
     minor,
     qdet,
 )
@@ -260,13 +258,10 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
     if family in ("row-laplace", "col-laplace"):
         full = tuple(range(1, shape.n + 1))
         det = qdet(shape)
+        table = laws.row_terms if family == "row-laplace" else laws.col_terms
         for a in full:
-            if family == "row-laplace":
-                terms = laws.row_terms(full, full, a, a)
-                yield det, terms, left_expansion_products(shape, _unknown(terms))
-            else:
-                terms = laws.col_terms(full, full, a, a)
-                yield det, terms, expansion_products(shape, _unknown(terms))
+            terms = table(full, full, a, a)
+            yield det, terms, expansion_products(shape, _unknown(terms))
 
     elif family in ("lemma23-eq1", "lemma23-eq2"):
         for p in ((t + 1,) if t is not None else (2, 3)):
@@ -284,8 +279,9 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
         edges = ([(1, l) for l in range(1, shape.n)] if family == "thm25-2prime"
                  else [(k, shape.n) for k in range(2, shape.m + 1)])
         # the corrections complete x mp - mp x to zero; derived minors have denominator
-        # exponent 1 (Cor. 2.2), so all is read as its numerator over X[1,n]^-1
-        over = lambda e: AlgebraElement(shape, _moved(e.numerator._terms, 1 - e.k, shape.n))
+        # exponent 1 (Cor. 2.2), so every term times X[1,n] lies in the algebra
+        corner = gen(shape, 1, shape.n)
+        over = lambda *terms: combined(shape, *((*t, corner) for t in terms)).numerator
         for size in ((t - 1,) if t is not None else (1, 2)):
             for rows in itertools.combinations(range(2, shape.m + 1), size):
                 for cols in itertools.combinations(range(1, shape.n), size):
@@ -294,8 +290,8 @@ def _fit_systems(family: str, m: int | None, n: int | None, t: int | None):
                         if terms := _commutation(shape, rows, cols, g)[2]:
                             x, mp = gen(shape, *g), x_prime_minor(shape, rows, cols)
                             columns = correction_terms(shape, _unknown(terms), g)
-                            yield (over(combined(shape, (1, mp, x), (-1, x, mp))), terms,
-                                   [over(combined(shape, column)) for column in columns])
+                            yield (over((1, mp, x), (-1, x, mp)), terms,
+                                   [over(column) for column in columns])
 
 
 def fit_exponents(family: str, m: int | None = None, n: int | None = None,
@@ -379,18 +375,13 @@ class MembershipProblem:
 
 
 def _columns(unk: UnknownCofactor) -> Iterator[AlgebraElement]:
-    """left * mono * right for each basis monomial, where a factor 1 is skipped
-    and a right factor X[1,n]^d moves the corner in closed form; both factors
-    are read once for all the monomials."""
+    """left * mono * right for each basis monomial, by the localized product,
+    which moves a factor c X[1,n]^d, 1 among them, in closed form."""
     shape = unk.left.shape
-    left, right = (_flat_corner_power(f._terms, shape.n) for f in (unk.left, unk.right))
+    left, right = (unk.left._terms, 0), (unk.right._terms, 0)
     for mono in unk.basis:
-        col = AlgebraElement(shape, {(mono, 0): 1})
-        col = col if left == ({0: 1}, 0) else unk.left * col
-        if right and right[0] == {0: 1}:
-            yield AlgebraElement(shape, _moved(col._terms, right[1], shape.n))
-        else:
-            yield col * unk.right
+        column = _localized_product(shape, ({(mono, 0): 1}, 0), right)
+        yield AlgebraElement(shape, _localized_product(shape, left, column)[0])
 
 
 def solve_membership(problem: MembershipProblem):

@@ -282,12 +282,11 @@ def _suite_laplace(shape: Shape, test: ZeroTest) -> list[IdentityCheck]:
         raise ValueError("Laplace expansions need a square shape")
     full = tuple(range(1, shape.n + 1))
     checks = []
-    for name, table, left in (
-            ("row expansion i={}, coefficients from row {}", laws.row_terms, True),
-            ("column expansion j={}, coefficients from column {}", laws.col_terms, False)):
+    for name, table in (("row expansion i={}, coefficients from row {}", laws.row_terms),
+                        ("column expansion j={}, coefficients from column {}", laws.col_terms)):
         for a in full:
             for b in full:
                 minus = (full, full) if a == b else None
                 checks.append(test.check(name.format(a, b), table_combination(
-                    shape, table(full, full, a, b), left, minus)))
+                    shape, table(full, full, a, b), minus)))
     return checks

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qmv import verify
+from qmv import laws, verify
 from qmv.algebra import AlgebraElement, Shape, gen
 from qmv.cli import main
 from qmv.expr import ExprError, SessionConfig, evaluate_source, parse
@@ -466,6 +466,39 @@ class TestCommands:
         # 3 row pairs below row 1 times 3 column pairs before column 4, two checks each
         assert len(payload["checks"]) == 18
         assert all(c["name"].split("|")[0].count(",") == 2 for c in payload["checks"])
+
+
+@pytest.fixture
+def wrong_column_law(monkeypatch):
+    """The col-laplace law with its constant raised by one: every column
+    expansion gains a factor -q, so the ones that give the determinant fail."""
+    frozen = laws.law_coefficients
+
+    def perturbed(family):
+        law = frozen(family)
+        if family == "col-laplace":
+            law["1"] = law.get("1", 0) + 1
+        return law
+
+    monkeypatch.setattr(laws, "law_coefficients", perturbed)
+
+
+def test_a_failing_suite_prints_each_failure_and_its_witness(capsys, wrong_column_law):
+    assert main(["suite", "laplace", "--n", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("suite laplace {'m': 3, 'n': 3}: 18 checks, FAIL (3 failing), ")
+    # the expansion is -q det, so each witness is -q det - det
+    witness = str(qdet(Shape(3, 3)).scale(LaurentScalar({0: -1, 1: -1})))
+    assert lines[1:] == [line for j in (1, 2, 3) for line in (
+        f"  FAIL column expansion j={j}, coefficients from column {j}",
+        f"       witness: {witness}")]
+
+
+def test_a_fit_that_diverges_from_the_frozen_table_exits_1(capsys, wrong_column_law):
+    assert main(["fit-exponents", "col-laplace", "--n", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "fit failed: col-laplace: recomputed exponents diverge from the frozen table\n"
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

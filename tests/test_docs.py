@@ -1,5 +1,6 @@
 """The README stays in step with the source tree."""
 
+import importlib
 import re
 import textwrap
 from pathlib import Path
@@ -53,3 +54,21 @@ def test_readme_lists_every_zero_test_count():
     listed = set(re.findall(r"`(\w+)`", match.group(1)))
     reported = set(verify.run_suite("thm25", n=3).counts) - {"straighten_cache_added"}
     assert listed == reported, f"README lists {sorted(listed)}, the suite reports {sorted(reported)}"
+
+
+def test_readme_module_qualified_names_resolve():
+    # `minors.flat`, `qmv.localize.combined`, `laws.exponent(family, indices)`:
+    # a backquoted name that starts with a module of the package is an
+    # attribute of that module
+    modules = {p.stem for p in (ROOT / "src" / "qmv").glob("*.py") if not p.name.startswith("__")}
+    named = re.findall(r"`(?:qmv\.)?(\w+)((?:\.\w+)+)", _readme())
+    missing = []
+    for module, path in named:
+        if module not in modules:
+            continue
+        obj = importlib.import_module(f"qmv.{module}")
+        for attr in path.split(".")[1:]:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(module + path)
+    assert named and not missing, f"README names what the package does not define: {missing}"

@@ -261,6 +261,20 @@ def test_equality_matches_cross_multiplication():
             assert (lhs == rhs) == ((f * corner**l) == (g * corner**k))
 
 
+def test_a_plain_element_hashes_as_its_localized_form():
+    # equal values hash alike, so a set holds a plain element and its
+    # localized form once; a proper fraction hashes apart from its numerator
+    s = Shape(3, 3)
+    rng = random.Random(41)
+    for _ in range(10):
+        a = random_element(s, 2, rng)
+        assert a == LocalizedElement(a) and hash(a) == hash(LocalizedElement(a))
+        assert len({a, LocalizedElement(a)}) == 1
+    corner = gen(s, 1, 3)
+    fraction = LocalizedElement(gen(s, 2, 1), 1)
+    assert fraction.k == 1 and len({fraction, gen(s, 2, 1), LocalizedElement(corner, 1)}) == 3
+
+
 def test_x_prime_two_by_two():
     s = Shape(2, 2)
     got = x_prime(s, 2, 1)

@@ -79,7 +79,7 @@ def _zero_blocks(s: Shape, draw):
             p = draw(st.integers(1, len(rows)))
             table = laws.row_terms if kind == "row" else laws.col_terms
             terms = table(rows, cols, p, (rows if kind == "row" else cols)[p - 1])
-            block = table_combination(s, terms, kind == "row", (rows, cols))
+            block = table_combination(s, terms, (rows, cols))
         e, c = draw(st.integers(-2, 2)), draw(st.sampled_from([1, -1, 2]))
         for (state, e0), c0 in block.items():
             out[(state, e0 + e)] = out.get((state, e0 + e), 0) + c * c0
@@ -262,9 +262,9 @@ def _word_combination(rng, s: Shape, zero: bool):
                      else minors.combination([]))
             if rows and rng.random() < 0.5:
                 p = rng.randint(1, len(rows))
-                table, left = (laws.row_terms, True) if rng.random() < 0.5 else (laws.col_terms, False)
-                terms = table(rows, cols, p, (rows if left else cols)[p - 1])
-                block = table_combination(s, terms, left, (rows, cols))
+                table = laws.row_terms if rng.random() < 0.5 else laws.col_terms
+                terms = table(rows, cols, p, (rows if table is laws.row_terms else cols)[p - 1])
+                block = table_combination(s, terms, (rows, cols))
             block = _times_words(block, _random_word(rng, s, 2), _random_word(rng, s, 2))
         else:
             left, right = _random_word(rng, s, 2), _random_word(rng, s, 2) if rows else ()
