@@ -35,8 +35,9 @@ numerator of a localized value are one representation.  ``AlgebraElement.sum``,
 cancelled; ``*`` is ``_product`` on the two dicts, as the localization and the
 expression evaluator call it.  ``_grouped`` forms the ``LaurentScalar``
 coefficient of each monomial, the one place that is done, only where a ring
-coefficient is needed: printing, ``specialize``, ``scale`` and the solver
-tables of the verify module.
+coefficient is needed: printing and ``scale``.  The solver tables of the
+verify module read ``_coefficients``, the same grouping as {q exponent:
+integer}, and form one ``LaurentScalar`` per distinct coefficient.
 
 Only the suffix of a monomial moves.  Every letter a rewrite of h * g creates
 is >= g: the swap gives g and h, and the correction X[k,j] * X[i,l] of a
@@ -144,6 +145,25 @@ class Bidegree:
 
     rowdeg: tuple[int, ...]
     coldeg: tuple[int, ...]
+
+
+# A row or a column holds at most 63 letters, each of exponent below 2^18, so
+# its degree has fewer than COL_BITS + EXP_BITS bits: one digit of a bidegree
+# packed into an int.
+DIGIT_BITS = COL_BITS + EXP_BITS
+
+
+class _LetterDigits(dict):
+    """Letter code -> its bidegree packed into an int, e at digit i - 1 and
+    at digit m + j - 1 for X[i,j]^e, computed on first use."""
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def __missing__(self, code: int) -> int:
+        e, i, j = code & EXP_MASK, code >> EXP_BITS >> COL_BITS, code >> EXP_BITS & COL_MASK
+        self[code] = value = e << DIGIT_BITS * (i - 1) | e << DIGIT_BITS * (self.m + j - 1)
+        return value
 
 
 def monomial(pairs: Iterable[tuple[Gen, int]]) -> Codes:
@@ -280,13 +300,18 @@ def _nonzero(flat: Flat) -> Flat:
     return {key: c for key, c in flat.items() if c}
 
 
-def _grouped(flat: Flat) -> dict[Codes, LaurentScalar]:
+def _coefficients(flat: Flat) -> dict[Codes, dict[int, int]]:
     """The coefficient of each monomial of a flat sum without cancelled keys,
-    as one ``LaurentScalar``, monomials in the order they first occur."""
+    as {q exponent: integer}, monomials in the order they first occur."""
     grouped: dict[Codes, dict[int, int]] = {}
     for (codes, e), c in flat.items():
         grouped.setdefault(codes, {})[e] = c
-    return {codes: LaurentScalar.from_clean(d) for codes, d in grouped.items()}
+    return grouped
+
+
+def _grouped(flat: Flat) -> dict[Codes, LaurentScalar]:
+    """``_coefficients`` with each coefficient one ``LaurentScalar``."""
+    return {codes: LaurentScalar.from_clean(d) for codes, d in _coefficients(flat).items()}
 
 
 def _shifted(terms: Iterable[tuple[tuple[Codes, int], int]], scalar: dict[int, int]) -> Flat:
@@ -448,26 +473,42 @@ class AlgebraElement:
         return _max_degree(self._terms)
 
     def bidegree_of(self) -> Bidegree | None:
-        """The common bidegree of all terms, or None when inhomogeneous."""
-        degs = {bidegree(mono, self.shape) for mono, _ in self._terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        """The common bidegree of all terms, or None when inhomogeneous or zero.
+
+        Each monomial is read as one integer: the sum over its letters
+        X[i,j]^e of e at digit i - 1 and at digit m + j - 1, in base
+        2^DIGIT_BITS.  No digit carries, so equal integers are equal
+        bidegrees, and only the common one is decoded."""
+        m = self.shape.m
+        packed = _LetterDigits(m).__getitem__
+        found = {sum(map(packed, codes)) for codes, _ in self._terms}
+        if len(found) != 1:
+            return None
+        digits = [x >> DIGIT_BITS * k & (1 << DIGIT_BITS) - 1 for x in found for k in range(m + self.shape.n)]
+        return Bidegree(tuple(digits[:m]), tuple(digits[m:]))
 
     def kill_generator(self, g: Gen) -> "AlgebraElement":
-        """Image under the specialization sending X[g] to 0 (drop terms containing it)."""
-        return AlgebraElement(
-            self.shape, {key: c for key, c in self._terms.items() if exponent(key[0], g) == 0}
-        )
+        """Image under the specialization sending X[g] to 0 (drop terms containing
+        it): a monomial contains it when a code of g's letters, in
+        [lo, lo + EXP_LIMIT), lies where ``bisect_left`` would insert lo."""
+        lo = letter(*g, 0)
+        return AlgebraElement(self.shape, {key: c for key, c in self._terms.items() if (
+            p := bisect_left(key[0], lo)) == len(key[0]) or key[0][p] >= lo + EXP_LIMIT})
 
     def specialize(self, q0: Fraction | int) -> dict[Codes, Fraction]:
-        """Evaluate every coefficient at q = q0; zero coefficients dropped."""
-        out = {}
-        for mono, coeff in _grouped(self._terms).items():
-            v = coeff.evaluate(q0)
-            if v:
-                out[mono] = v
-        return out
+        """Evaluate every coefficient at q = q0; zero coefficients dropped,
+        monomials in the order they first occur.  The sums are taken over the
+        flat sum, as ``LaurentScalar.evaluate`` takes them at an integer q0:
+        q0^low * sum c q0^(e - low), with low the lowest q exponent of the
+        whole element, so an integer q0 stays in integers until the division."""
+        if self._terms and not q0:
+            raise ValueError("cannot evaluate a Laurent polynomial at q = 0")
+        low = min([e for _, e in self._terms], default=0)
+        sums: dict[Codes, int] = {}
+        for (codes, e), c in self._terms.items():
+            sums[codes] = sums.get(codes, 0) + c * q0 ** (e - low)
+        num, den = (1, q0 ** -low) if low < 0 else (q0 ** low, 1)
+        return {mono: Fraction(v * num, den) for mono, v in sums.items() if v}
 
     def render(self, limit: int | None = None) -> str:
         """Canonical text; given a limit, only that many leading terms and the term count."""
@@ -492,11 +533,24 @@ def commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a * b - b * a
 
 
-def component_basis(shape: Shape, d: Bidegree) -> list[Codes]:
-    """All PBW monomials of exactly bidegree d, in deterministic (sorted) order.
+def component_basis(shape: Shape, d: Bidegree, excluded: Gen | None = None) -> list[Codes]:
+    """All PBW monomials of exactly bidegree d, sorted by ``sort_key``; given
+    a generator ``excluded``, only those without it.
 
-    Equivalent to enumerating nonnegative integer m-by-n matrices with row sums
-    d.rowdeg and column sums d.coldeg.
+    A monomial of bidegree d is a nonnegative integer m-by-n matrix with row
+    sums d.rowdeg and column sums d.coldeg.  The cells are filled depth first
+    in row-major order.  A cell takes at most what its row and its column
+    still need, the excluded cell nothing, and at least what its row still
+    needs beyond what the later cells of the row can take, so a row never
+    ends short; once a row has all it needs, its later cells stay empty.
+
+    The order: every monomial of d has the degree sum(d.rowdeg), so
+    ``sort_key`` compares words alone.  Two words of one length agree up to
+    the letters of the first cell whose exponents differ, a > a'.  There the
+    word with a has that cell's generator where the other has the generator
+    of a later cell, a larger id, so it is the smaller word.  Each cell
+    therefore tries its exponents from the largest down, and the enumeration
+    emits the basis already sorted.
     """
     if len(d.rowdeg) != shape.m or len(d.coldeg) != shape.n:
         raise ValueError("bidegree length does not match shape")
@@ -504,28 +558,28 @@ def component_basis(shape: Shape, d: Bidegree) -> list[Codes]:
         raise ValueError("bidegree entries must be nonnegative")
     if sum(d.rowdeg) != sum(d.coldeg):
         return []
+    blocked = excluded and (excluded[0] - 1, excluded[1] - 1)
+    cols = list(d.coldeg)  # what each column still needs
+    codes = [[letter(i, j, 0) for j in range(1, shape.n + 1)] for i in range(1, shape.m + 1)]
     out: list[Codes] = []
 
-    def fill_row(i: int, cols_left: tuple[int, ...], acc: list[int]):
-        if i > shape.m:
-            if all(c == 0 for c in cols_left):
-                out.append(tuple(acc))
-            return
-        target = d.rowdeg[i - 1]
+    def fill(i: int, j: int, left: int, word: Codes) -> None:
+        """Fill row i from column j on with ``left`` more, then the rows below."""
+        if not left:  # row i is full: fill the next row, or emit the monomial
+            return fill(i + 1, 0, d.rowdeg[i + 1], word) if i + 1 < shape.m else out.append(word)
+        caps = [0 if (i, k) == blocked else cols[k] for k in range(j, shape.n)]
+        room = sum(caps)  # what the cells from j on can take
+        for j, cap in enumerate(caps, j):
+            room -= cap
+            for e in range(min(left, cap), max(left - room, 1) - 1, -1):
+                cols[j] -= e
+                fill(i, j + 1, left - e, word + (codes[i][j] + e,))
+                cols[j] += e
+            if left > room:
+                break  # cell j may not stay empty
 
-        def fill_cell(j: int, remaining: int, cols: tuple[int, ...], row_acc: list[int]):
-            if j > shape.n:
-                if remaining == 0:
-                    fill_row(i + 1, cols, acc + row_acc)
-                return
-            for e in range(min(remaining, cols[j - 1]) + 1):
-                new_cols = cols[: j - 1] + (cols[j - 1] - e,) + cols[j:]
-                fill_cell(j + 1, remaining - e, new_cols, row_acc + ([letter(i, j, e)] if e else []))
-
-        fill_cell(1, target, cols_left, [])
-
-    fill_row(1, d.coldeg, [])
-    return sorted(out, key=sort_key)
+    fill(0, 0, d.rowdeg[0], ())
+    return out
 
 
 def monomial_count(shape: Shape, d: int) -> int:

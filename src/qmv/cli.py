@@ -13,7 +13,7 @@ import sys
 from functools import lru_cache
 
 from .checks import check_zero
-from .expr import ExprError, SessionConfig, difference, evaluate_source, parse_index_set
+from .expr import SessionConfig, difference, evaluate_source, parse_index_set
 from .minors import minor
 from .verify import FitError, FIT_FAMILIES, fit_exponents, run_suite, verify_frozen_table
 
@@ -29,7 +29,7 @@ def _add_common(parser: argparse.ArgumentParser):
 def _config(args) -> SessionConfig:
     m, n = args.m, args.n
     if m is None and n is None:
-        raise ExprError("shape required: pass --m/--n", 0)
+        raise ValueError("shape required: pass --m/--n")
     m = m if m is not None else n
     n = n if n is not None else m
     return SessionConfig(m=m, n=n)
@@ -74,10 +74,10 @@ def _cmd_equal(args) -> int:
 
 def _cmd_det(args) -> int:
     if args.n is None and args.m is None:
-        raise ExprError("det needs --n", 0)
+        raise ValueError("det needs --n")
     config = _config(args)
     if config.m != config.n:
-        raise ExprError("det needs a square shape", 0)
+        raise ValueError("det needs a square shape")
     value = evaluate_source(f"Dq@{config.n}", config)
     _emit(args, {"n": config.n, "det": str(value)}, str(value))
     return 0
@@ -202,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (ExprError, ValueError) as exc:
+    except ValueError as exc:  # parse errors (ExprError) among them
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -57,6 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import getitem
 
 from .algebra import (
     COL_BITS, EXP_BITS, EXP_MASK, AlgebraElement, Codes, Flat, Shape, _fold_gen, _nonzero, decode,
@@ -113,7 +114,8 @@ def inversions(perm: tuple[int, ...]) -> int:
 
 
 def minor(shape: Shape, rows: tuple[int, ...] | list[int], cols: tuple[int, ...] | list[int]) -> AlgebraElement:
-    """The quantum minor on the given rows and columns, in PBW normal form."""
+    """The quantum minor on the given rows and columns, in PBW normal form,
+    built once per process and shared; ``built_minor`` keeps nothing."""
     return _minor(shape, *_fitting(shape, rows, cols))
 
 
@@ -135,27 +137,36 @@ def check_term_count(t: int) -> None:
                          f"more than the limit of {MAX_MINOR_TERMS:,}")
 
 
-@lru_cache(maxsize=None)
-def _minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
-    """Built once per (shape, rows, cols); elements are immutable, so callers
-    share it.  Each word's term is (-q)^inv(sigma), the flat key (word, inv)
-    with coefficient (-1)^inv."""
-    return AlgebraElement(shape, {(codes, inv): _sign(inv) for codes, inv in _permutation_words(rows, cols)})
+def built_minor(shape: Shape, rows: tuple[int, ...], cols: tuple[int, ...]) -> AlgebraElement:
+    """The minor on rows and columns that fit, as tuples, built afresh and kept
+    nowhere, for a caller that reads it once: the permutation sum, each word's
+    term (-q)^inv(sigma) the flat key (word, inv) with coefficient (-1)^inv."""
+    return AlgebraElement(shape, {key: _sign(key[1]) for key in _permutation_words(rows, cols)})
+
+
+# ``built_minor`` once per (shape, rows, cols); elements are immutable, so
+# callers share it.
+_minor = lru_cache(maxsize=None)(built_minor)
 
 
 def _permutation_words(rows: tuple[int, ...], cols: tuple[int, ...]) -> list[tuple[Codes, int]]:
-    """(word, inv(sigma)) over the permutations sigma, in lexicographic order:
-    the first row takes the column in 0-based position b and adds b
-    inversions to the rest.  Rows ascend, so every word is a PBW monomial."""
-    if not rows:
-        return [((), 0)]
-    r, below = rows[0], rows[1:]
-    words = []
-    for b, col in enumerate(cols):
-        head = (letter(r, col),)
-        words.extend((head + codes, b + inv)
-                     for codes, inv in _permutation_words(below, cols[:b] + cols[b + 1:]))
-    return words
+    """(word, inv(sigma)) over the permutations sigma, in lexicographic order.
+    Rows ascend, so every word is a PBW monomial; its letters are read from
+    one table of codes, so the words share their int objects.
+
+    ``itertools.permutations`` of the positions yields them in lexicographic
+    order.  The one at index k has the factorial-base digits of k as its
+    Lehmer code: the digit of position i counts the later positions sigma
+    sends to a smaller column, so inv(sigma) is the digit sum.  The digit
+    sums are built from the last position up: over t positions, the first
+    digit b in 0..t-1 varies slowest and adds b to the sums over the last
+    t - 1."""
+    table = [[letter(r, c) for c in cols] for r in rows]
+    invs = [0]
+    for size in range(2, len(rows) + 1):
+        invs = [b + x for b in range(size) for x in invs]
+    return list(zip([tuple(map(getitem, table, p)) for p in itertools.permutations(range(len(cols)))],
+                    invs))
 
 
 def qdet(shape: Shape) -> AlgebraElement:

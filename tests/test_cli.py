@@ -288,6 +288,17 @@ class TestCommands:
     def test_det_rejects_rectangular_shape(self, capsys):
         assert main(["det", "--m", "2", "--n", "3"]) == 2
 
+    @pytest.mark.parametrize("argv, line", [
+        (["det", "--m", "2", "--n", "3"], "error: det needs a square shape\n"),
+        (["det"], "error: det needs --n\n"),
+        (["normalize", "X[1,1]"], "error: shape required: pass --m/--n\n"),
+    ])
+    def test_flag_errors_name_no_source_position(self, capsys, argv, line):
+        # a flag is not expression text, so its error carries no "(at position 0)"
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", line)
+
     def test_square_only_suite_on_rectangle_is_usage_error(self, capsys):
         assert main(["suite", "laplace", "--m", "3", "--n", "4"]) == 2
 

@@ -306,14 +306,15 @@ def test_minor_products_straighten_generator_pairs_only(suite):
 
 
 def test_grading_adds_at_most_one_minor_per_size_to_the_minor_cache():
-    # one leading minor decides each size: building every minor into the
-    # cache held all 12,869 minors of an 8x8 grid, most of that run's memory
-    for m, n in ((5, 5), (3, 4)):
+    # each minor grading builds is read once, so none stays in the
+    # process-wide cache: building every minor into the cache held all 12,869
+    # minors of an 8x8 grid, and the 9! leading minor alone about 130 MB
+    for m, n in ((5, 5), (3, 4), (4, 4), (4, 3)):
         minors._minor.cache_clear()
         report = run_suite("grading", m=m, n=n)
         assert report.passed  # over every minor: sum_p C(m,p) C(n,p) = C(m+n,m) - 1
         assert sum("homogeneous" in c.name for c in report.checks) == comb(m + n, m) - 1
-        assert minors._minor.cache_info().currsize <= min(m, n)
+        assert minors._minor.cache_info().currsize == 0
 
 
 def _per_minor_grading(s):
